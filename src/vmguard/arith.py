@@ -7,7 +7,10 @@ semantics have a single home.
 
 from __future__ import annotations
 
-from .ir.core import TypeTag
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:       # importing vmguard.ir at run time would be circular
+    from .ir.core import TypeTag
 
 DIV_BY_ZERO = "division by zero"
 

@@ -38,20 +38,13 @@ def compute_vpa_hash(vpa) -> int:
         for e in vpa:
             h ^= e
         return h & 0xFFFF
-    if isinstance(vpa, array) and vpa.typecode == "H":
-        if sys.byteorder == "big":
-            swapped = array("H", vpa)
-            swapped.byteswap()
-            raw = swapped.tobytes()
-        else:
-            raw = vpa.tobytes()
-    else:
-        raw = array("H", [e & 0xFFFF for e in vpa]).tobytes()
-        if sys.byteorder == "big":
-            swapped = array("H", [e & 0xFFFF for e in vpa])
-            swapped.byteswap()
-            raw = swapped.tobytes()
-    x = int.from_bytes(raw, "little")
+    elems = vpa if isinstance(vpa, array) and vpa.typecode == "H" else \
+        array("H", [e & 0xFFFF for e in vpa])
+    if sys.byteorder == "big":
+        if elems is vpa:
+            elems = array("H", vpa)     # never swap the caller's stream
+        elems.byteswap()
+    x = int.from_bytes(elems.tobytes(), "little")
     while x > 0xFFFF:
         words = (x.bit_length() + 15) // 16
         shift = ((words + 1) // 2) * 16

@@ -14,27 +14,25 @@ from dataclasses import dataclass, field
 
 
 class TypeTag(enum.IntEnum):
-    I1 = 0
-    I8 = 1
-    I16 = 2
-    I32 = 3
-    I64 = 4
+    """Integer type.  Each member carries its bit count, its byte width as
+    a stored value (I1 occupies one byte) and its source spelling as plain
+    attributes, so hot paths read them without a lookup."""
 
-    @property
-    def bits(self) -> int:
-        return {TypeTag.I1: 1, TypeTag.I8: 8, TypeTag.I16: 16,
-                TypeTag.I32: 32, TypeTag.I64: 64}[self]
+    bits: int
+    width: int
+    text: str
 
-    @property
-    def width(self) -> int:
-        """Byte width of a stored value (I1 occupies one byte)."""
-        return {TypeTag.I1: 1, TypeTag.I8: 1, TypeTag.I16: 2,
-                TypeTag.I32: 4, TypeTag.I64: 8}[self]
+    def __new__(cls, code: int, bits: int, width: int, text: str):
+        tag = int.__new__(cls, code)
+        tag._value_ = code
+        tag.bits, tag.width, tag.text = bits, width, text
+        return tag
 
-    @property
-    def text(self) -> str:
-        return {TypeTag.I1: "i1", TypeTag.I8: "i8", TypeTag.I16: "i16",
-                TypeTag.I32: "i32", TypeTag.I64: "i64"}[self]
+    I1 = (0, 1, 1, "i1")
+    I8 = (1, 8, 1, "i8")
+    I16 = (2, 16, 2, "i16")
+    I32 = (3, 32, 4, "i32")
+    I64 = (4, 64, 8, "i64")
 
 
 TYPE_BY_NAME = {t.text: t for t in TypeTag}

@@ -29,6 +29,7 @@ def evaluate_function(fn: IrFunction, args, call_hook, ctx: ExecContext):
     for (name, tag), raw in zip(fn.params, args):
         env[name] = raw & ((1 << tag.bits) - 1)
 
+    blocks = block_map(fn)
     block = fn.blocks[0]
     index = 0
     trace = ctx.trace_blocks
@@ -48,14 +49,14 @@ def evaluate_function(fn: IrFunction, args, call_hook, ctx: ExecContext):
             env[ins.result] = icmp(ins.predicate, env[a], env[b],
                                    ins.type.bits)
         elif k == "br":
-            block = fn.block(ins.labels[0])
+            block = blocks[ins.labels[0]]
             index = 0
             if trace is not None:
                 trace.add((fn.name, block.label))
             continue
         elif k == "brcond":
-            block = fn.block(ins.labels[0] if env[ins.operands[0]]
-                             else ins.labels[1])
+            block = blocks[ins.labels[0] if env[ins.operands[0]]
+                           else ins.labels[1]]
             index = 0
             if trace is not None:
                 trace.add((fn.name, block.label))
@@ -112,6 +113,16 @@ def value_tags(fn: IrFunction) -> dict:
                                     else ins.type)
         object.__setattr__(fn, "_tag_cache", tags)
     return tags
+
+
+def block_map(fn: IrFunction) -> dict:
+    """Map of block label -> block, cached on the function object.  Like
+    `IrFunction.block`, the first of duplicate labels wins."""
+    blocks = getattr(fn, "_block_cache", None)
+    if blocks is None:
+        blocks = {b.label: b for b in reversed(fn.blocks)}
+        object.__setattr__(fn, "_block_cache", blocks)
+    return blocks
 
 
 def _operand_tag(fn: IrFunction, name: str):

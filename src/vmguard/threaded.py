@@ -1,16 +1,32 @@
-"""Pre-decoding execution engine.
+"""Pre-decoding execution engine with a register file.
 
 Each function's encoded stream is decoded once per run into positional
-records whose operand cells, type widths and successor links are baked
-into closures; the dispatch loop then just indexes a list.  That removes
-the per-step opcode lookup, operand fetch and counter bounds check the
-checked engine pays for, at the cost of observing corruption lazily:
+records whose operand cells, type masks and successor links are baked
+into closures; the dispatch loop then just indexes a list.  Memory is a
+register file rather than a byte image: a list indexed by byte offset in
+which every cell and region element the records reference holds its
+value as one canonical unsigned int, so a handler is a few list
+operations (`vm[r] = (vm[a] + vm[b]) & m`) instead of byte slices.  The
+template list is built from the image once per run, at decode time, and
+each activation starts from a copy of it.
+
+That removes the per-step opcode lookup, operand fetch, byte conversion
+and counter bounds check the checked engine pays for, at the cost of
+observing corruption lazily:
 
   - structural damage (unknown opcode, truncated record, branch into the
     middle of a record) is refused up front when decoding, with the same
     signal kinds the checked engine raises;
-  - damage to cell offsets or region bounds is baked in and surfaces, if
-    at all, as wrong results or traps rather than signals;
+  - so is any cell reference that leaves the image, and any pair of
+    references that share a byte without naming the same cells (an
+    operand retargeted into the middle of a wider cell, a load or store
+    count stretched over a neighbouring cell).  Honest layouts never
+    overlap, and one int per cell cannot alias part of another value, so
+    such a function is refused as an invalid reference before it runs;
+  - other damage to cell offsets or region bounds is baked in and
+    surfaces, if at all, as wrong results or traps rather than signals;
+    an index outside a region, or past the image end, traps with the
+    checked engine's load or store reason;
   - the encoded streams themselves stay monitored: every checksum record
     re-hashes its target's live stream on every execution, so mutation
     after decode is still caught.
@@ -18,13 +34,16 @@ checked engine pays for, at the cost of observing corruption lazily:
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass
 
-from .arith import (TrapError, ashr, cast, lshr, sdiv, shl, srem, to_signed)
+from .arith import TrapError, ashr, lshr, sdiv, shl, srem
 from .bundle import ProtectedBundle, VirtFunction
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
 from .guards import compute_vpa_hash
+from .ir.core import TypeTag
 from .risa import HandlerSpec
 from .runtime import (HASH_MISMATCH, INVALID_OPCODE, INVALID_REFERENCE,
                       PC_ESCAPE, TamperSignal, call_function,
@@ -103,57 +122,99 @@ def pre_decode(vfn: VirtFunction) -> list[ThreadedRecord]:
     return records
 
 
-_WRAPPING = {
-    "add": lambda x, y, m: (x + y) & m,
-    "sub": lambda x, y, m: (x - y) & m,
-    "mul": lambda x, y, m: (x * y) & m,
-    "and": lambda x, y, m: x & y,
-    "or": lambda x, y, m: x | y,
-    "xor": lambda x, y, m: x ^ y,
-}
+class _Cells:
+    """The cells and regions one function references, collected while its
+    records compile, and the register-file template they imply."""
+
+    def __init__(self, vfn: VirtFunction) -> None:
+        self.vfn = vfn
+        self.size = len(vfn.image)
+        self.spans: set[tuple[int, int, int]] = set()  # (start, end, width)
+
+    def cell(self, off: int, width: int, where: str) -> int:
+        """Validate one baked cell reference; corrupt offsets are refused
+        here so the hot loop never bounds-checks them."""
+        if off + width > self.size:
+            raise TamperSignal(
+                INVALID_REFERENCE, f"@{self.vfn.name}: {where} references "
+                "a cell outside the image")
+        self.spans.add((off, off + width, width))
+        return off
+
+    def region(self, base: int, count: int, width: int) -> int:
+        """Note the elements of a load/store region that lie inside the
+        image; returns how many leading elements an index may reach."""
+        n = min(count, max(0, (self.size - base) // width))
+        if n:
+            self.spans.add((base, base + n * width, width))
+        return n
+
+    def template(self) -> list[int]:
+        """Each referenced cell's little-endian value at its offset.  Two
+        spans sharing a byte must cut it into the same cells: same width,
+        element boundaries aligned."""
+        image = self.vfn.image
+        vm = list(image)            # width-1 cells hold their byte already
+        group_start, group_end, group_width = 0, 0, 0
+        for start, end, width in sorted(self.spans):
+            if start < group_end:
+                if width != group_width or (start - group_start) % width:
+                    raise TamperSignal(
+                        INVALID_REFERENCE, f"@{self.vfn.name}: cells at "
+                        f"{group_start} and {start} overlap")
+                group_end = max(group_end, end)
+            else:
+                group_start, group_end, group_width = start, end, width
+            if width > 1:
+                vm[start:end:width] = struct.unpack_from(
+                    f"<{(end - start) // width}{_UNPACK[width]}", image, start)
+        return vm
+
+
+_UNPACK = {2: "H", 4: "I", 8: "Q"}
+
+_WRAPPING = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_BITWISE = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
 
 _TRAPPING = {"sdiv": sdiv, "srem": srem, "shl": shl, "lshr": lshr,
              "ashr": ashr}
 
 _COMPARE = {
-    "eq": lambda x, y: x == y, "ne": lambda x, y: x != y,
-    "slt": lambda x, y: x < y, "sle": lambda x, y: x <= y,
-    "sgt": lambda x, y: x > y, "sge": lambda x, y: x >= y,
-    "ult": lambda x, y: x < y, "ule": lambda x, y: x <= y,
-    "ugt": lambda x, y: x > y, "uge": lambda x, y: x >= y,
+    "eq": operator.eq, "ne": operator.ne,
+    "slt": operator.lt, "sle": operator.le,
+    "sgt": operator.gt, "sge": operator.ge,
+    "ult": operator.lt, "ule": operator.le,
+    "ugt": operator.gt, "uge": operator.ge,
 }
+_SIGNED = ("slt", "sle", "sgt", "sge")
 
 
 def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
-                    rec: ThreadedRecord, ctx: ExecContext, engine):
+                    rec: ThreadedRecord, ctx: ExecContext, engine,
+                    cells: _Cells):
     spec = rec.spec
     k = spec.kind
     ops = rec.operands
     s = rec.successor
-    size = len(vfn.image)
+    where = f"record at {rec.offset}"
 
     def cell(off: int, width: int) -> int:
-        """Validate one baked cell reference; corrupt offsets are refused
-        here so the hot loop never bounds-checks them."""
-        if off + width > size:
-            raise TamperSignal(
-                INVALID_REFERENCE, f"@{vfn.name}: record at {rec.offset} "
-                "references a cell outside the image")
-        return off
+        return cells.cell(off, width, where)
 
     if k in ("const", "alloca", "br"):
         return lambda vm: s
 
-    if k in _WRAPPING:
-        op = _WRAPPING[k]
+    if k in _WRAPPING or k in _BITWISE:
         w = spec.result_type.width
         a, b, r = (cell(o, w) for o in ops)
-        m = (1 << spec.result_type.bits) - 1
+        if k in _WRAPPING:
+            op, m = _WRAPPING[k], (1 << spec.result_type.bits) - 1
+        else:
+            # bitwise results keep whatever bits the cells hold
+            op, m = _BITWISE[k], (1 << 8 * w) - 1
 
         def run(vm):
-            vm[r:r + w] = op(int.from_bytes(vm[a:a + w], "little"),
-                             int.from_bytes(vm[b:b + w], "little"),
-                             m).to_bytes(w, "little")
+            vm[r] = op(vm[a], vm[b]) & m
             return s
         return run
 
@@ -164,9 +225,7 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         a, b, r = (cell(o, w) for o in ops)
 
         def run(vm):
-            vm[r:r + w] = op(int.from_bytes(vm[a:a + w], "little"),
-                             int.from_bytes(vm[b:b + w], "little"),
-                             bits).to_bytes(w, "little")
+            vm[r] = op(vm[a], vm[b], bits)
             return s
         return run
 
@@ -177,16 +236,23 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         w = spec.operand_types[0].width
         a, b = cell(ops[0], w), cell(ops[1], w)
         r = cell(ops[2], 1)
-        if pred in ("slt", "sle", "sgt", "sge"):
+        if pred not in _SIGNED:
             def run(vm):
-                x = to_signed(int.from_bytes(vm[a:a + w], "little"), bits)
-                y = to_signed(int.from_bytes(vm[b:b + w], "little"), bits)
-                vm[r] = 1 if cmp(x, y) else 0
+                vm[r] = 1 if cmp(vm[a], vm[b]) else 0
+                return s
+            return run
+        # flipping the sign bit maps two's complement onto unsigned order
+        sb = 1 << (bits - 1)
+        if bits == 8 * w:
+            def run(vm):
+                vm[r] = 1 if cmp(vm[a] ^ sb, vm[b] ^ sb) else 0
                 return s
         else:
+            # an i1 cell is a whole byte, of which only the low bit counts
+            m = (1 << bits) - 1
+
             def run(vm):
-                vm[r] = 1 if cmp(int.from_bytes(vm[a:a + w], "little"),
-                                 int.from_bytes(vm[b:b + w], "little")) else 0
+                vm[r] = 1 if cmp((vm[a] & m) ^ sb, (vm[b] & m) ^ sb) else 0
                 return s
         return run
 
@@ -196,53 +262,62 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         a, b, r = (cell(o, w) for o in ops[1:])
 
         def run(vm):
-            p = a if vm[c] else b
-            vm[r:r + w] = vm[p:p + w]
+            vm[r] = vm[a] if vm[c] else vm[b]
             return s
         return run
 
     if k in ("zext", "sext", "trunc"):
-        src_tag, dst_tag = spec.operand_types[0], spec.result_type
-        sw, dw = src_tag.width, dst_tag.width
-        a, r = cell(ops[0], sw), cell(ops[1], dw)
+        src_bits, dst_bits = spec.operand_types[0].bits, \
+            spec.result_type.bits
+        a = cell(ops[0], spec.operand_types[0].width)
+        r = cell(ops[1], spec.result_type.width)
+        dm = (1 << dst_bits) - 1
+        if k == "sext":
+            sm, sb = (1 << src_bits) - 1, 1 << (src_bits - 1)
 
-        def run(vm):
-            v = cast(k, int.from_bytes(vm[a:a + sw], "little"),
-                     src_tag, dst_tag)
-            vm[r:r + dw] = v.to_bytes(dw, "little")
-            return s
+            def run(vm):
+                vm[r] = (((vm[a] & sm) ^ sb) - sb) & dm
+                return s
+        else:
+            m = (1 << src_bits) - 1 if k == "zext" else dm
+
+            def run(vm):
+                vm[r] = vm[a] & m
+                return s
         return run
 
-    if k == "load":
-        ibits = spec.operand_types[0].bits
-        iw = spec.operand_types[0].width
-        w = spec.result_type.width
-        base, count = ops[0], ops[1]
-        ix, r = cell(ops[2], iw), cell(ops[3], w)
+    if k in ("load", "store"):
+        # an index is in bounds when 0 <= signed index < limit; capping the
+        # limit below the index type's sign bit lets the unsigned value
+        # stand in for the signed one
+        if k == "load":
+            itag, w = spec.operand_types[0], spec.result_type.width
+            base, count = ops[0], ops[1]
+            ix, r = cell(ops[2], itag.width), cell(ops[3], w)
+        else:
+            itag, w = spec.operand_types[1], spec.operand_types[0].width
+            base, count = ops[1], ops[2]
+            v, ix = cell(ops[0], w), cell(ops[3], itag.width)
+        if itag is TypeTag.I1:
+            # IR indices are wider than i1; only a forged table gets here
+            raise TamperSignal(
+                INVALID_OPCODE, f"@{vfn.name}: {where} indexes with i1")
+        limit = min(cells.region(base, count, w), 1 << (itag.bits - 1))
 
-        def run(vm):
-            i = to_signed(int.from_bytes(vm[ix:ix + iw], "little"), ibits)
-            addr = base + i * w
-            if not 0 <= i < count or addr + w > size:
-                raise TrapError(LOAD_BOUNDS_REASON)
-            vm[r:r + w] = vm[addr:addr + w]
-            return s
-        return run
-
-    if k == "store":
-        vw = spec.operand_types[0].width
-        ibits = spec.operand_types[1].bits
-        iw = spec.operand_types[1].width
-        v, ix = cell(ops[0], vw), cell(ops[3], iw)
-        base, count = ops[1], ops[2]
-
-        def run(vm):
-            i = to_signed(int.from_bytes(vm[ix:ix + iw], "little"), ibits)
-            addr = base + i * vw
-            if not 0 <= i < count or addr + vw > size:
-                raise TrapError(STORE_BOUNDS_REASON)
-            vm[addr:addr + vw] = vm[v:v + vw]
-            return s
+        if k == "load":
+            def run(vm):
+                i = vm[ix]
+                if i >= limit:
+                    raise TrapError(LOAD_BOUNDS_REASON)
+                vm[r] = vm[base + i * w]
+                return s
+        else:
+            def run(vm):
+                i = vm[ix]
+                if i >= limit:
+                    raise TrapError(STORE_BOUNDS_REASON)
+                vm[base + i * w] = vm[v]
+                return s
         return run
 
     if k == "brcond":
@@ -256,11 +331,10 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
     if k == "ret":
         if spec.operand_types and vfn.ret_slot is not None:
             w = spec.operand_types[0].width
-            src = cell(ops[0], w)
-            roff = vfn.ret_slot[0]
+            src, roff = cell(ops[0], w), cell(vfn.ret_slot[0], w)
 
             def run(vm):
-                vm[roff:roff + w] = vm[src:src + w]
+                vm[roff] = vm[src]
                 return -1
             return run
         return lambda vm: -1
@@ -272,21 +346,18 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
                 INVALID_REFERENCE,
                 f"@{vfn.name}: callee index {idx} outside the table")
         target = bundle.functions[idx]
-        arg_cells = [(cell(ops[1 + i], t.width), t.width)
+        arg_cells = [cell(ops[1 + i], t.width)
                      for i, t in enumerate(spec.operand_types)]
-        res = None
+        res = rm = None
         if spec.result_type is not None:
-            res = (cell(ops[-1], spec.result_type.width),
-                   (1 << spec.result_type.bits) - 1,
-                   spec.result_type.width)
+            res = cell(ops[-1], spec.result_type.width)
+            rm = (1 << spec.result_type.bits) - 1
 
         def run(vm):
-            args = [int.from_bytes(vm[o:o + w], "little")
-                    for o, w in arg_cells]
-            value = call_function(bundle, target, args, ctx, engine)
+            value = call_function(bundle, target, [vm[o] for o in arg_cells],
+                                  ctx, engine)
             if res is not None:
-                ro, rm, rw = res
-                vm[ro:ro + rw] = ((value or 0) & rm).to_bytes(rw, "little")
+                vm[res] = (value or 0) & rm
             return s
         return run
 
@@ -304,8 +375,8 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
 
         def run(vm):
             h = compute_vpa_hash(checkee.vpa)
-            vm[run_off:run_off + 2] = h.to_bytes(2, "little")
-            expected = int.from_bytes(vm[exp_off:exp_off + 2], "little")
+            vm[run_off] = h
+            expected = vm[exp_off]
             ctx.guard_execs += 1
             ctx.guard_edges[key] = ctx.guard_edges.get(key, 0) + 1
             if h != expected:
@@ -321,13 +392,23 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
 
 
 def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
+    """Decoded closures, register-file template, (cell, mask) per
+    parameter and the return cell of `vfn`, built once per run."""
     key = ("optimized", id(vfn))
-    code = ctx.threaded_cache.get(key)
-    if code is None:
-        code = [_compile_record(bundle, vfn, rec, ctx, run_threaded)
+    compiled = ctx.threaded_cache.get(key)
+    if compiled is None:
+        cells = _Cells(vfn)
+        code = [_compile_record(bundle, vfn, rec, ctx, run_threaded, cells)
                 for rec in pre_decode(vfn)]
-        ctx.threaded_cache[key] = code
-    return code
+        params = [(cells.cell(off, tag.width, "a parameter"),
+                   (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
+        ret = None
+        if vfn.ret_slot is not None:
+            off, tag = vfn.ret_slot
+            ret = cells.cell(off, tag.width, "the return cell")
+        compiled = (code, cells.template(), params, ret)
+        ctx.threaded_cache[key] = compiled
+    return compiled
 
 
 def run_threaded(bundle: ProtectedBundle, vfn: VirtFunction, args,
@@ -335,13 +416,12 @@ def run_threaded(bundle: ProtectedBundle, vfn: VirtFunction, args,
     """One activation of a transformed function under the pre-decoding
     engine."""
     try:
-        code = _compiled(bundle, vfn, ctx)
+        code, template, params, ret = _compiled(bundle, vfn, ctx)
     except TamperSignal as sig:
         respond(sig)
-    vm = bytearray(vfn.image)
-    for (off, tag), raw in zip(vfn.param_slots, args):
-        masked = raw & ((1 << tag.bits) - 1)
-        vm[off:off + tag.width] = masked.to_bytes(tag.width, "little")
+    vm = template.copy()
+    for (off, m), raw in zip(params, args):
+        vm[off] = raw & m
 
     ordinal = 0
     limit = ctx.step_limit
@@ -349,19 +429,8 @@ def run_threaded(bundle: ProtectedBundle, vfn: VirtFunction, args,
         ctx.steps += 1
         if ctx.steps > limit:
             raise TrapError(STEP_LIMIT_REASON)
-        try:
-            ordinal = code[ordinal](vm)
-        except IndexError:
-            # baked offsets are only wrong when the stream was corrupted
-            # before decoding
-            respond(TamperSignal(
-                INVALID_REFERENCE, f"@{vfn.name}: a record references a "
-                "cell outside the image"))
-
-    if vfn.ret_slot is None:
-        return None
-    off, tag = vfn.ret_slot
-    return int.from_bytes(vm[off:off + tag.width], "little")
+        ordinal = code[ordinal](vm)
+    return None if ret is None else vm[ret]
 
 
 def execute_optimized(bundle: ProtectedBundle, inputs=(),

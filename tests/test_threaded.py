@@ -2,9 +2,11 @@ import pytest
 
 from builders import CHECKED_HELPER, MIXED_CALLS, protect_text
 from vmguard.bundle import FlipRandomElement, copy_bundle, tamper_bundle
-from vmguard.ir import reference_interpret
+from vmguard.execstate import (LOAD_BOUNDS_REASON, STEP_LIMIT_REASON,
+                               STORE_BOUNDS_REASON)
+from vmguard.ir import TypeTag, reference_interpret
 from vmguard.protect import ProtectionConfig, virtualize_module
-from vmguard.risa import walk_records
+from vmguard.risa import HandlerSpec, walk_records
 from vmguard.rng import SplitMix64
 from vmguard.runtime import (HASH_MISMATCH, INVALID_OPCODE,
                              INVALID_REFERENCE, PC_ESCAPE, TamperSignal,
@@ -197,3 +199,153 @@ def test_entry_override_matches_secure_engine():
     b = execute_optimized(bundle, [21], entry="double")
     assert a.same_outcome(b)
     assert b.value == 42
+
+
+# ---- register file ---------------------------------------------------------
+
+TWO_REGIONS = """\
+func @main(i64 %i) -> i64 {
+entry:
+  %wide = alloca i64 x 2
+  %narrow = alloca i16 x 4
+  %v = const i64 5
+  %zero = const i64 0
+  store i64 %v, %wide, %i
+  %x = load i64 %wide, %i
+  %y = load i16 %narrow, %zero
+  ret i64 %x
+}
+"""
+
+# the only region is the last thing in the image: no guards, no neighbour
+LAST_REGION = """\
+func @main(i64 %i, i64 %j) -> i64 {
+entry:
+  %arr = alloca i64 x 2
+  %v = const i64 5
+  store i64 %v, %arr, %i
+  %x = load i64 %arr, %j
+  ret i64 %x
+}
+"""
+
+# element of a load/store record holding the region count
+COUNT_ELEMENT = {"load": 2, "store": 3}
+
+
+def _record(vfn, kind):
+    return next(off for off, spec in walk_records(vfn.risa, vfn.vpa)
+                if spec.kind == kind)
+
+
+def test_operand_inside_a_wider_cell_is_refused_at_decode_time():
+    bundle = protect_text(BRANCHY, seed=7, enable_guards=False)
+    main = bundle.function("main")
+    n_off, n_tag = main.param_slots[0]
+    assert n_tag.width == 8
+    broken = copy_bundle(bundle)
+    # the first mul operand now names the upper half of the i64 parameter
+    broken.function("main").vpa[_record(main, "mul") + 1] = n_off + 4
+    res = execute_optimized(broken, [5])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_REFERENCE
+    assert res.steps == 0
+    # the same reference, aligned on the cell, is an honest read
+    broken.function("main").vpa[_record(main, "mul") + 1] = n_off
+    assert execute_optimized(broken, [5]).status == "normal"
+
+
+@pytest.mark.parametrize("kind", ["load", "store"])
+def test_region_count_stretched_over_a_neighbour_is_refused(kind):
+    bundle = protect_text(TWO_REGIONS, seed=4, enable_guards=False)
+    assert execute_optimized(bundle, [1]).value == 5
+    main = bundle.function("main")
+    broken = copy_bundle(bundle)
+    # first record of the kind touches %wide; one more i64 element covers
+    # the i16 cells of %narrow
+    count_at = _record(main, kind) + COUNT_ELEMENT[kind]
+    assert main.vpa[count_at] == 2
+    broken.function("main").vpa[count_at] = 3
+    res = execute_optimized(broken, [1])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_REFERENCE
+    assert res.steps == 0
+
+
+@pytest.mark.parametrize("kind, inputs, reason", [
+    ("store", [2, 0], STORE_BOUNDS_REASON),
+    ("load", [0, 2], LOAD_BOUNDS_REASON),
+])
+def test_region_count_past_the_image_end_traps_like_the_secure_engine(
+        kind, inputs, reason):
+    bundle = protect_text(LAST_REGION, seed=4, enable_guards=False)
+    main = bundle.function("main")
+    broken = copy_bundle(bundle)
+    broken.function("main").vpa[_record(main, kind) +
+                                COUNT_ELEMENT[kind]] = 0xFFFF
+    a = execute_secure(broken, inputs)
+    b = execute_optimized(broken, inputs)
+    assert a.status == b.status == "trap"
+    assert a.trap_reason == b.trap_reason == reason
+    assert a.steps == b.steps > 0
+    # in-range indices still work under the stretched count
+    assert execute_optimized(broken, [1, 1]).value == 5
+
+
+@pytest.mark.parametrize("level", [50, 100])
+def test_both_engines_trap_at_the_same_step_under_a_tight_limit(
+        corpus_flat, manifest, level):
+    for entry in manifest["programs"]:
+        inputs = entry["inputs"]["tiny"]
+        bundle = virtualize_module(corpus_flat[entry["name"]],
+                                   ProtectionConfig(seed=9, level=level))
+        honest = execute_secure(bundle, inputs).steps
+        for limit in (1, honest // 3, honest - 1):
+            a = execute_secure(bundle, inputs, step_limit=limit)
+            b = execute_optimized(bundle, inputs, step_limit=limit)
+            assert a.status == b.status == "trap", entry["name"]
+            assert a.trap_reason == b.trap_reason == STEP_LIMIT_REASON
+            assert a.steps == b.steps == limit + 1, (entry["name"], limit)
+            assert a.output == b.output, entry["name"]
+
+
+I1_COMPARE = """\
+func @main(i64 %n) -> i64 {
+entry:
+  %three = const i8 3
+  %zero = const i8 0
+  %b = const i1 0
+  %lo = const i1 0
+  %s = add i8 %three, %zero
+  %c = icmp slt i1 %b, %lo
+  %r = zext i64 %c
+  ret i64 %r
+}
+"""
+
+
+def test_i1_cell_holding_a_whole_byte_compares_on_its_low_bit():
+    bundle = protect_text(I1_COMPARE, seed=2, enable_guards=False)
+    main = bundle.function("main")
+    assert execute_optimized(bundle, [0]).value == 0
+    broken = copy_bundle(bundle)
+    # the i8 add now writes 3 into %b's byte; as an i1 that reads as -1
+    b_cell = main.vpa[_record(main, "icmp.slt") + 1]
+    broken.function("main").vpa[_record(main, "add") + 3] = b_cell
+    a = execute_secure(broken, [0])
+    b = execute_optimized(broken, [0])
+    assert a.value == b.value == 1
+
+
+def test_i1_index_in_a_forged_opcode_table_is_refused():
+    bundle = protect_text(LAST_REGION, seed=4, enable_guards=False)
+    broken = copy_bundle(bundle)
+    main = broken.function("main")
+    opcode = main.vpa[_record(main, "load")]
+    spec = main.risa.spec_of[opcode]
+    main.risa.spec_of[opcode] = HandlerSpec("load", (TypeTag.I1,),
+                                            spec.result_type)
+    res = execute_optimized(broken, [0, 0])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_OPCODE
+    assert res.steps == 0
