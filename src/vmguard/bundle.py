@@ -43,10 +43,11 @@ from array import array
 from dataclasses import dataclass, field
 
 from .ir.core import EXTERN_SIGS, IrFunction, TypeTag, format_function
-from .ir.parser import parse_function
+from .ir.parser import ParseError, parse_function
 from .network import GuardEdge, verify_acyclic
-from .risa import (KIND_CODE, KIND_NAMES, TAG_CODE, TAG_FROM_CODE,
-                   HandlerSpec, MalformedStream, Risa, walk_records)
+from .risa import (BASE, CALLEE, CELL_ROLES, COUNT, KIND_CODE, KIND_NAMES,
+                   TAG_CODE, TAG_FROM_CODE, TARGET, MalformedStream, Risa,
+                   handler_spec, walk_records)
 
 MAGIC = b"VSC1"
 VERSION = 1
@@ -84,7 +85,6 @@ class VirtFunction:
     name: str
     risa: Risa
     vpa: array
-    vm_size: int
     image: bytearray
     param_slots: list[tuple[int, TypeTag]]
     ret_slot: tuple[int, TypeTag] | None
@@ -166,7 +166,7 @@ def serialize(bundle: ProtectedBundle) -> bytes:
             _pack_risa(out, fn.risa)
             out += struct.pack("<H", len(fn.vpa))
             out += struct.pack(f"<{len(fn.vpa)}H", *fn.vpa)
-            out += struct.pack("<I", fn.vm_size)
+            out += struct.pack("<I", len(fn.image))
             out += bytes(fn.image)
             out += struct.pack("<H", len(fn.param_slots))
             for off, tag in fn.param_slots:
@@ -253,7 +253,7 @@ def _read_risa(r: _Reader) -> Risa:
             raise IndexOutOfRange(f"unknown result type code {res_code}")
         if opcode in risa.spec_of:
             raise IndexOutOfRange(f"opcode {opcode:#06x} assigned twice")
-        spec = HandlerSpec(kind, operands, result)
+        spec = handler_spec(kind, operands, result)
         risa.spec_of[opcode] = spec
         risa.opcode_of.setdefault(spec, opcode)
     return risa
@@ -280,8 +280,7 @@ def deserialize(data: bytes) -> ProtectedBundle:
             vpa_len = r.u16("stream length")
             vpa = array("H", struct.unpack(
                 f"<{vpa_len}H", r.take(2 * vpa_len, "stream elements")))
-            vm_size = r.u32("image size")
-            image = bytearray(r.take(vm_size, "memory image"))
+            image = bytearray(r.take(r.u32("image size"), "memory image"))
             n_params = r.u16("parameter count")
             params = []
             for _ in range(n_params):
@@ -292,10 +291,15 @@ def deserialize(data: bytes) -> ProtectedBundle:
                 off = r.u16("return cell offset")
                 ret_slot = (off, _read_tag(r, "return cell type"))
             bundle.functions.append(VirtFunction(
-                name, risa, vpa, vm_size, image, params, ret_slot))
+                name, risa, vpa, image, params, ret_slot))
         elif shape == 1:
             text = r.utf8(r.u32("source length"), "source text")
-            bundle.functions.append(PlainFunction(name, parse_function(text)))
+            try:
+                fn = parse_function(text)
+            except ParseError as err:
+                raise BundleError(f"@{name}: source text does not parse: "
+                                  f"{err}") from None
+            bundle.functions.append(PlainFunction(name, fn))
         elif shape == 2:
             bundle.functions.append(ExternFunction(name))
         else:
@@ -329,22 +333,25 @@ def copy_bundle(bundle: ProtectedBundle) -> ProtectedBundle:
 
 # ---- structural verification ----------------------------------------------
 
-def _verify_virt(problems: list[str], bundle: ProtectedBundle,
-                 vfn: VirtFunction) -> None:
+def _verify_virt(problems: list[str], bundle: ProtectedBundle, index: int,
+                 guard_pairs: set[tuple[int, int]]) -> None:
+    """Check one transformed function against its own image and the
+    function table, record by record along each spec's layout, and
+    collect its (checker, checkee) guard pairs."""
+    vfn = bundle.functions[index]
     where = f"@{vfn.name}"
-    if vfn.vm_size != len(vfn.image):
-        problems.append(f"{where}: image is {len(vfn.image)} bytes, "
-                        f"header claims {vfn.vm_size}")
-        return
-
-    def slot_ok(off: int, tag: TypeTag) -> bool:
-        return off + tag.width <= vfn.vm_size
+    size = len(vfn.image)
+    table = bundle.functions
 
     for off, tag in vfn.param_slots:
-        if not slot_ok(off, tag):
+        if off + tag.width > size:
             problems.append(f"{where}: parameter cell {off} leaves the image")
-    if vfn.ret_slot and not slot_ok(*vfn.ret_slot):
+    if vfn.ret_slot and vfn.ret_slot[0] + vfn.ret_slot[1].width > size:
         problems.append(f"{where}: return cell leaves the image")
+    for opcode, spec in sorted(vfn.risa.spec_of.items()):
+        if spec.layout is None:
+            problems.append(f"{where}: opcode {opcode:#06x} ({spec.kind}) "
+                            "has types that do not fit its kind")
 
     try:
         records = walk_records(vfn.risa, vfn.vpa)
@@ -355,93 +362,40 @@ def _verify_virt(problems: list[str], bundle: ProtectedBundle,
     vpa = vfn.vpa
 
     for start, spec in records:
-        k = spec.kind
-        here = f"{where}: record at {start} ({k})"
-        if k == "const":
-            if not slot_ok(vpa[start + 1], spec.result_type):
-                problems.append(f"{here}: result cell leaves the image")
-        elif k in ("zext", "sext", "trunc"):
-            ok = slot_ok(vpa[start + 1], spec.operand_types[0]) and \
-                slot_ok(vpa[start + 2], spec.result_type)
-            if not ok:
-                problems.append(f"{here}: cell leaves the image")
-        elif k == "select":
-            tags = (TypeTag.I1, spec.operand_types[1], spec.operand_types[2],
-                    spec.result_type)
-            if not all(slot_ok(vpa[start + 1 + i], t)
-                       for i, t in enumerate(tags)):
-                problems.append(f"{here}: cell leaves the image")
-        elif k == "load":
-            startoff, count = vpa[start + 1], vpa[start + 2]
-            width = spec.result_type.width
-            if count == 0 or startoff + count * width > vfn.vm_size:
-                problems.append(f"{here}: region leaves the image")
-            if not (slot_ok(vpa[start + 3], spec.operand_types[0])
-                    and slot_ok(vpa[start + 4], spec.result_type)):
-                problems.append(f"{here}: cell leaves the image")
-        elif k == "store":
-            startoff, count = vpa[start + 2], vpa[start + 3]
-            width = spec.operand_types[0].width
-            if count == 0 or startoff + count * width > vfn.vm_size:
-                problems.append(f"{here}: region leaves the image")
-            if not (slot_ok(vpa[start + 1], spec.operand_types[0])
-                    and slot_ok(vpa[start + 4], spec.operand_types[1])):
-                problems.append(f"{here}: cell leaves the image")
-        elif k == "br":
-            if vpa[start + 1] not in starts:
-                problems.append(f"{here}: target {vpa[start + 1]} is not a "
-                                "record start")
-        elif k == "brcond":
-            if not slot_ok(vpa[start + 1], TypeTag.I1):
-                problems.append(f"{here}: condition cell leaves the image")
-            for t in (vpa[start + 2], vpa[start + 3]):
-                if t not in starts:
-                    problems.append(f"{here}: target {t} is not a record "
+        here = f"{where}: record at {start} ({spec.kind})"
+        base = 0
+        for (role, tag), v in zip(spec.layout,
+                                  vpa[start + 1:start + spec.record_len]):
+            if role in CELL_ROLES:
+                if v + tag.width > size:
+                    problems.append(f"{here}: cell {v} leaves the image")
+            elif role == BASE:
+                base = v
+            elif role == COUNT:
+                if v == 0 or base + v * tag.width > size:
+                    problems.append(f"{here}: region leaves the image")
+            elif role == TARGET:
+                if v not in starts:
+                    problems.append(f"{here}: target {v} is not a record "
                                     "start")
-        elif k == "ret":
-            if spec.operand_types and not slot_ok(vpa[start + 1],
-                                                  spec.operand_types[0]):
-                problems.append(f"{here}: value cell leaves the image")
-        elif k == "call":
-            callee_idx = vpa[start + 1]
-            if callee_idx >= len(bundle.functions):
-                problems.append(f"{here}: callee index {callee_idx} outside "
-                                "the function table")
-            else:
-                callee = bundle.functions[callee_idx]
-                arity = _arity_of(callee)
+            elif v >= len(table):
+                problems.append(f"{here}: {role} index {v} outside the "
+                                "function table")
+            elif role == CALLEE:
+                arity = arity_of(table[v])
                 if arity is not None and arity != len(spec.operand_types):
                     problems.append(
                         f"{here}: passes {len(spec.operand_types)} "
-                        f"arguments, @{callee.name} takes {arity}")
-            base = start + 2
-            for i, tag in enumerate(spec.operand_types):
-                if not slot_ok(vpa[base + i], tag):
-                    problems.append(f"{here}: argument cell leaves the image")
-            if spec.result_type is not None and \
-                    not slot_ok(vpa[base + len(spec.operand_types)],
-                                spec.result_type):
-                problems.append(f"{here}: result cell leaves the image")
-        elif k == "alloca":
-            pass  # storage is static; the record carries no operands
-        elif k == "guard":
-            checkee_idx = vpa[start + 1]
-            if checkee_idx >= len(bundle.functions) or \
-                    not isinstance(bundle.functions[checkee_idx],
-                                   VirtFunction):
-                problems.append(f"{here}: checkee index {checkee_idx} names "
-                                "no transformed function")
-            for off in (vpa[start + 2], vpa[start + 3]):
-                if off + 2 > vfn.vm_size:
-                    problems.append(f"{here}: checksum cell leaves the image")
-        else:  # binary / icmp
-            tags = spec.operand_types + (spec.result_type,)
-            if not all(slot_ok(vpa[start + 1 + i], t)
-                       for i, t in enumerate(tags)):
-                problems.append(f"{here}: cell leaves the image")
+                        f"arguments, @{table[v].name} takes {arity}")
+            else:                               # CHECKEE
+                guard_pairs.add((index, v))
+                if not isinstance(table[v], VirtFunction):
+                    problems.append(f"{here}: checkee @{table[v].name} is "
+                                    "not a transformed function")
 
 
-def _arity_of(fn) -> int | None:
+def arity_of(fn) -> int | None:
+    """Parameter count of a table entry; None for an unknown intrinsic."""
     if isinstance(fn, VirtFunction):
         return len(fn.param_slots)
     if isinstance(fn, PlainFunction):
@@ -464,23 +418,12 @@ def verify(bundle: ProtectedBundle) -> list[str]:
         elif isinstance(bundle.functions[bundle.entry_index], ExternFunction):
             problems.append("entry points at an intrinsic")
 
-    for fn in bundle.functions:
+    guard_pairs: set[tuple[int, int]] = set()
+    for i, fn in enumerate(bundle.functions):
         if isinstance(fn, VirtFunction):
-            _verify_virt(problems, bundle, fn)
+            _verify_virt(problems, bundle, i, guard_pairs)
         elif isinstance(fn, ExternFunction) and fn.name not in EXTERN_SIGS:
             problems.append(f"unknown intrinsic @{fn.name}")
-
-    guard_pairs = set()
-    for i, fn in enumerate(bundle.functions):
-        if not isinstance(fn, VirtFunction):
-            continue
-        try:
-            for start, spec in walk_records(fn.risa, fn.vpa):
-                if spec.kind == "guard" and \
-                        fn.vpa[start + 1] < len(bundle.functions):
-                    guard_pairs.add((i, fn.vpa[start + 1]))
-        except MalformedStream:
-            pass  # already reported above
 
     for checker, checkee in bundle.edges:
         if not (isinstance(bundle.functions[checker], VirtFunction)

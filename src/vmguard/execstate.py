@@ -23,11 +23,11 @@ MASK64 = (1 << 64) - 1
 
 class ExecContext:
     __slots__ = ("inputs", "cursor", "output", "steps", "step_limit",
-                 "call_depth", "guard_execs", "guard_edges", "diagnostics",
-                 "threaded_cache", "trace_blocks")
+                 "call_depth", "guard_execs", "guard_edges", "threaded_cache",
+                 "trace_blocks")
 
-    def __init__(self, inputs=(), step_limit: int = DEFAULT_STEP_LIMIT,
-                 diagnostics: bool = False) -> None:
+    def __init__(self, inputs=(),
+                 step_limit: int = DEFAULT_STEP_LIMIT) -> None:
         self.inputs = [v & MASK64 for v in inputs]
         self.cursor = 0
         self.output: list[int] = []
@@ -36,7 +36,6 @@ class ExecContext:
         self.call_depth = 0
         self.guard_execs = 0
         self.guard_edges: dict[tuple[int, int], int] = {}
-        self.diagnostics = diagnostics
         self.threaded_cache: dict[int, object] = {}
         # optional set collecting (function, block) pairs as they run
         self.trace_blocks: set | None = None

@@ -124,7 +124,7 @@ class ExecutionResult:
     status: str                      # "normal" | "trap" | "tamper"
     value: int | None = None         # signed return value when normal
     trap_reason: str | None = None
-    tamper_cause: object | None = None  # TamperSignal when diagnostics are on
+    tamper_cause: object | None = None  # TamperSignal when status is tamper
     output: list[int] = field(default_factory=list)
     steps: int = 0
     guard_execs: int = 0

@@ -10,13 +10,14 @@ stream is frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from array import array
 
 from .ir.core import IrFunction
 from .ir.interp import value_tags
 from .layout import VmLayout
-from .risa import BRANCH_PLACEHOLDER, HandlerSpec, Risa, spec_for_instruction
+from .risa import (BASE, BRANCH_PLACEHOLDER, CELL, COUNT, RESULT, TARGET,
+                   HandlerSpec, Risa, spec_for_instruction)
 
 MAX_STREAM_ELEMENTS = 0xFFFE
 
@@ -35,57 +36,38 @@ class LiftRecord:
 
 def lift_function(fn: IrFunction, risa: Risa, lay: VmLayout, rng,
                   callee_index: dict[str, int]) -> list[LiftRecord]:
+    """One record per instruction, its elements in the order of the spec's
+    layout: cells take the IR operands in turn, a region base takes the
+    next operand's region, branch targets get placeholders."""
     tags = value_tags(fn)
+    slots = lay.slots
     records: list[LiftRecord] = []
-
-    def slot(name: str) -> int:
-        return lay.slots[name][0]
 
     for block in fn.blocks:
         for ins in block.instructions:
             spec = spec_for_instruction(ins, tags.__getitem__)
-            opc = risa.opcode_for(spec, rng)
-            targets: tuple[str, ...] = ()
-            k = ins.kind
-            if k == "const":
-                elems = [opc, slot(ins.result)]
-            elif k == "select":
-                c, a, b = ins.operands
-                elems = [opc, slot(c), slot(a), slot(b), slot(ins.result)]
-            elif k in ("zext", "sext", "trunc"):
-                elems = [opc, slot(ins.operands[0]), slot(ins.result)]
-            elif k == "alloca":
-                elems = [opc]
-            elif k == "load":
-                base, idx = ins.operands
-                start, count, _ = lay.regions[base]
-                elems = [opc, start, count, slot(idx), slot(ins.result)]
-            elif k == "store":
-                val, base, idx = ins.operands
-                start, count, _ = lay.regions[base]
-                elems = [opc, slot(val), start, count, slot(idx)]
-            elif k == "br":
-                elems = [opc, BRANCH_PLACEHOLDER]
-                targets = (ins.labels[0],)
-            elif k == "brcond":
-                elems = [opc, slot(ins.operands[0]),
-                         BRANCH_PLACEHOLDER, BRANCH_PLACEHOLDER]
-                targets = (ins.labels[0], ins.labels[1])
-            elif k == "ret":
-                elems = [opc] + [slot(v) for v in ins.operands]
-            elif k == "call":
-                try:
-                    callee = callee_index[ins.callee]
-                except KeyError:
-                    raise LiftError(f"@{fn.name}: call target @{ins.callee} "
-                                    "has no table index") from None
-                elems = [opc, callee] + [slot(a) for a in ins.operands]
-                if ins.result is not None:
-                    elems.append(slot(ins.result))
-            else:
-                a, b = ins.operands
-                elems = [opc, slot(a), slot(b), slot(ins.result)]
-            records.append(LiftRecord(block.label, spec, elems, targets))
+            elems = [risa.opcode_for(spec, rng)]
+            operands = iter(ins.operands)
+            for role, _ in spec.layout:
+                if role == CELL:
+                    elems.append(slots[next(operands)][0])
+                elif role == RESULT:
+                    elems.append(slots[ins.result][0])
+                elif role == BASE:
+                    start, count, _ = lay.regions[next(operands)]
+                    elems.append(start)
+                elif role == COUNT:
+                    elems.append(count)
+                elif role == TARGET:
+                    elems.append(BRANCH_PLACEHOLDER)
+                else:           # CALLEE; guards are woven in later
+                    try:
+                        elems.append(callee_index[ins.callee])
+                    except KeyError:
+                        raise LiftError(
+                            f"@{fn.name}: call target @{ins.callee} has no "
+                            "table index") from None
+            records.append(LiftRecord(block.label, spec, elems, ins.labels))
     return records
 
 
@@ -111,16 +93,11 @@ def resolve_branches(fn_name: str, records: list[LiftRecord]) -> None:
     for rec in records:
         if not rec.targets:
             continue
-        resolved = []
-        for label in rec.targets:
+        for pos, label in zip(rec.spec.targets, rec.targets):
             if label not in first_of_block:
                 raise LiftError(f"@{fn_name}: branch targets block "
                                 f"%{label} which lowered to no records")
-            resolved.append(first_of_block[label])
-        if rec.spec.kind == "br":
-            rec.elements[1] = resolved[0]
-        else:
-            rec.elements[2], rec.elements[3] = resolved
+            rec.elements[1 + pos] = first_of_block[label]
 
 
 def encode(fn_name: str, records: list[LiftRecord]) -> array:

@@ -121,7 +121,7 @@ def virtualize_module(module: IrModule,
             vpa = encode(fn.name, records)
         except Exception as err:
             raise ProtectError(f"lowering @{fn.name} failed: {err}") from err
-        functions.append(VirtFunction(fn.name, risa, vpa, lay.size,
+        functions.append(VirtFunction(fn.name, risa, vpa,
                                       materialize_image(lay),
                                       list(lay.param_slots), lay.ret_slot))
     for name in used_externs:

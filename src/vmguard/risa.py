@@ -11,13 +11,19 @@ their signature matches: operation kind, comparison predicate, operand
 types and result type.  Structure-dependent facts (slot offsets, region
 bounds, branch targets, callee index) live in the encoded operand stream,
 not in the handler, which is what makes reuse safe.
+
+A signature's `layout` states, once for every consumer, what each
+element after the opcode is (its role) and which type it has; lifting,
+`verify` and both engines read records through it.  A signature whose
+types do not fit its kind has no layout and decodes as no handler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
-from .ir.core import TypeTag
+from .ir.core import BINARY_KINDS, TypeTag
 
 OPCODE_SPACE = 0xFFFF          # valid opcodes are 0 .. OPCODE_SPACE - 1
 BRANCH_PLACEHOLDER = 0xFFFF
@@ -48,87 +54,121 @@ class RisaFull(RisaError):
 
 
 class MalformedStream(Exception):
-    """An encoded program fails to decode as a whole number of records."""
+    """An encoded program fails to decode as a whole number of records.
+    `truncated` tells a final record running off the end apart from an
+    element that names no usable handler."""
 
-    def __init__(self, reason: str) -> None:
+    def __init__(self, reason: str, truncated: bool = False) -> None:
         super().__init__(reason)
         self.reason = reason
+        self.truncated = truncated
+
+
+# roles of the elements that follow a record's opcode
+CELL = "cell"           # a value cell the record reads
+RESULT = "result"       # the value cell the record writes
+BASE = "base"           # first byte of a load/store region
+COUNT = "count"         # element count of that region
+TARGET = "target"       # element index of a branch target
+CALLEE = "callee"       # function table index of a call target
+CHECKEE = "checkee"     # function table index of a guarded function
+CELL_ROLES = (CELL, RESULT)
+
+
+def _layout(kind: str, ops: tuple[TypeTag, ...], res: TypeTag | None):
+    """(role, type) per operand element, or None when the types do not fit
+    the kind.  Cell roles carry the cell's type, region roles the element
+    type; table indices and branch targets carry None."""
+    n = len(ops)
+    if kind == "call":
+        return ((CALLEE, None),) + tuple((CELL, t) for t in ops) + \
+            (() if res is None else ((RESULT, res),))
+    if kind in BINARY_KINDS or kind.startswith("icmp."):
+        if n == 2 and ops[0] is ops[1] and res is (
+                TypeTag.I1 if kind.startswith("icmp.") else ops[0]):
+            return ((CELL, ops[0]), (CELL, ops[1]), (RESULT, res))
+    elif kind == "select":
+        if n == 3 and ops[0] is TypeTag.I1 and ops[1] is ops[2] is res:
+            return ((CELL, ops[0]), (CELL, ops[1]), (CELL, ops[2]),
+                    (RESULT, res))
+    elif kind in ("zext", "sext", "trunc"):
+        # the IR validator only lets trunc narrow and the extensions widen
+        if n == 1 and res is not None and ops[0].bits != res.bits and \
+                (ops[0].bits > res.bits) == (kind == "trunc"):
+            return ((CELL, ops[0]), (RESULT, res))
+    elif kind in ("load", "store"):
+        # the IR validator forbids i1 indices
+        if kind == "load" and n == 1 and res is not None and \
+                ops[0] is not TypeTag.I1:
+            return ((BASE, res), (COUNT, res), (CELL, ops[0]), (RESULT, res))
+        if kind == "store" and n == 2 and res is None and \
+                ops[1] is not TypeTag.I1:
+            return ((CELL, ops[0]), (BASE, ops[0]), (COUNT, ops[0]),
+                    (CELL, ops[1]))
+    elif kind == "const":
+        if n == 0 and res is not None:
+            return ((RESULT, res),)
+    elif res is None:
+        if kind == "ret" and n <= 1:
+            return tuple((CELL, t) for t in ops)
+        if kind == "brcond" and ops == (TypeTag.I1,):
+            return ((CELL, TypeTag.I1), (TARGET, None), (TARGET, None))
+        if n == 0:
+            return {"alloca": (), "br": ((TARGET, None),),
+                    "guard": ((CHECKEE, None), (CELL, TypeTag.I16),
+                              (RESULT, TypeTag.I16))}.get(kind)
+    return None
 
 
 @dataclass(frozen=True)
 class HandlerSpec:
-    """Signature of one runtime handler: what it does and on which types."""
+    """Signature of one runtime handler: what it does and on which types.
+    Build specs through `handler_spec`, which interns them, so each distinct
+    signature works out its layout once."""
 
     kind: str
     operand_types: tuple[TypeTag, ...] = ()
     result_type: TypeTag | None = None
 
-    @property
+    @cached_property
+    def layout(self) -> tuple[tuple[str, TypeTag | None], ...] | None:
+        """The record's operand elements, in stream order, as (role, type)
+        pairs; None when the signature does not fit its kind, which only a
+        forged opcode table produces."""
+        return _layout(self.kind, self.operand_types, self.result_type)
+
+    @cached_property
     def record_len(self) -> int:
-        """Number of 16-bit elements one encoded record occupies."""
-        k = self.kind
-        if k == "const":
-            return 2
-        if k in ("zext", "sext", "trunc"):
-            return 3
-        if k == "select":
-            return 5
-        if k == "alloca":
-            return 1
-        if k in ("load", "store"):
-            return 5
-        if k == "br":
-            return 2
-        if k == "brcond":
-            return 4
-        if k == "ret":
-            return 1 + len(self.operand_types)
-        if k == "call":
-            return 2 + len(self.operand_types) + \
-                (0 if self.result_type is None else 1)
-        if k == "guard":
-            return 4
-        # binary arithmetic and comparisons
-        return 4
+        """Number of 16-bit elements one encoded record occupies; only
+        defined when `layout` is not None."""
+        return 1 + len(self.layout)
+
+    @cached_property
+    def targets(self) -> tuple[int, ...]:
+        """Operand positions (0 is the element after the opcode) that hold
+        branch targets."""
+        return tuple(i for i, (role, _) in enumerate(self.layout)
+                     if role == TARGET)
+
+
+handler_spec = lru_cache(maxsize=4096)(HandlerSpec)
 
 
 def spec_for_instruction(ins, value_tag) -> HandlerSpec:
-    """Handler signature for an IR instruction.  `value_tag(name)` resolves
-    operand types; needed because cast sources and memory indices keep
+    """Handler signature for an IR instruction: the types of the values it
+    reads, in operand order, and of the value it writes.  `value_tag(name)`
+    resolves operand types, since cast sources and memory indices keep
     their own widths."""
-    k = ins.kind
-    if k == "const":
-        return HandlerSpec("const", (), ins.type)
-    if k == "icmp":
-        t = value_tag(ins.operands[0])
-        return HandlerSpec(f"icmp.{ins.predicate}", (t, t), TypeTag.I1)
-    if k == "select":
-        t = ins.type
-        return HandlerSpec("select", (TypeTag.I1, t, t), t)
-    if k in ("zext", "sext", "trunc"):
-        return HandlerSpec(k, (value_tag(ins.operands[0]),), ins.type)
-    if k == "alloca":
-        return HandlerSpec("alloca")
-    if k == "load":
-        return HandlerSpec("load", (value_tag(ins.operands[1]),), ins.type)
-    if k == "store":
-        return HandlerSpec("store", (ins.type, value_tag(ins.operands[2])))
-    if k == "br":
-        return HandlerSpec("br")
-    if k == "brcond":
-        return HandlerSpec("brcond", (TypeTag.I1,))
-    if k == "ret":
-        if ins.operands:
-            return HandlerSpec("ret", (ins.type,))
-        return HandlerSpec("ret")
-    if k == "call":
-        args = tuple(value_tag(a) for a in ins.operands)
-        return HandlerSpec("call", args, ins.type)
-    # binary arithmetic
-    return HandlerSpec(k, (ins.type, ins.type), ins.type)
+    kind, names = ins.kind, ins.operands
+    if kind in ("load", "store"):
+        names = names[:-2] + names[-1:]     # the region base is no cell
+    result = None if ins.result is None or kind == "alloca" else ins.type
+    if kind == "icmp":
+        kind, result = f"icmp.{ins.predicate}", TypeTag.I1
+    return handler_spec(kind, tuple(value_tag(n) for n in names), result)
 
 
-GUARD_SPEC = HandlerSpec("guard")
+GUARD_SPEC = handler_spec("guard")
 
 
 @dataclass
@@ -161,7 +201,8 @@ class Risa:
 def walk_records(risa: Risa, vpa) -> list[tuple[int, HandlerSpec]]:
     """Split an encoded stream into records: (element index, handler spec)
     pairs.  Raises MalformedStream when an element at a record boundary
-    names no handler or the final record runs off the end."""
+    names no handler, names one whose types do not fit its kind, or the
+    final record runs off the end."""
     out = []
     i = 0
     n = len(vpa)
@@ -171,11 +212,15 @@ def walk_records(risa: Risa, vpa) -> list[tuple[int, HandlerSpec]]:
         if spec is None:
             raise MalformedStream(
                 f"element {i} holds {vpa[i]:#06x}, which is not an opcode")
+        if spec.layout is None:
+            raise MalformedStream(
+                f"element {i} holds {vpa[i]:#06x}, whose {spec.kind} "
+                "handler has types that do not fit its kind")
         end = i + spec.record_len
         if end > n:
             raise MalformedStream(
                 f"record at element {i} ({spec.kind}) needs {spec.record_len}"
-                f" elements but only {n - i} remain")
+                f" elements but only {n - i} remain", truncated=True)
         out.append((i, spec))
         i = end
     return out

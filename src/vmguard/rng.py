@@ -51,11 +51,6 @@ class SplitMix64:
             out.append(pool.pop(self.randrange(len(pool))))
         return out
 
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def spawn(self) -> "SplitMix64":
         """Child generator with an independent-looking stream; used to give
         each function its own deterministic lane."""

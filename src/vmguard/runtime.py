@@ -1,8 +1,10 @@
 """Checked execution engine and the shared run harness.
 
 This engine keeps nothing cached between steps: every dispatch re-reads
-the opcode and its operands from the live encoded stream, looks the
-handler up fresh, and bounds-checks the program counter.  That makes it
+the opcode and its operands (one slice of the live stream, in layout
+order), looks the handler up fresh, and bounds-checks the program
+counter.  Cells are read and written through `struct` accessors, which
+refuse a cell outside the image instead of growing it.  That makes it
 the natural place to observe corruption immediately, at the cost of
 per-step overhead the pre-decoding engine avoids.
 
@@ -14,17 +16,19 @@ stay comparable across all three executors.
 
 from __future__ import annotations
 
+import struct
 import sys
+from functools import partial
 
 from .arith import TrapError, binary_op, cast, icmp, to_signed
-from .bundle import (ExternFunction, PlainFunction, ProtectedBundle,
-                     VirtFunction)
+from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         MAX_CALL_DEPTH, STEP_LIMIT_REASON,
                         STORE_BOUNDS_REASON, ExecContext)
 from .guards import compute_vpa_hash
-from .ir.core import ExecutionResult
+from .ir.core import BINARY_KINDS, ExecutionResult
 from .ir.interp import evaluate_function
+from .risa import CALLEE, CHECKEE
 
 INVALID_OPCODE = "invalid opcode"
 PC_ESCAPE = "program counter escape"
@@ -60,15 +64,16 @@ def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
     """Shared call bridge: dispatches to a transformed function (via
     `engine`), an untransformed one (via the IR evaluator), or an
     intrinsic.  Used by both engines and by plain functions calling back
-    into protected code."""
+    into protected code.  A call whose argument count differs from the
+    callee's arity is a retargeted call record, refused as tamper."""
+    if arity_of(target) != len(args):
+        respond(TamperSignal(INVALID_REFERENCE, f"@{target.name} does not "
+                             f"take {len(args)} arguments"))
     if isinstance(target, ExternFunction):
         if target.name == "read_i64":
             return ctx.read_input()
-        if target.name == "print_i64":
-            ctx.print_value(args[0])
-            return None
-        respond(TamperSignal(INVALID_REFERENCE,
-                             f"unknown intrinsic @{target.name}"))
+        ctx.print_value(args[0])
+        return None
     ctx.enter_call()
     try:
         if isinstance(target, VirtFunction):
@@ -79,13 +84,22 @@ def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
         ctx.leave_call()
 
 
+def table_entry(bundle: ProtectedBundle, vfn: VirtFunction, role: str,
+                idx: int):
+    """The function a callee or checkee index of `vfn` names.  Raises
+    TamperSignal for an index outside the table, and for a checkee that
+    is not a transformed function."""
+    table = bundle.functions
+    if idx < len(table) and (role == CALLEE or
+                             isinstance(table[idx], VirtFunction)):
+        return table[idx]
+    what = "function" if role == CALLEE else "transformed function"
+    raise TamperSignal(INVALID_REFERENCE,
+                       f"@{vfn.name}: {role} index {idx} names no {what}")
+
+
 def _plain_hook(bundle: ProtectedBundle, ctx: ExecContext, engine):
     def hook(name: str, args):
-        if name == "read_i64":
-            return ctx.read_input()
-        if name == "print_i64":
-            ctx.print_value(args[0])
-            return None
         try:
             target = bundle.function(name)
         except KeyError:
@@ -96,105 +110,108 @@ def _plain_hook(bundle: ProtectedBundle, ctx: ExecContext, engine):
     return hook
 
 
-def _read(vm, off: int, width: int) -> int:
-    return int.from_bytes(vm[off:off + width], "little")
+# struct format code of an unsigned cell, by byte width
+CELL_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# cell accessors by byte width; unpack_from and pack_into raise
+# struct.error for a cell that does not lie wholly inside the image
+_CELL = {w: struct.Struct("<" + code) for w, code in CELL_CODE.items()}
 
 
 def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
                    ctx: ExecContext, engine):
-    """Compile one handler closure.  Offsets are looked up from the live
-    stream on every invocation and checked against the image bounds; only
-    type widths and the semantic operation are baked in."""
+    """Compile one handler closure.  Operands are sliced from the live
+    stream on every invocation, in layout order, and cells are read and
+    written through the `_CELL` accessors; only type widths and the
+    semantic operation are baked in."""
     vpa = vfn.vpa
     k = spec.kind
+    layout = spec.layout
+
+    if layout is None:
+        def handler(vm, vpc):
+            respond(TamperSignal(
+                INVALID_OPCODE, f"@{vfn.name}: element {vpc} names a {k} "
+                "handler whose types do not fit its kind"))
+        return handler
+
     ln = spec.record_len
-    size = len(vfn.image)
-
-    def oob(vpc):
-        respond(TamperSignal(
-            INVALID_REFERENCE, f"@{vfn.name}: record at {vpc} references "
-            "a cell outside the image"))
-
     if k in ("const", "alloca"):
+        # constants sit in the image already; regions are static
         def handler(vm, vpc):
             return vpc + ln
         return handler
 
-    if k.startswith("icmp."):
-        pred = k.split(".", 1)[1]
+    size = len(vfn.image)
+    # reader and writer of each operand element's cell, in layout order
+    get = [None if t is None else _CELL[t.width].unpack_from
+           for _, t in layout]
+    put = [None if t is None else _CELL[t.width].pack_into
+           for _, t in layout]
+
+    if k in BINARY_KINDS or k.startswith("icmp."):
+        op = partial(binary_op, k) if k in BINARY_KINDS else \
+            partial(icmp, k[len("icmp."):])
         bits = spec.operand_types[0].bits
-        w = spec.operand_types[0].width
+        get_a, get_b, get_r, put_r = get[0], get[1], get[2], put[2]
+        divides = k in ("sdiv", "srem")
 
         def handler(vm, vpc):
-            a, b, r = vpa[vpc + 1], vpa[vpc + 2], vpa[vpc + 3]
-            if a + w > size or b + w > size or r >= size:
-                oob(vpc)
-            vm[r] = icmp(pred, _read(vm, a, w), _read(vm, b, w), bits)
+            a, b, r = vpa[vpc + 1:vpc + 4]
+            x, y = get_a(vm, a)[0], get_b(vm, b)[0]
+            if divides and not y:
+                get_r(vm, r)    # a result cell outside the image is tamper
+            put_r(vm, r, op(x, y, bits))
             return vpc + 4
         return handler
 
     if k == "select":
-        w = spec.result_type.width
+        get_c, get_v, put_r = get[0], get[1], put[3]
 
         def handler(vm, vpc):
-            c = vpa[vpc + 1]
-            if c >= size:
-                oob(vpc)
-            pick = vpa[vpc + 2] if vm[c] else vpa[vpc + 3]
-            r = vpa[vpc + 4]
-            if pick + w > size or r + w > size:
-                oob(vpc)
-            vm[r:r + w] = vm[pick:pick + w]
+            c, a, b, r = vpa[vpc + 1:vpc + 5]
+            put_r(vm, r, *get_v(vm, a if get_c(vm, c)[0] else b))
             return vpc + 5
         return handler
 
     if k in ("zext", "sext", "trunc"):
-        src_tag = spec.operand_types[0]
-        dst_tag = spec.result_type
-        sw, dw = src_tag.width, dst_tag.width
+        src_tag, dst_tag = spec.operand_types[0], spec.result_type
+        get_a, put_r = get[0], put[1]
 
         def handler(vm, vpc):
-            a, r = vpa[vpc + 1], vpa[vpc + 2]
-            if a + sw > size or r + dw > size:
-                oob(vpc)
-            v = cast(k, _read(vm, a, sw), src_tag, dst_tag)
-            vm[r:r + dw] = v.to_bytes(dw, "little")
+            a, r = vpa[vpc + 1:vpc + 3]
+            put_r(vm, r, cast(k, get_a(vm, a)[0], src_tag, dst_tag))
             return vpc + 3
         return handler
 
     if k == "load":
         idx_bits = spec.operand_types[0].bits
-        iw = spec.operand_types[0].width
         w = spec.result_type.width
+        get_i, get_v, put_r = get[2], get[3], put[3]
 
         def handler(vm, vpc):
-            ix, r = vpa[vpc + 3], vpa[vpc + 4]
-            if ix + iw > size or r + w > size:
-                oob(vpc)
-            count = vpa[vpc + 2]
-            i = to_signed(_read(vm, ix, iw), idx_bits)
-            addr = vpa[vpc + 1] + i * w
+            base, count, ix, r = vpa[vpc + 1:vpc + 5]
+            i = to_signed(get_i(vm, ix)[0], idx_bits)
+            addr = base + i * w
             if not 0 <= i < count or addr + w > size:
+                get_v(vm, r)    # a result cell outside the image is tamper
                 raise TrapError(LOAD_BOUNDS_REASON)
-            vm[r:r + w] = vm[addr:addr + w]
+            put_r(vm, r, *get_v(vm, addr))
             return vpc + 5
         return handler
 
     if k == "store":
-        vw = spec.operand_types[0].width
         idx_bits = spec.operand_types[1].bits
-        iw = spec.operand_types[1].width
+        w = spec.operand_types[0].width
+        get_v, put_v, get_i = get[0], put[0], get[3]
 
         def handler(vm, vpc):
-            src, ix = vpa[vpc + 1], vpa[vpc + 4]
-            if src + vw > size or ix + iw > size:
-                oob(vpc)
-            count = vpa[vpc + 3]
-            i = to_signed(_read(vm, ix, iw), idx_bits)
-            addr = vpa[vpc + 2] + i * vw
-            if not 0 <= i < count or addr + vw > size:
+            src, base, count, ix = vpa[vpc + 1:vpc + 5]
+            value = get_v(vm, src)
+            i = to_signed(get_i(vm, ix)[0], idx_bits)
+            addr = base + i * w
+            if not 0 <= i < count or addr + w > size:
                 raise TrapError(STORE_BOUNDS_REASON)
-            vm[addr:addr + vw] = vm[src:src + vw]
+            put_v(vm, addr, *value)
             return vpc + 5
         return handler
 
@@ -204,153 +221,113 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
         return handler
 
     if k == "brcond":
+        get_c = get[0]
+
         def handler(vm, vpc):
-            c = vpa[vpc + 1]
-            if c >= size:
-                oob(vpc)
-            return vpa[vpc + 2] if vm[c] else vpa[vpc + 3]
+            c, t, f = vpa[vpc + 1:vpc + 4]
+            return t if get_c(vm, c)[0] else f
         return handler
 
     if k == "ret":
-        if not spec.operand_types:
+        if not layout:
             def handler(vm, vpc):
                 return -1
             return handler
-        w = spec.operand_types[0].width
-        ret_slot = vfn.ret_slot
+        get_v, put_v = get[0], put[0]
+        ret_off = None if vfn.ret_slot is None else vfn.ret_slot[0]
 
         def handler(vm, vpc):
-            src = vpa[vpc + 1]
-            if src + w > size:
-                oob(vpc)
-            if ret_slot is not None:
-                vm[ret_slot[0]:ret_slot[0] + w] = vm[src:src + w]
+            (src,) = vpa[vpc + 1:vpc + 2]
+            value = get_v(vm, src)
+            if ret_off is not None:
+                put_v(vm, ret_off, *value)
             return -1
         return handler
 
     if k == "call":
         n_args = len(spec.operand_types)
-        widths = [t.width for t in spec.operand_types]
-        res_tag = spec.result_type
-        table = bundle.functions
+        arg_gets = get[1:1 + n_args]
+        put_r = put[-1] if spec.result_type is not None else None
+        mask = 0 if put_r is None else (1 << spec.result_type.bits) - 1
 
         def handler(vm, vpc):
-            idx = vpa[vpc + 1]
-            if idx >= len(table):
-                respond(TamperSignal(
-                    INVALID_REFERENCE,
-                    f"@{vfn.name}: callee index {idx} outside the table"))
-            args = []
-            for i in range(n_args):
-                off = vpa[vpc + 2 + i]
-                if off + widths[i] > size:
-                    oob(vpc)
-                args.append(_read(vm, off, widths[i]))
-            value = call_function(bundle, table[idx], args, ctx, engine)
-            if res_tag is not None:
-                off = vpa[vpc + 2 + n_args]
-                if off + res_tag.width > size:
-                    oob(vpc)
-                raw = (value or 0) & ((1 << res_tag.bits) - 1)
-                vm[off:off + res_tag.width] = raw.to_bytes(res_tag.width,
-                                                           "little")
+            idx, *offs = vpa[vpc + 1:vpc + ln]
+            target = table_entry(bundle, vfn, CALLEE, idx)
+            args = [g(vm, off)[0]
+                    for g, off in zip(arg_gets, offs[:n_args], strict=True)]
+            value = call_function(bundle, target, args, ctx, engine)
+            if put_r is not None:
+                put_r(vm, offs[n_args], (value or 0) & mask)
             return vpc + ln
         return handler
 
-    if k == "guard":
-        table = bundle.functions
-
-        def handler(vm, vpc):
-            idx = vpa[vpc + 1]
-            if idx >= len(table) or not isinstance(table[idx], VirtFunction):
-                respond(TamperSignal(
-                    INVALID_REFERENCE,
-                    f"@{vfn.name}: guard checkee index {idx} names no "
-                    "transformed function"))
-            exp_off, run_off = vpa[vpc + 2], vpa[vpc + 3]
-            if exp_off + 2 > size or run_off + 2 > size:
-                oob(vpc)
-            checkee = table[idx]
-            h = compute_vpa_hash(checkee.vpa)
-            vm[run_off:run_off + 2] = h.to_bytes(2, "little")
-            expected = _read(vm, exp_off, 2)
-            ctx.guard_execs += 1
-            key = (vfn.name, checkee.name)
-            ctx.guard_edges[key] = ctx.guard_edges.get(key, 0) + 1
-            if h != expected:
-                respond(TamperSignal(
-                    HASH_MISMATCH,
-                    f"@{vfn.name} checking @{checkee.name}: computed "
-                    f"{h:#06x}, expected {expected:#06x}"))
-            return vpc + 4
-        return handler
-
-    # remaining kinds are the two-operand arithmetic group
-    bits = spec.result_type.bits
-    w = spec.result_type.width
+    # the remaining kind is the guard
+    get_h, put_h = get[1], put[2]
 
     def handler(vm, vpc):
-        a, b, r = vpa[vpc + 1], vpa[vpc + 2], vpa[vpc + 3]
-        if a + w > size or b + w > size or r + w > size:
-            oob(vpc)
-        vm[r:r + w] = binary_op(k, _read(vm, a, w), _read(vm, b, w),
-                                bits).to_bytes(w, "little")
+        idx, exp_off, run_off = vpa[vpc + 1:vpc + 4]
+        checkee = table_entry(bundle, vfn, CHECKEE, idx)
+        # both cells must lie in the image before the hash is taken
+        get_h(vm, exp_off)
+        get_h(vm, run_off)
+        h = compute_vpa_hash(checkee.vpa)
+        put_h(vm, run_off, h)
+        (expected,) = get_h(vm, exp_off)
+        ctx.guard_execs += 1
+        key = (vfn.name, checkee.name)
+        ctx.guard_edges[key] = ctx.guard_edges.get(key, 0) + 1
+        if h != expected:
+            respond(TamperSignal(
+                HASH_MISMATCH,
+                f"@{vfn.name} checking @{checkee.name}: computed "
+                f"{h:#06x}, expected {expected:#06x}"))
         return vpc + 4
     return handler
 
 
-def _handler_table(bundle: ProtectedBundle, vfn: VirtFunction,
-                   ctx: ExecContext):
-    key = ("checked", id(vfn))
-    table = ctx.threaded_cache.get(key)
-    if table is None:
-        table = {opc: _build_handler(bundle, vfn, spec, ctx, run_virt)
-                 for opc, spec in vfn.risa.spec_of.items()}
-        ctx.threaded_cache[key] = table
-    return table
-
-
 def run_virt(bundle: ProtectedBundle, vfn: VirtFunction, args,
              ctx: ExecContext) -> int | None:
-    """One activation of a transformed function under the checked engine."""
+    """One activation of a transformed function under the checked engine.
+    Handlers are built on first dispatch and kept for the run."""
+    handlers = ctx.threaded_cache.setdefault(("checked", id(vfn)), {})
     vm = bytearray(vfn.image)
-    for (off, tag), raw in zip(vfn.param_slots, args):
-        masked = raw & ((1 << tag.bits) - 1)
-        vm[off:off + tag.width] = masked.to_bytes(tag.width, "little")
-
-    handlers = _handler_table(bundle, vfn, ctx)
     vpa = vfn.vpa
     n = len(vpa)
     vpc = 0
     limit = ctx.step_limit
-    while True:
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise TrapError(STEP_LIMIT_REASON)
-        if not 0 <= vpc < n:
-            respond(TamperSignal(
-                PC_ESCAPE, f"@{vfn.name}: counter {vpc} outside the "
-                f"{n}-element stream"))
-        handler = handlers.get(vpa[vpc])
-        if handler is None:
-            respond(TamperSignal(
-                INVALID_OPCODE, f"@{vfn.name}: element {vpc} holds "
-                f"{vpa[vpc]:#06x}, which names no handler"))
-        try:
+    try:
+        for (off, tag), raw in zip(vfn.param_slots, args):
+            _CELL[tag.width].pack_into(vm, off, raw & ((1 << tag.bits) - 1))
+        while vpc != -1:
+            ctx.steps += 1
+            if ctx.steps > limit:
+                raise TrapError(STEP_LIMIT_REASON)
+            if not 0 <= vpc < n:
+                respond(TamperSignal(
+                    PC_ESCAPE, f"@{vfn.name}: counter {vpc} outside the "
+                    f"{n}-element stream"))
+            handler = handlers.get(vpa[vpc])
+            if handler is None:
+                spec = vfn.risa.spec_of.get(vpa[vpc])
+                if spec is None:
+                    respond(TamperSignal(
+                        INVALID_OPCODE, f"@{vfn.name}: element {vpc} holds "
+                        f"{vpa[vpc]:#06x}, which names no handler"))
+                handler = handlers[vpa[vpc]] = _build_handler(
+                    bundle, vfn, spec, ctx, run_virt)
             vpc = handler(vm, vpc)
-        except IndexError:
-            # only reachable with corrupted operand cells: honest streams
-            # never reference memory outside the image
-            respond(TamperSignal(
-                INVALID_REFERENCE, f"@{vfn.name}: record at {vpc} "
-                "references a cell outside the image"))
-        if vpc == -1:
-            break
-
-    if vfn.ret_slot is None:
-        return None
-    off, tag = vfn.ret_slot
-    return _read(vm, off, tag.width)
+        if vfn.ret_slot is None:
+            return None
+        off, tag = vfn.ret_slot
+        return _CELL[tag.width].unpack_from(vm, off)[0]
+    except TamperSignal as signal:
+        respond(signal)
+    except (IndexError, ValueError, struct.error):
+        # only reachable with corrupted operands or header cells: honest
+        # records stay inside the stream and their cells inside the image
+        respond(TamperSignal(
+            INVALID_REFERENCE, f"@{vfn.name}: record at {vpc} references "
+            "a cell outside the image or the stream"))
 
 
 def execute_with_engine(bundle: ProtectedBundle, engine, inputs=(),

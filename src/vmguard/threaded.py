@@ -14,15 +14,17 @@ That removes the per-step opcode lookup, operand fetch, byte conversion
 and counter bounds check the checked engine pays for, at the cost of
 observing corruption lazily:
 
-  - structural damage (unknown opcode, truncated record, branch into the
-    middle of a record) is refused up front when decoding, with the same
-    signal kinds the checked engine raises;
-  - so is any cell reference that leaves the image, and any pair of
-    references that share a byte without naming the same cells (an
-    operand retargeted into the middle of a wider cell, a load or store
-    count stretched over a neighbouring cell).  Honest layouts never
-    overlap, and one int per cell cannot alias part of another value, so
-    such a function is refused as an invalid reference before it runs;
+  - structural damage (unknown opcode or one whose table entry does not
+    fit its kind, truncated record, branch into the middle of a record)
+    is refused up front when decoding, with the same signal kinds the
+    checked engine raises;
+  - so is any cell reference, found through the record's layout, that
+    leaves the image, and any pair of references that share a byte
+    without naming the same cells (an operand retargeted into the middle
+    of a wider cell, a load or store count stretched over a neighbouring
+    cell).  Honest layouts never overlap, and one int per cell cannot
+    alias part of another value, so such a function is refused as an
+    invalid reference before it runs;
   - other damage to cell offsets or region bounds is baked in and
     surfaces, if at all, as wrong results or traps rather than signals;
     an index outside a region, or past the image end, traps with the
@@ -43,11 +45,12 @@ from .bundle import ProtectedBundle, VirtFunction
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
 from .guards import compute_vpa_hash
-from .ir.core import TypeTag
-from .risa import HandlerSpec
-from .runtime import (HASH_MISMATCH, INVALID_OPCODE, INVALID_REFERENCE,
-                      PC_ESCAPE, TamperSignal, call_function,
-                      execute_with_engine, respond)
+from .risa import (CALLEE, CELL_ROLES, CHECKEE, HandlerSpec,
+                   MalformedStream, walk_records)
+from .runtime import (CELL_CODE, HASH_MISMATCH, INVALID_OPCODE,
+                      INVALID_REFERENCE, PC_ESCAPE, TamperSignal,
+                      call_function, execute_with_engine, respond,
+                      table_entry)
 
 
 @dataclass
@@ -71,47 +74,29 @@ def pre_decode(vfn: VirtFunction) -> list[ThreadedRecord]:
     record ordinal.  Raises TamperSignal if the stream does not decode as
     a branch-consistent record sequence."""
     vpa = vfn.vpa
-    spec_of = vfn.risa.spec_of
-    n = len(vpa)
-    walked: list[tuple[int, HandlerSpec]] = []
-    ordinal_at: dict[int, int] = {}
-    i = 0
-    while i < n:
-        spec = spec_of.get(vpa[i])
-        if spec is None:
-            raise TamperSignal(
-                INVALID_OPCODE, f"@{vfn.name}: element {i} holds "
-                f"{vpa[i]:#06x}, which names no handler")
-        if i + spec.record_len > n:
-            raise TamperSignal(
-                PC_ESCAPE, f"@{vfn.name}: record at {i} ({spec.kind}) "
-                "runs past the end of the stream")
-        ordinal_at[i] = len(walked)
-        walked.append((i, spec))
-        i += spec.record_len
+    try:
+        walked = walk_records(vfn.risa, vpa)
+    except MalformedStream as err:
+        raise TamperSignal(PC_ESCAPE if err.truncated else INVALID_OPCODE,
+                           f"@{vfn.name}: {err.reason}") from None
     if not walked:
         raise TamperSignal(PC_ESCAPE, f"@{vfn.name}: stream is empty")
+    ordinal_at = {start: i for i, (start, _) in enumerate(walked)}
 
     records = []
     for ordinal, (start, spec) in enumerate(walked):
-        k = spec.kind
         ops = tuple(vpa[start + 1:start + spec.record_len])
         succ: int | tuple[int, int] | None
-        if k == "ret":
+        if spec.kind == "ret":
             succ = None
-        elif k == "br":
-            succ = ordinal_at.get(ops[0])
-            if succ is None:
+        elif spec.targets:
+            succ = tuple(ordinal_at.get(ops[p]) for p in spec.targets)
+            if None in succ:
                 raise TamperSignal(
-                    PC_ESCAPE, f"@{vfn.name}: branch at {start} targets "
-                    f"element {ops[0]}, which is not a record boundary")
-        elif k == "brcond":
-            t, f = ordinal_at.get(ops[1]), ordinal_at.get(ops[2])
-            if t is None or f is None:
-                raise TamperSignal(
-                    PC_ESCAPE, f"@{vfn.name}: branch at {start} targets a "
-                    "non-boundary element")
-            succ = (t, f)
+                    PC_ESCAPE, f"@{vfn.name}: branch at {start} targets an "
+                    "element that is not a record boundary")
+            if len(succ) == 1:
+                succ = succ[0]
         else:
             succ = ordinal + 1
             if succ == len(walked):
@@ -166,12 +151,11 @@ class _Cells:
             else:
                 group_start, group_end, group_width = start, end, width
             if width > 1:
+                n = (end - start) // width
                 vm[start:end:width] = struct.unpack_from(
-                    f"<{(end - start) // width}{_UNPACK[width]}", image, start)
+                    f"<{n}{CELL_CODE[width]}", image, start)
         return vm
 
-
-_UNPACK = {2: "H", 4: "I", 8: "Q"}
 
 _WRAPPING = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _BITWISE = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
@@ -194,19 +178,19 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
                     cells: _Cells):
     spec = rec.spec
     k = spec.kind
-    ops = rec.operands
     s = rec.successor
-    where = f"record at {rec.offset}"
-
-    def cell(off: int, width: int) -> int:
-        return cells.cell(off, width, where)
-
     if k in ("const", "alloca", "br"):
+        # no engine reads these operands: constants sit in the template
         return lambda vm: s
+
+    # every cell the record names is validated here, once
+    where = f"record at {rec.offset}"
+    ops = [cells.cell(v, tag.width, where) if role in CELL_ROLES else v
+           for (role, tag), v in zip(spec.layout, rec.operands)]
 
     if k in _WRAPPING or k in _BITWISE:
         w = spec.result_type.width
-        a, b, r = (cell(o, w) for o in ops)
+        a, b, r = ops
         if k in _WRAPPING:
             op, m = _WRAPPING[k], (1 << spec.result_type.bits) - 1
         else:
@@ -221,8 +205,7 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
     if k in _TRAPPING:
         op = _TRAPPING[k]
         bits = spec.result_type.bits
-        w = spec.result_type.width
-        a, b, r = (cell(o, w) for o in ops)
+        a, b, r = ops
 
         def run(vm):
             vm[r] = op(vm[a], vm[b], bits)
@@ -234,8 +217,7 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         cmp = _COMPARE[pred]
         bits = spec.operand_types[0].bits
         w = spec.operand_types[0].width
-        a, b = cell(ops[0], w), cell(ops[1], w)
-        r = cell(ops[2], 1)
+        a, b, r = ops
         if pred not in _SIGNED:
             def run(vm):
                 vm[r] = 1 if cmp(vm[a], vm[b]) else 0
@@ -257,9 +239,7 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         return run
 
     if k == "select":
-        w = spec.result_type.width
-        c = cell(ops[0], 1)
-        a, b, r = (cell(o, w) for o in ops[1:])
+        c, a, b, r = ops
 
         def run(vm):
             vm[r] = vm[a] if vm[c] else vm[b]
@@ -269,8 +249,7 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
     if k in ("zext", "sext", "trunc"):
         src_bits, dst_bits = spec.operand_types[0].bits, \
             spec.result_type.bits
-        a = cell(ops[0], spec.operand_types[0].width)
-        r = cell(ops[1], spec.result_type.width)
+        a, r = ops
         dm = (1 << dst_bits) - 1
         if k == "sext":
             sm, sb = (1 << src_bits) - 1, 1 << (src_bits - 1)
@@ -292,16 +271,10 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         # stand in for the signed one
         if k == "load":
             itag, w = spec.operand_types[0], spec.result_type.width
-            base, count = ops[0], ops[1]
-            ix, r = cell(ops[2], itag.width), cell(ops[3], w)
+            base, count, ix, r = ops
         else:
             itag, w = spec.operand_types[1], spec.operand_types[0].width
-            base, count = ops[1], ops[2]
-            v, ix = cell(ops[0], w), cell(ops[3], itag.width)
-        if itag is TypeTag.I1:
-            # IR indices are wider than i1; only a forged table gets here
-            raise TamperSignal(
-                INVALID_OPCODE, f"@{vfn.name}: {where} indexes with i1")
+            v, base, count, ix = ops
         limit = min(cells.region(base, count, w), 1 << (itag.bits - 1))
 
         if k == "load":
@@ -321,7 +294,7 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         return run
 
     if k == "brcond":
-        c = cell(ops[0], 1)
+        c = ops[0]
         t, f = s
 
         def run(vm):
@@ -329,9 +302,8 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         return run
 
     if k == "ret":
-        if spec.operand_types and vfn.ret_slot is not None:
-            w = spec.operand_types[0].width
-            src, roff = cell(ops[0], w), cell(vfn.ret_slot[0], w)
+        if ops and vfn.ret_slot is not None:
+            src, roff = ops[0], vfn.ret_slot[0]
 
             def run(vm):
                 vm[roff] = vm[src]
@@ -340,17 +312,11 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         return lambda vm: -1
 
     if k == "call":
-        idx = ops[0]
-        if idx >= len(bundle.functions):
-            raise TamperSignal(
-                INVALID_REFERENCE,
-                f"@{vfn.name}: callee index {idx} outside the table")
-        target = bundle.functions[idx]
-        arg_cells = [cell(ops[1 + i], t.width)
-                     for i, t in enumerate(spec.operand_types)]
+        target = table_entry(bundle, vfn, CALLEE, ops[0])
+        arg_cells = ops[1:1 + len(spec.operand_types)]
         res = rm = None
         if spec.result_type is not None:
-            res = cell(ops[-1], spec.result_type.width)
+            res = ops[-1]
             rm = (1 << spec.result_type.bits) - 1
 
         def run(vm):
@@ -361,34 +327,24 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
             return s
         return run
 
-    if k == "guard":
-        idx = ops[0]
-        exp_off, run_off = cell(ops[1], 2), cell(ops[2], 2)
-        if idx >= len(bundle.functions) or \
-                not isinstance(bundle.functions[idx], VirtFunction):
-            raise TamperSignal(
-                INVALID_REFERENCE,
-                f"@{vfn.name}: guard checkee index {idx} names no "
-                "transformed function")
-        checkee = bundle.functions[idx]
-        key = (vfn.name, checkee.name)
+    # the remaining kind is the guard
+    idx, exp_off, run_off = ops
+    checkee = table_entry(bundle, vfn, CHECKEE, idx)
+    key = (vfn.name, checkee.name)
 
-        def run(vm):
-            h = compute_vpa_hash(checkee.vpa)
-            vm[run_off] = h
-            expected = vm[exp_off]
-            ctx.guard_execs += 1
-            ctx.guard_edges[key] = ctx.guard_edges.get(key, 0) + 1
-            if h != expected:
-                respond(TamperSignal(
-                    HASH_MISMATCH,
-                    f"@{vfn.name} checking @{checkee.name}: computed "
-                    f"{h:#06x}, expected {expected:#06x}"))
-            return s
-        return run
-
-    raise TamperSignal(INVALID_OPCODE,
-                       f"@{vfn.name}: no compiler for kind {k!r}")
+    def run(vm):
+        h = compute_vpa_hash(checkee.vpa)
+        vm[run_off] = h
+        expected = vm[exp_off]
+        ctx.guard_execs += 1
+        ctx.guard_edges[key] = ctx.guard_edges.get(key, 0) + 1
+        if h != expected:
+            respond(TamperSignal(
+                HASH_MISMATCH,
+                f"@{vfn.name} checking @{checkee.name}: computed "
+                f"{h:#06x}, expected {expected:#06x}"))
+        return s
+    return run
 
 
 def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):

@@ -97,7 +97,7 @@ def _random_virt(name, rng) -> VirtFunction:
               for _ in range(rng.randrange(4))]
     ret_slot = None if rng.randrange(3) == 0 else \
         (rng.randrange(0x10000), _TAGS[rng.randrange(5)])
-    return VirtFunction(name, risa, vpa, size, image, params, ret_slot)
+    return VirtFunction(name, risa, vpa, image, params, ret_slot)
 
 
 def random_bundle(rng) -> ProtectedBundle:

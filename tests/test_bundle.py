@@ -2,7 +2,8 @@ import pytest
 
 from builders import CHECKED_HELPER, protect_text, random_bundle
 from conftest import corpus_text
-from vmguard.bundle import (MAGIC, BadMagic, FlipElement, FlipRandomElement,
+from vmguard.bundle import (MAGIC, BadMagic, BundleError, FlipElement,
+                            FlipRandomElement,
                             IndexOutOfRange, PreserveChecksumPair,
                             SwapOpcodes, TamperError, TrailingData,
                             TruncatedStream, UnsupportedVersion, ZeroRange,
@@ -98,6 +99,13 @@ def test_absent_entry_and_seed_survive_the_trip(fib_bundle):
     again = deserialize(serialize(b))
     assert again.entry_index is None
     assert again.seed is None
+
+
+def test_unparsable_plain_source_is_a_bundle_error():
+    data = serialize(protect_text(corpus_text("fib"), seed=8, level=50))
+    assert data.count(b"func @") >= 1        # some function stays plain
+    with pytest.raises(BundleError, match="does not parse"):
+        deserialize(data.replace(b"func @", b"func #", 1))
 
 
 def test_copy_is_deep(fib_bundle):

@@ -76,6 +76,16 @@ def test_run_rejects_non_bundle_files(fib_vir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_unparsable_plain_source(fib_vir, tmp_path, capsys):
+    out = tmp_path / "fib.vsc"
+    assert protect(fib_vir, out, "--coverage-pct", "50") == EXIT_OK
+    data = out.read_bytes()
+    assert b"func @" in data
+    out.write_bytes(data.replace(b"func @", b"func #", 1))
+    assert main(["run", str(out), "8"]) == EXIT_FAILURE
+    assert "does not parse" in capsys.readouterr().err
+
+
 def test_trap_exits_42(helper_vir, tmp_path, capsys):
     out = tmp_path / "h.vsc"
     protect(helper_vir, out)

@@ -6,8 +6,8 @@ from vmguard.ir import Instruction, TypeTag, parse_module
 from vmguard.rng import SplitMix64
 from vmguard.risa import (BRANCH_PLACEHOLDER, GUARD_SPEC, KIND_CODE,
                           KIND_NAMES, OPCODE_SPACE, HandlerSpec,
-                          MalformedStream, Risa, spec_for_instruction,
-                          walk_records)
+                          MalformedStream, Risa, handler_spec,
+                          spec_for_instruction, walk_records)
 
 
 def test_kind_table_is_frozen():
@@ -77,6 +77,54 @@ RECORD_LEN_CASES = [
 @pytest.mark.parametrize("spec, want", RECORD_LEN_CASES)
 def test_record_lengths(spec, want):
     assert spec.record_len == want
+
+
+I64, I1 = TypeTag.I64, TypeTag.I1
+
+# one well-formed signature per kind, as spec_for_instruction builds them
+WELL_FORMED = {
+    "const": ((), I64), "select": ((I1, I64, I64), I64),
+    "zext": ((TypeTag.I8,), I64), "sext": ((TypeTag.I8,), I64),
+    "trunc": ((I64,), TypeTag.I8), "alloca": ((), None),
+    "load": ((I64,), I64), "store": ((I64, I64), None), "br": ((), None),
+    "brcond": ((I1,), None), "ret": ((I64,), None),
+    "call": ((I64, I64), I64), "guard": ((), None),
+}
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+def test_every_kind_has_a_layout_that_fixes_its_record_length(kind):
+    if kind.startswith("icmp."):
+        ops, res = (I64, I64), I1
+    else:
+        ops, res = WELL_FORMED.get(kind, ((I64, I64), I64))
+    spec = HandlerSpec(kind, ops, res)
+    assert spec.layout is not None
+    assert spec.record_len == 1 + len(spec.layout)
+    assert handler_spec(kind, ops, res) is handler_spec(kind, ops, res)
+
+
+@pytest.mark.parametrize("spec", [
+    HandlerSpec("add", (I64, I64), None),
+    HandlerSpec("add", (I64, TypeTag.I32), I64),
+    HandlerSpec("icmp.eq", (I64, I64), I64),
+    HandlerSpec("select", (I64, I64, I64), I64),
+    HandlerSpec("zext", (I64,), TypeTag.I8),
+    HandlerSpec("trunc", (TypeTag.I8,), I64),
+    HandlerSpec("load", (I1,), I64),
+    HandlerSpec("store", (I64,), None),
+    HandlerSpec("brcond", (I64,)),
+    HandlerSpec("ret", (I64, I64)),
+    HandlerSpec("const", (I64,), I64),
+    HandlerSpec("guard", (), I64),
+])
+def test_signatures_that_do_not_fit_their_kind_have_no_layout(spec):
+    assert spec.layout is None
+    risa = Risa()
+    risa.spec_of[7] = spec
+    with pytest.raises(MalformedStream) as exc:
+        walk_records(risa, [7, 0, 0, 0])
+    assert not exc.value.truncated
 
 
 def test_spec_for_instruction_separates_predicates_and_widths():
@@ -163,8 +211,9 @@ def test_walk_records_rejects_truncated_final_record():
     flat, _ = _stream(risa, rng, [HandlerSpec("select",
                                               (TypeTag.I1, TypeTag.I64,
                                                TypeTag.I64), TypeTag.I64)])
-    with pytest.raises(MalformedStream):
+    with pytest.raises(MalformedStream) as exc:
         walk_records(risa, flat[:-1])
+    assert exc.value.truncated
 
 
 def test_walk_records_accepts_empty_stream():

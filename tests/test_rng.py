@@ -80,14 +80,6 @@ def test_sample_too_large_raises():
         SplitMix64(0).sample([1, 2], 3)
 
 
-@given(st.integers(min_value=0, max_value=MASK64),
-       st.lists(st.integers(), max_size=40))
-def test_shuffle_preserves_multiset(seed, items):
-    shuffled = list(items)
-    SplitMix64(seed).shuffle(shuffled)
-    assert sorted(shuffled) == sorted(items)
-
-
 def test_choice_from_singleton_and_empty():
     assert SplitMix64(0).choice([42]) == 42
     with pytest.raises(IndexError):

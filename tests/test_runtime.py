@@ -2,19 +2,23 @@ import pytest
 
 from builders import CHECKED_HELPER, MIXED_CALLS, protect_text
 from oracles import PROGRAM_MODELS
+from vmguard import runtime
 from vmguard.bundle import (FlipElement, PreserveChecksumPair, copy_bundle,
-                            tamper_bundle)
+                            tamper_bundle, verify)
 from vmguard.execstate import (CALL_DEPTH_REASON, INPUT_EXHAUSTED_REASON,
                                LOAD_BOUNDS_REASON, STEP_LIMIT_REASON,
                                STORE_BOUNDS_REASON)
 from vmguard.arith import DIV_BY_ZERO
-from vmguard.ir import (eliminate_phis, parse_module, reference_interpret)
+from vmguard.guards import compute_vpa_hash
+from vmguard.ir import (TypeTag, eliminate_phis, parse_module,
+                        reference_interpret)
 from vmguard.protect import ProtectionConfig, virtualize_module
-from vmguard.risa import walk_records
+from vmguard.risa import HandlerSpec, walk_records
 from vmguard.rng import SplitMix64
 from vmguard.runtime import (HASH_MISMATCH, INVALID_OPCODE,
                              INVALID_REFERENCE, PC_ESCAPE, TamperAbort,
                              TamperSignal, execute_secure, respond)
+from vmguard.threaded import execute_optimized
 
 
 def protect_module(module, seed=1, **kw):
@@ -277,3 +281,105 @@ def test_partial_protection_covers_both_call_directions():
         got = execute_secure(bundle, [4])
         assert got.same_outcome(ref), (seed, virt)
     assert saw == {"main", "double"}, "seeds never exercised one direction"
+
+
+# ---- references the stream or the header gets wrong, under both engines ---
+
+ENGINES = (execute_secure, execute_optimized)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_parameter_cell_past_the_image_is_tamper(engine):
+    bundle = protect_text(CHECKED_HELPER, seed=3, enable_guards=False)
+    broken = copy_bundle(bundle)
+    main = broken.function("main")
+    off, tag = main.param_slots[0]
+    main.param_slots[0] = (len(main.image) + 100, tag)
+    res = engine(broken, [3])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_REFERENCE
+
+
+def _misfit_copy(bundle, opcode):
+    """Copy of `bundle` whose @main opcode table maps `opcode` to a mul
+    handler without a result type, which no IR instruction produces."""
+    broken = copy_bundle(bundle)
+    broken.function("main").risa.spec_of[opcode] = HandlerSpec(
+        "mul", (TypeTag.I64, TypeTag.I64), None)
+    return broken
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_misfit_opcode_entry_is_tamper_only_when_dispatched(engine):
+    bundle = protect_text(CHECKED_HELPER, seed=3)
+    main = bundle.function("main")
+    free = next(v for v in range(0xFFFF) if v not in main.risa.spec_of)
+    res = engine(_misfit_copy(bundle, free), [3])
+    assert res.status == "normal" and res.value == 21
+    used, _ = _record_of_kind(main, "mul")
+    res = engine(_misfit_copy(bundle, main.vpa[used]), [3])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_OPCODE
+
+
+def test_verify_reports_misfit_opcode_entries():
+    bundle = protect_text(CHECKED_HELPER, seed=3)
+    main = bundle.function("main")
+    free = next(v for v in range(0xFFFF) if v not in main.risa.spec_of)
+    problems = verify(_misfit_copy(bundle, free))
+    assert problems == [f"@main: opcode {free:#06x} (mul) has types that "
+                        "do not fit its kind"]
+    used, _ = _record_of_kind(main, "mul")
+    problems = verify(_misfit_copy(bundle, main.vpa[used]))
+    assert f"@main: element {used} holds {main.vpa[used]:#06x}, whose mul " \
+        "handler has types that do not fit its kind" in problems
+
+
+def test_record_cut_short_by_the_stream_end_is_tamper():
+    bundle = protect_text(CHECKED_HELPER, seed=3, enable_guards=False)
+    broken = copy_bundle(bundle)
+    main = broken.function("main")
+    assert _record_of_kind(main, "ret")[1].record_len == 2
+    main.vpa = main.vpa[:-1]            # the final ret loses its operand
+    res = execute_secure(broken, [3])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_REFERENCE
+
+
+@pytest.mark.parametrize("element", [2, 3])
+def test_guard_cell_past_the_image_is_refused_before_hashing(monkeypatch,
+                                                              element):
+    bundle = protect_text(CHECKED_HELPER, seed=6)
+    broken = copy_bundle(bundle)
+    main = broken.function("main")
+    off, _ = _record_of_kind(main, "guard")
+    main.vpa[off + element] = len(main.image)
+    hashes = []
+
+    def counted(vpa):
+        hashes.append(len(vpa))
+        return compute_vpa_hash(vpa)
+
+    monkeypatch.setattr(runtime, "compute_vpa_hash", counted)
+    res = execute_secure(broken, [3])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_REFERENCE
+    assert res.guard_execs == len(hashes) == 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("callee", ["fib", "print_i64"])
+def test_call_with_the_wrong_argument_count_is_tamper(corpus_flat, manifest,
+                                                      engine, callee):
+    bundle = protect_module(corpus_flat["fib"], seed=0, level=50)
+    broken = copy_bundle(bundle)
+    main = broken.function("main")
+    read_idx = broken.index_of("read_i64")
+    off = next(off for off, spec in walk_records(main.risa, main.vpa)
+               if spec.kind == "call" and main.vpa[off + 1] == read_idx)
+    main.vpa[off + 1] = broken.index_of(callee)
+    inputs = next(e["inputs"]["tiny"] for e in manifest["programs"]
+                  if e["name"] == "fib")
+    res = engine(broken, inputs)
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_REFERENCE

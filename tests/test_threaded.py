@@ -1,10 +1,11 @@
 import pytest
 
 from builders import CHECKED_HELPER, MIXED_CALLS, protect_text
-from vmguard.bundle import FlipRandomElement, copy_bundle, tamper_bundle
+from vmguard.bundle import (FlipRandomElement, SwapOpcodes, TamperError,
+                            ZeroRange, copy_bundle, tamper_bundle)
 from vmguard.execstate import (LOAD_BOUNDS_REASON, STEP_LIMIT_REASON,
                                STORE_BOUNDS_REASON)
-from vmguard.ir import TypeTag, reference_interpret
+from vmguard.ir import ExecutionResult, TypeTag, reference_interpret
 from vmguard.protect import ProtectionConfig, virtualize_module
 from vmguard.risa import HandlerSpec, walk_records
 from vmguard.rng import SplitMix64
@@ -349,3 +350,42 @@ def test_i1_index_in_a_forged_opcode_table_is_refused():
     assert res.status == "tamper"
     assert res.tamper_cause.kind == INVALID_OPCODE
     assert res.steps == 0
+
+
+# ---- totality --------------------------------------------------------------
+
+SWEEP_STRATEGIES = (FlipRandomElement(), SwapOpcodes(), ZeroRange())
+SWEEP_DRAWS = 8
+
+
+@pytest.mark.parametrize("level", [100, 50])
+def test_engines_never_raise_on_tampered_corpus_bundles(corpus_flat, manifest,
+                                                        level):
+    """A corrupted stream ends in a result under both engines, never in an
+    exception; every escape is collected so a failure lists them all."""
+    escaped = []
+    for entry in manifest["programs"]:
+        inputs = entry["inputs"]["tiny"]
+        for guards in (True, False):
+            for draw in range(SWEEP_DRAWS):
+                bundle = virtualize_module(
+                    corpus_flat[entry["name"]],
+                    ProtectionConfig(seed=draw, level=level,
+                                     enable_guards=guards))
+                for strategy in SWEEP_STRATEGIES:
+                    try:
+                        tampered, _ = tamper_bundle(bundle, strategy,
+                                                    SplitMix64(draw))
+                    except TamperError:
+                        continue
+                    for engine in (execute_secure, execute_optimized):
+                        try:
+                            res = engine(tampered, inputs,
+                                         step_limit=100_000)
+                        except Exception as exc:
+                            escaped.append((entry["name"], guards, draw,
+                                            type(strategy).__name__,
+                                            engine.__name__, repr(exc)))
+                        else:
+                            assert isinstance(res, ExecutionResult)
+    assert escaped == []
