@@ -1,12 +1,14 @@
 """Fixed-width two's-complement arithmetic shared by every execution engine.
 
-Values are carried as canonical unsigned ints in [0, 2**bits).  Both the
-reference interpreter and the bytecode engines call these helpers, so the
-semantics have a single home.
+Values are canonical unsigned ints in [0, 2**bits), or any value of an
+engine's cell (an i1 cell is a byte).  The operator tables define each
+binary kind and predicate once: `binary_op`/`icmp` dispatch through them
+and the optimized engine binds them into its closures.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:       # importing vmguard.ir at run time would be circular
@@ -24,10 +26,6 @@ class TrapError(Exception):
         self.reason = reason
 
 
-def mask(bits: int) -> int:
-    return (1 << bits) - 1
-
-
 def wrap(value: int, bits: int) -> int:
     return value & ((1 << bits) - 1)
 
@@ -39,23 +37,22 @@ def to_signed(value: int, bits: int) -> int:
     return value
 
 
-def sdiv(a: int, b: int, bits: int) -> int:
-    if b == 0:
-        raise TrapError(DIV_BY_ZERO)
+def _signed_quotient(a: int, b: int, bits: int) -> tuple[int, int, int]:
+    """Both operands as signed values and their quotient, rounded toward
+    zero; a divisor whose low `bits` are all zero traps."""
     sa, sb = to_signed(a, bits), to_signed(b, bits)
+    if not sb:
+        raise TrapError(DIV_BY_ZERO)
     q = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        q = -q
-    return wrap(q, bits)
+    return sa, sb, -q if (sa < 0) != (sb < 0) else q
+
+
+def sdiv(a: int, b: int, bits: int) -> int:
+    return wrap(_signed_quotient(a, b, bits)[2], bits)
 
 
 def srem(a: int, b: int, bits: int) -> int:
-    if b == 0:
-        raise TrapError(DIV_BY_ZERO)
-    sa, sb = to_signed(a, bits), to_signed(b, bits)
-    q = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        q = -q
+    sa, sb, q = _signed_quotient(a, b, bits)
     return wrap(sa - sb * q, bits)
 
 
@@ -78,55 +75,53 @@ def ashr(a: int, amount: int, bits: int) -> int:
     return wrap(sa >> amount, bits)
 
 
+WRAPPING = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+# bitwise results keep whatever bits the cells hold
+BITWISE = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
+# called as op(a, b, bits)
+TRAPPING = {"sdiv": sdiv, "srem": srem, "shl": shl, "lshr": lshr,
+            "ashr": ashr}
+
+COMPARE = {
+    "eq": operator.eq, "ne": operator.ne,
+    "slt": operator.lt, "sle": operator.le,
+    "sgt": operator.gt, "sge": operator.ge,
+    "ult": operator.lt, "ule": operator.le,
+    "ugt": operator.gt, "uge": operator.ge,
+}
+# these compare the low `bits` as two's complement, the others whole cells
+SIGNED = ("slt", "sle", "sgt", "sge")
+
+
 def binary_op(kind: str, a: int, b: int, bits: int) -> int:
-    if kind == "add":
-        return (a + b) & ((1 << bits) - 1)
-    if kind == "sub":
-        return (a - b) & ((1 << bits) - 1)
-    if kind == "mul":
-        return (a * b) & ((1 << bits) - 1)
-    if kind == "and":
-        return a & b
-    if kind == "or":
-        return a | b
-    if kind == "xor":
-        return a ^ b
-    if kind == "sdiv":
-        return sdiv(a, b, bits)
-    if kind == "srem":
-        return srem(a, b, bits)
-    if kind == "shl":
-        return shl(a, b, bits)
-    if kind == "lshr":
-        return lshr(a, b, bits)
-    if kind == "ashr":
-        return ashr(a, b, bits)
+    op = WRAPPING.get(kind)
+    if op is not None:
+        return op(a, b) & ((1 << bits) - 1)
+    op = BITWISE.get(kind)
+    if op is not None:
+        return op(a, b)
+    op = TRAPPING.get(kind)
+    if op is not None:
+        return op(a, b, bits)
     raise ValueError(f"not a binary kind: {kind!r}")
 
 
 def icmp(pred: str, a: int, b: int, bits: int) -> int:
-    if pred in ("slt", "sle", "sgt", "sge"):
-        a, b = to_signed(a, bits), to_signed(b, bits)
-    if pred == "eq":
-        return int(a == b)
-    if pred == "ne":
-        return int(a != b)
-    if pred in ("slt", "ult"):
-        return int(a < b)
-    if pred in ("sle", "ule"):
-        return int(a <= b)
-    if pred in ("sgt", "ugt"):
-        return int(a > b)
-    if pred in ("sge", "uge"):
-        return int(a >= b)
-    raise ValueError(f"unknown predicate {pred!r}")
+    cmp = COMPARE.get(pred)
+    if cmp is None:
+        raise ValueError(f"unknown predicate {pred!r}")
+    if pred in SIGNED:
+        # flipping the sign bit maps two's complement onto unsigned order
+        m, sb = (1 << bits) - 1, 1 << (bits - 1)
+        a, b = (a & m) ^ sb, (b & m) ^ sb
+    return 1 if cmp(a, b) else 0
 
 
 def cast(kind: str, value: int, src: TypeTag, dst: TypeTag) -> int:
     if kind == "zext":
-        return value & mask(src.bits)
+        return wrap(value, src.bits)
     if kind == "sext":
         return wrap(to_signed(value, src.bits), dst.bits)
     if kind == "trunc":
-        return value & mask(dst.bits)
+        return wrap(value, dst.bits)
     raise ValueError(f"not a cast kind: {kind!r}")

@@ -246,7 +246,7 @@ def cmd_coverage(args) -> int:
 def cmd_bench(args) -> int:
     cfg = BenchmarkConfig(
         programs=tuple(args.programs.split(",")) if args.programs else (),
-        levels=tuple(int(v) for v in args.levels.split(",")),
+        levels=args.levels,
         modes=tuple(args.modes.split(",")),
         arms=tuple(args.arms.split(",")),
         reps=args.reps, seeds=args.seeds, tier=args.tier,
@@ -272,6 +272,10 @@ def cmd_bench(args) -> int:
             return _fail(str(err))
         print(f"csv written to {args.csv}")
     return EXIT_OK
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure protection overhead")
     p.add_argument("--programs", default=None,
                    help="comma-separated corpus program names (default all)")
-    p.add_argument("--levels", default="100",
+    p.add_argument("--levels", default="100", type=int_list,
                    help="comma-separated protection levels")
     p.add_argument("--modes", default=",".join(MODES))
     p.add_argument("--arms", default=",".join(ARMS))

@@ -23,7 +23,7 @@ MASK64 = (1 << 64) - 1
 
 class ExecContext:
     __slots__ = ("inputs", "cursor", "output", "steps", "step_limit",
-                 "call_depth", "guard_execs", "guard_edges", "threaded_cache",
+                 "call_depth", "guard_execs", "guard_edges", "decoded",
                  "trace_blocks")
 
     def __init__(self, inputs=(),
@@ -35,8 +35,9 @@ class ExecContext:
         self.step_limit = step_limit
         self.call_depth = 0
         self.guard_execs = 0
-        self.guard_edges: dict[tuple[int, int], int] = {}
-        self.threaded_cache: dict[int, object] = {}
+        self.guard_edges: dict[tuple[str, str], int] = {}
+        # each engine's per-run decode of a function, by (engine, id(vfn))
+        self.decoded: dict[tuple[str, int], object] = {}
         # optional set collecting (function, block) pairs as they run
         self.trace_blocks: set | None = None
 

@@ -130,6 +130,14 @@ class ExecutionResult:
     guard_execs: int = 0
     guard_edges: dict = field(default_factory=dict)  # (checker, checkee) -> count
 
+    @classmethod
+    def of(cls, ctx, status: str, **fields) -> "ExecutionResult":
+        """The outcome of the run whose ExecContext is `ctx`: its output,
+        steps and guard counts, plus the given fields."""
+        return cls(status, output=ctx.output, steps=ctx.steps,
+                   guard_execs=ctx.guard_execs,
+                   guard_edges=dict(ctx.guard_edges), **fields)
+
     def same_outcome(self, other: "ExecutionResult") -> bool:
         """Behavioural equality: exit class, return value, output stream."""
         return (self.status == other.status

@@ -159,10 +159,8 @@ def reference_interpret(module: IrModule, entry: str, inputs=(),
         args = [ctx.read_input() for _ in entry_fn.params]
         raw = evaluate_function(entry_fn, args, call_hook, ctx)
     except TrapError as trap:
-        return ExecutionResult("trap", trap_reason=trap.reason,
-                               output=ctx.output, steps=ctx.steps)
+        return ExecutionResult.of(ctx, "trap", trap_reason=trap.reason)
     value = None
     if entry_fn.ret is not None:
         value = to_signed(raw, entry_fn.ret.bits)
-    return ExecutionResult("normal", value=value, output=ctx.output,
-                           steps=ctx.steps)
+    return ExecutionResult.of(ctx, "normal", value=value)

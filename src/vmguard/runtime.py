@@ -8,10 +8,10 @@ refuse a cell outside the image instead of growing it.  That makes it
 the natural place to observe corruption immediately, at the cost of
 per-step overhead the pre-decoding engine avoids.
 
-Corruption surfaces as a TamperSignal routed through `respond`, which
-aborts the run; traps (division by zero, bad memory index, exhausted
-budgets) use the same reasons as the reference interpreter so outcomes
-stay comparable across all three executors.
+Corruption raises a TamperSignal, which unwinds the whole run; both
+engines judge guards through `check_guard`.  Traps (division by zero,
+bad memory index, exhausted budgets) use the same reasons as the
+reference interpreter so outcomes stay comparable across all executors.
 """
 
 from __future__ import annotations
@@ -45,20 +45,6 @@ class TamperSignal(Exception):
         self.detail = detail
 
 
-class TamperAbort(Exception):
-    """Raised by the response policy to unwind the whole run."""
-
-    def __init__(self, signal: TamperSignal) -> None:
-        super().__init__(str(signal))
-        self.signal = signal
-
-
-def respond(signal: TamperSignal) -> None:
-    """Response policy on detected corruption: abort the run.  Kept as the
-    single choke point so alternative policies slot in here."""
-    raise TamperAbort(signal)
-
-
 def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
                   engine) -> int | None:
     """Shared call bridge: dispatches to a transformed function (via
@@ -67,8 +53,8 @@ def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
     into protected code.  A call whose argument count differs from the
     callee's arity is a retargeted call record, refused as tamper."""
     if arity_of(target) != len(args):
-        respond(TamperSignal(INVALID_REFERENCE, f"@{target.name} does not "
-                             f"take {len(args)} arguments"))
+        raise TamperSignal(INVALID_REFERENCE, f"@{target.name} does not "
+                           f"take {len(args)} arguments")
     if isinstance(target, ExternFunction):
         if target.name == "read_i64":
             return ctx.read_input()
@@ -98,14 +84,26 @@ def table_entry(bundle: ProtectedBundle, vfn: VirtFunction, role: str,
                        f"@{vfn.name}: {role} index {idx} names no {what}")
 
 
+def check_guard(ctx: ExecContext, vfn: VirtFunction, checkee: VirtFunction,
+                h: int, expected: int) -> None:
+    """Count one execution of `vfn`'s guard over `checkee`, then compare the
+    hash it computed with the expected value from `vfn`'s image."""
+    ctx.guard_execs += 1
+    key = (vfn.name, checkee.name)
+    ctx.guard_edges[key] = ctx.guard_edges.get(key, 0) + 1
+    if h != expected:
+        raise TamperSignal(HASH_MISMATCH, f"@{vfn.name} checking "
+                           f"@{checkee.name}: computed {h:#06x}, "
+                           f"expected {expected:#06x}")
+
+
 def _plain_hook(bundle: ProtectedBundle, ctx: ExecContext, engine):
     def hook(name: str, args):
         try:
             target = bundle.function(name)
         except KeyError:
-            respond(TamperSignal(INVALID_REFERENCE,
-                                 f"call to @{name}, which the bundle does "
-                                 "not define"))
+            raise TamperSignal(INVALID_REFERENCE, f"call to @{name}, which "
+                               "the bundle does not define")
         return call_function(bundle, target, args, ctx, engine)
     return hook
 
@@ -129,9 +127,9 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
 
     if layout is None:
         def handler(vm, vpc):
-            respond(TamperSignal(
+            raise TamperSignal(
                 INVALID_OPCODE, f"@{vfn.name}: element {vpc} names a {k} "
-                "handler whose types do not fit its kind"))
+                "handler whose types do not fit its kind")
         return handler
 
     ln = spec.record_len
@@ -272,15 +270,7 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
         get_h(vm, run_off)
         h = compute_vpa_hash(checkee.vpa)
         put_h(vm, run_off, h)
-        (expected,) = get_h(vm, exp_off)
-        ctx.guard_execs += 1
-        key = (vfn.name, checkee.name)
-        ctx.guard_edges[key] = ctx.guard_edges.get(key, 0) + 1
-        if h != expected:
-            respond(TamperSignal(
-                HASH_MISMATCH,
-                f"@{vfn.name} checking @{checkee.name}: computed "
-                f"{h:#06x}, expected {expected:#06x}"))
+        check_guard(ctx, vfn, checkee, h, get_h(vm, exp_off)[0])
         return vpc + 4
     return handler
 
@@ -289,7 +279,7 @@ def run_virt(bundle: ProtectedBundle, vfn: VirtFunction, args,
              ctx: ExecContext) -> int | None:
     """One activation of a transformed function under the checked engine.
     Handlers are built on first dispatch and kept for the run."""
-    handlers = ctx.threaded_cache.setdefault(("checked", id(vfn)), {})
+    handlers = ctx.decoded.setdefault(("checked", id(vfn)), {})
     vm = bytearray(vfn.image)
     vpa = vfn.vpa
     n = len(vpa)
@@ -303,16 +293,16 @@ def run_virt(bundle: ProtectedBundle, vfn: VirtFunction, args,
             if ctx.steps > limit:
                 raise TrapError(STEP_LIMIT_REASON)
             if not 0 <= vpc < n:
-                respond(TamperSignal(
+                raise TamperSignal(
                     PC_ESCAPE, f"@{vfn.name}: counter {vpc} outside the "
-                    f"{n}-element stream"))
+                    f"{n}-element stream")
             handler = handlers.get(vpa[vpc])
             if handler is None:
                 spec = vfn.risa.spec_of.get(vpa[vpc])
                 if spec is None:
-                    respond(TamperSignal(
+                    raise TamperSignal(
                         INVALID_OPCODE, f"@{vfn.name}: element {vpc} holds "
-                        f"{vpa[vpc]:#06x}, which names no handler"))
+                        f"{vpa[vpc]:#06x}, which names no handler")
                 handler = handlers[vpa[vpc]] = _build_handler(
                     bundle, vfn, spec, ctx, run_virt)
             vpc = handler(vm, vpc)
@@ -320,14 +310,12 @@ def run_virt(bundle: ProtectedBundle, vfn: VirtFunction, args,
             return None
         off, tag = vfn.ret_slot
         return _CELL[tag.width].unpack_from(vm, off)[0]
-    except TamperSignal as signal:
-        respond(signal)
     except (IndexError, ValueError, struct.error):
         # only reachable with corrupted operands or header cells: honest
         # records stay inside the stream and their cells inside the image
-        respond(TamperSignal(
+        raise TamperSignal(
             INVALID_REFERENCE, f"@{vfn.name}: record at {vpc} references "
-            "a cell outside the image or the stream"))
+            "a cell outside the image or the stream")
 
 
 def execute_with_engine(bundle: ProtectedBundle, engine, inputs=(),
@@ -344,13 +332,12 @@ def execute_with_engine(bundle: ProtectedBundle, engine, inputs=(),
     if isinstance(target, ExternFunction):
         raise ValueError("entry cannot be an intrinsic")
 
-    # each activation costs a handful of Python frames; make sure the
-    # deepest honest call chain fits before the interpreter's own limit
-    need = MAX_CALL_DEPTH * 10 + 400
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
     ctx = ExecContext(inputs, step_limit)
+    # each activation costs a handful of Python frames; make sure the
+    # deepest honest call chain fits before the interpreter's own limit,
+    # for this run only
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(caller_limit, MAX_CALL_DEPTH * 10 + 400))
     try:
         if isinstance(target, VirtFunction):
             args = [ctx.read_input() for _ in target.param_slots]
@@ -362,20 +349,14 @@ def execute_with_engine(bundle: ProtectedBundle, engine, inputs=(),
                                     _plain_hook(bundle, ctx, engine), ctx)
             ret_tag = target.fn.ret
     except TrapError as trap:
-        return ExecutionResult("trap", trap_reason=trap.reason,
-                               output=ctx.output, steps=ctx.steps,
-                               guard_execs=ctx.guard_execs,
-                               guard_edges=dict(ctx.guard_edges))
-    except TamperAbort as abort:
-        return ExecutionResult("tamper", tamper_cause=abort.signal,
-                               output=ctx.output, steps=ctx.steps,
-                               guard_execs=ctx.guard_execs,
-                               guard_edges=dict(ctx.guard_edges))
+        return ExecutionResult.of(ctx, "trap", trap_reason=trap.reason)
+    except TamperSignal as signal:
+        return ExecutionResult.of(ctx, "tamper", tamper_cause=signal)
+    finally:
+        sys.setrecursionlimit(caller_limit)
 
     value = None if ret_tag is None else to_signed(raw, ret_tag.bits)
-    return ExecutionResult("normal", value=value, output=ctx.output,
-                           steps=ctx.steps, guard_execs=ctx.guard_execs,
-                           guard_edges=dict(ctx.guard_edges))
+    return ExecutionResult.of(ctx, "normal", value=value)
 
 
 def execute_secure(bundle: ProtectedBundle, inputs=(),

@@ -36,21 +36,19 @@ observing corruption lazily:
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass
 
-from .arith import TrapError, ashr, lshr, sdiv, shl, srem
+from .arith import BITWISE, COMPARE, SIGNED, TRAPPING, WRAPPING, TrapError
 from .bundle import ProtectedBundle, VirtFunction
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
 from .guards import compute_vpa_hash
 from .risa import (CALLEE, CELL_ROLES, CHECKEE, HandlerSpec,
                    MalformedStream, walk_records)
-from .runtime import (CELL_CODE, HASH_MISMATCH, INVALID_OPCODE,
-                      INVALID_REFERENCE, PC_ESCAPE, TamperSignal,
-                      call_function, execute_with_engine, respond,
-                      table_entry)
+from .runtime import (CELL_CODE, INVALID_OPCODE, INVALID_REFERENCE,
+                      PC_ESCAPE, TamperSignal, call_function, check_guard,
+                      execute_with_engine, table_entry)
 
 
 @dataclass
@@ -157,22 +155,6 @@ class _Cells:
         return vm
 
 
-_WRAPPING = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-_BITWISE = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
-
-_TRAPPING = {"sdiv": sdiv, "srem": srem, "shl": shl, "lshr": lshr,
-             "ashr": ashr}
-
-_COMPARE = {
-    "eq": operator.eq, "ne": operator.ne,
-    "slt": operator.lt, "sle": operator.le,
-    "sgt": operator.gt, "sge": operator.ge,
-    "ult": operator.lt, "ule": operator.le,
-    "ugt": operator.gt, "uge": operator.ge,
-}
-_SIGNED = ("slt", "sle", "sgt", "sge")
-
-
 def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
                     rec: ThreadedRecord, ctx: ExecContext, engine,
                     cells: _Cells):
@@ -188,22 +170,22 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
     ops = [cells.cell(v, tag.width, where) if role in CELL_ROLES else v
            for (role, tag), v in zip(spec.layout, rec.operands)]
 
-    if k in _WRAPPING or k in _BITWISE:
+    if k in WRAPPING or k in BITWISE:
         w = spec.result_type.width
         a, b, r = ops
-        if k in _WRAPPING:
-            op, m = _WRAPPING[k], (1 << spec.result_type.bits) - 1
+        if k in WRAPPING:
+            op, m = WRAPPING[k], (1 << spec.result_type.bits) - 1
         else:
             # bitwise results keep whatever bits the cells hold
-            op, m = _BITWISE[k], (1 << 8 * w) - 1
+            op, m = BITWISE[k], (1 << 8 * w) - 1
 
         def run(vm):
             vm[r] = op(vm[a], vm[b]) & m
             return s
         return run
 
-    if k in _TRAPPING:
-        op = _TRAPPING[k]
+    if k in TRAPPING:
+        op = TRAPPING[k]
         bits = spec.result_type.bits
         a, b, r = ops
 
@@ -214,11 +196,11 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
 
     if k.startswith("icmp."):
         pred = k.split(".", 1)[1]
-        cmp = _COMPARE[pred]
+        cmp = COMPARE[pred]
         bits = spec.operand_types[0].bits
         w = spec.operand_types[0].width
         a, b, r = ops
-        if pred not in _SIGNED:
+        if pred not in SIGNED:
             def run(vm):
                 vm[r] = 1 if cmp(vm[a], vm[b]) else 0
                 return s
@@ -330,19 +312,10 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
     # the remaining kind is the guard
     idx, exp_off, run_off = ops
     checkee = table_entry(bundle, vfn, CHECKEE, idx)
-    key = (vfn.name, checkee.name)
 
     def run(vm):
-        h = compute_vpa_hash(checkee.vpa)
-        vm[run_off] = h
-        expected = vm[exp_off]
-        ctx.guard_execs += 1
-        ctx.guard_edges[key] = ctx.guard_edges.get(key, 0) + 1
-        if h != expected:
-            respond(TamperSignal(
-                HASH_MISMATCH,
-                f"@{vfn.name} checking @{checkee.name}: computed "
-                f"{h:#06x}, expected {expected:#06x}"))
+        h = vm[run_off] = compute_vpa_hash(checkee.vpa)
+        check_guard(ctx, vfn, checkee, h, vm[exp_off])
         return s
     return run
 
@@ -351,7 +324,7 @@ def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     """Decoded closures, register-file template, (cell, mask) per
     parameter and the return cell of `vfn`, built once per run."""
     key = ("optimized", id(vfn))
-    compiled = ctx.threaded_cache.get(key)
+    compiled = ctx.decoded.get(key)
     if compiled is None:
         cells = _Cells(vfn)
         code = [_compile_record(bundle, vfn, rec, ctx, run_threaded, cells)
@@ -363,7 +336,7 @@ def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
             off, tag = vfn.ret_slot
             ret = cells.cell(off, tag.width, "the return cell")
         compiled = (code, cells.template(), params, ret)
-        ctx.threaded_cache[key] = compiled
+        ctx.decoded[key] = compiled
     return compiled
 
 
@@ -371,10 +344,7 @@ def run_threaded(bundle: ProtectedBundle, vfn: VirtFunction, args,
                  ctx: ExecContext) -> int | None:
     """One activation of a transformed function under the pre-decoding
     engine."""
-    try:
-        code, template, params, ret = _compiled(bundle, vfn, ctx)
-    except TamperSignal as sig:
-        respond(sig)
+    code, template, params, ret = _compiled(bundle, vfn, ctx)
     vm = template.copy()
     for (off, m), raw in zip(params, args):
         vm[off] = raw & m

@@ -20,6 +20,60 @@ def xor_fold16(elements):
     return h & 0xFFFF
 
 
+# ---- fixed-width arithmetic models -----------------------------------------
+# Operands are unsigned cell values and may be wider than the type's bits
+# (an i1 cell is a byte).  Arithmetic reads the low `bits` of each operand
+# as a two's-complement number; bitwise operations, shift amounts and the
+# equality and unsigned compares read the whole cell.
+
+def signed(v, bits):
+    v %= 1 << bits
+    return v - (1 << bits) if v >> (bits - 1) else v
+
+
+def binary_model(kind, a, b, bits):
+    """Result of a binary operation, or None where it traps (a zero
+    divisor)."""
+    m = 1 << bits
+    if kind in ("add", "sub", "mul"):
+        return {"add": a + b, "sub": a - b, "mul": a * b}[kind] % m
+    if kind in ("and", "or", "xor"):
+        return {"and": a & b, "or": a | b, "xor": a ^ b}[kind]
+    if kind in ("sdiv", "srem"):
+        sa, sb = signed(a, bits), signed(b, bits)
+        if sb == 0:
+            return None
+        q = sa // sb
+        if q < 0 and q * sb != sa:
+            q += 1                      # round toward zero, not down
+        return (q if kind == "sdiv" else sa - q * sb) % m
+    if kind == "shl":
+        return ((a % m) << min(b, bits)) % m
+    if kind == "lshr":
+        return (a % m) >> b
+    if kind == "ashr":
+        return (signed(a, bits) >> b) % m
+    raise ValueError(kind)
+
+
+def icmp_model(pred, a, b, bits):
+    if pred.startswith("s"):
+        a, b = signed(a, bits), signed(b, bits)
+    relation = pred if pred in ("eq", "ne") else pred[1:]
+    return int({"eq": a == b, "ne": a != b, "lt": a < b, "le": a <= b,
+                "gt": a > b, "ge": a >= b}[relation])
+
+
+def cast_model(kind, value, src_bits, dst_bits):
+    if kind == "zext":
+        return value % (1 << src_bits)
+    if kind == "sext":
+        return signed(value, src_bits) % (1 << dst_bits)
+    if kind == "trunc":
+        return value % (1 << dst_bits)
+    raise ValueError(kind)
+
+
 # ---- corpus program models -------------------------------------------------
 
 def fib_model(inputs):

@@ -318,6 +318,13 @@ def test_bench_smoke_runs_one_tiny_cell(tmp_path, capsys):
     assert len(text.splitlines()) == 5       # header + 2 arms x 2 modes
 
 
+def test_bench_rejects_a_malformed_level_list_as_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--levels", "x", "--tier", "tiny"])
+    assert exc.value.code == 2
+    assert "--levels" in capsys.readouterr().err
+
+
 def test_bench_rejects_unknown_programs(capsys):
     rc = main(["bench", "--programs", "nope", "--tier", "tiny", "--reps",
                "1", "--seeds", "1", "--seed", "3"])

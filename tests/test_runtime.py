@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from builders import CHECKED_HELPER, MIXED_CALLS, protect_text
@@ -16,8 +18,8 @@ from vmguard.protect import ProtectionConfig, virtualize_module
 from vmguard.risa import HandlerSpec, walk_records
 from vmguard.rng import SplitMix64
 from vmguard.runtime import (HASH_MISMATCH, INVALID_OPCODE,
-                             INVALID_REFERENCE, PC_ESCAPE, TamperAbort,
-                             TamperSignal, execute_secure, respond)
+                             INVALID_REFERENCE, PC_ESCAPE, TamperSignal,
+                             execute_secure)
 from vmguard.threaded import execute_optimized
 
 
@@ -261,9 +263,44 @@ def test_tamper_signal_carries_kind_and_detail():
     sig = TamperSignal(INVALID_OPCODE, "synthetic")
     assert sig.kind == INVALID_OPCODE
     assert sig.detail == "synthetic"
-    with pytest.raises(TamperAbort) as exc:
-        respond(sig)
-    assert exc.value.signal is sig
+
+
+@pytest.mark.parametrize("engine", [execute_secure, execute_optimized])
+def test_run_restores_the_callers_recursion_limit(corpus_flat, engine):
+    bundle = protect_module(corpus_flat["fib"], seed=1)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert engine(bundle, [8]).status == "normal"
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+I1_DIVISION = """\
+func @main(i64 %n) -> i64 {
+entry:
+  %a = const i1 1
+  %b = const i1 1
+  %q = sdiv i1 %a, %b
+  %r = zext i64 %q
+  ret i64 %r
+}
+"""
+
+
+@pytest.mark.parametrize("engine", [execute_secure, execute_optimized])
+def test_i1_divisor_cell_with_zero_value_bit_traps(engine):
+    # an i1 cell is a byte; 2 holds value bit 0, so the divisor is zero
+    bundle, res = run_text(I1_DIVISION, [0], enable_guards=False)
+    assert (res.status, res.value) == ("normal", 1)
+    main = bundle.function("main")
+    start = next(s for s, spec in walk_records(main.risa, main.vpa)
+                 if spec.kind == "sdiv")
+    mutated = copy_bundle(bundle)
+    mutated.function("main").image[main.vpa[start + 2]] = 2
+    res = engine(mutated, [0])
+    assert (res.status, res.trap_reason) == ("trap", DIV_BY_ZERO)
 
 
 # ---- mixed plain and transformed call graphs -------------------------------
