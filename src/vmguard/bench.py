@@ -281,13 +281,3 @@ def format_coverage_table(rows) -> str:
                      f"{r['functions']:>11}{r['protected']:>11}"
                      f"{r['protected_pct']:>12.1f}%")
     return "\n".join(lines)
-
-
-def coverage_to_csv(rows) -> str:
-    out = io.StringIO()
-    w = csv.DictWriter(out, fieldnames=["name", "records", "functions",
-                                        "protected", "protected_pct"])
-    w.writeheader()
-    for r in rows:
-        w.writerow(r)
-    return out.getvalue()

@@ -7,10 +7,19 @@ intrinsic entries for the two I/O externals.  Call records index into
 this table, so order is meaningful and frozen at build time.
 
 Serialization is deliberately trust-free: it writes whatever the bundle
-holds, including deliberately corrupted streams, and deserialization
-checks only container-level structure.  Semantic soundness lives in
-`verify`, which callers invoke when they want it; the runtime instead
-detects corruption on the execution path.
+holds, including deliberately corrupted streams.  Deserialization checks
+container-level structure, and validates plain-function source against
+the table's signatures, since the IR evaluator trusts the code it runs.
+Soundness of the encoded streams lives in `verify`, which callers invoke
+when they want it; the runtime instead detects corruption on the
+execution path.
+
+`copy_bundle` copies by structure, not through the wire format.  A copy
+owns every part a tamper strategy or a test may change: each transformed
+function's stream, image, parameter list and opcode-table dicts, and the
+function and edge lists.  It shares what nothing changes: the frozen
+`IrFunction` of each plain function (with the evaluator's caches on it),
+the interned `HandlerSpec`s and the slot tuples.
 
 Layout, little-endian throughout:
 
@@ -42,8 +51,10 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 
-from .ir.core import EXTERN_SIGS, IrFunction, TypeTag, format_function
+from .ir.core import (EXTERN_SIGS, IrFunction, IrModule, TypeTag,
+                      format_function)
 from .ir.parser import ParseError, parse_function
+from .ir.validate import validate_function
 from .network import GuardEdge, verify_acyclic
 from .risa import (BASE, CALLEE, CELL_ROLES, COUNT, KIND_CODE, KIND_NAMES,
                    TAG_CODE, TAG_FROM_CODE, TARGET, MalformedStream, Risa,
@@ -299,6 +310,9 @@ def deserialize(data: bytes) -> ProtectedBundle:
             except ParseError as err:
                 raise BundleError(f"@{name}: source text does not parse: "
                                   f"{err}") from None
+            if fn.name != name:
+                raise BundleError(f"@{name}: source text defines "
+                                  f"@{fn.name}")
             bundle.functions.append(PlainFunction(name, fn))
         elif shape == 2:
             bundle.functions.append(ExternFunction(name))
@@ -324,11 +338,62 @@ def deserialize(data: bytes) -> ProtectedBundle:
     if r.pos != len(data):
         raise TrailingData(f"{len(data) - r.pos} unexpected bytes after "
                            "bundle end")
+    _check_plain(bundle)
     return bundle
 
 
+def _signature(fn) -> IrFunction:
+    """A table entry as the validator's call checks see it: a plain
+    function itself, a transformed one as a body-less stand-in carrying
+    its parameter and return types."""
+    if isinstance(fn, PlainFunction):
+        return fn.fn
+    params = tuple((f"a{i}", tag)
+                   for i, (_, tag) in enumerate(fn.param_slots))
+    ret = fn.ret_slot[1] if fn.ret_slot else None
+    return IrFunction(fn.name, params, ret, ())
+
+
+def _check_plain(bundle: ProtectedBundle) -> None:
+    """Refuse plain source the IR evaluator cannot run: code that does not
+    validate against the table's signatures, or that calls a function the
+    table does not hold."""
+    plain = [f for f in bundle.functions if isinstance(f, PlainFunction)]
+    if not plain:
+        return
+    names = {f.name for f in bundle.functions}
+    table = IrModule(tuple(_signature(f) for f in bundle.functions
+                           if not isinstance(f, ExternFunction)))
+    for pf in plain:
+        problems = validate_function(pf.fn, table)
+        problems += [f"@{pf.name}: call to @{ins.callee}, which the table "
+                     "does not hold" for ins in pf.fn.instructions()
+                     if ins.kind == "call" and ins.callee not in names]
+        if problems:
+            raise BundleError("plain source does not validate: "
+                              + "; ".join(problems))
+
+
 def copy_bundle(bundle: ProtectedBundle) -> ProtectedBundle:
-    return deserialize(serialize(bundle))
+    """A copy that serializes to the same bytes.  It owns every mutable
+    part (streams, images, parameter lists, opcode-table dicts, function
+    and edge lists) and shares the frozen ones: plain functions'
+    `IrFunction`s and the interned `HandlerSpec`s."""
+    return ProtectedBundle(
+        functions=[_copy_function(fn) for fn in bundle.functions],
+        entry_index=bundle.entry_index, edges=list(bundle.edges),
+        seed=bundle.seed, optimized_hint=bundle.optimized_hint)
+
+
+def _copy_function(fn):
+    if isinstance(fn, VirtFunction):
+        risa = Risa(dict(fn.risa.opcode_of), dict(fn.risa.spec_of))
+        return VirtFunction(fn.name, risa, array("H", fn.vpa),
+                            bytearray(fn.image), list(fn.param_slots),
+                            fn.ret_slot)
+    if isinstance(fn, PlainFunction):
+        return PlainFunction(fn.name, fn.fn)
+    return ExternFunction(fn.name)
 
 
 # ---- structural verification ----------------------------------------------
@@ -588,8 +653,9 @@ STRATEGY_NAMES = {
 
 def tamper_bundle(bundle: ProtectedBundle, strategy,
                   rng) -> tuple[ProtectedBundle, list[dict]]:
-    """Apply one corruption strategy to a deep copy; the original bundle is
-    left untouched.  Returns the corrupted copy and the change manifest."""
+    """Apply one corruption strategy to a `copy_bundle` copy; the original
+    bundle is left untouched, frozen parts shared with the copy included.
+    Returns the corrupted copy and the change manifest."""
     copy = copy_bundle(bundle)
     changes = strategy.apply(copy, rng)
     return copy, changes

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bundle import ProtectedBundle, tamper_bundle
+from .bundle import FlipRandomElement, ProtectedBundle, tamper_bundle
 from .execstate import DEFAULT_STEP_LIMIT
 from .network import in_degrees
 from .rng import SplitMix64
@@ -120,12 +120,13 @@ def refined_counts(summary: DetectionSummary) -> dict[str, int]:
 
 
 def run_detection(bundle: ProtectedBundle, inputs, trials: int, seed: int,
-                  strategy_factory=None, step_limit: int | None = None,
+                  strategy_factory=FlipRandomElement,
+                  step_limit: int | None = None,
                   program: str = "?", executor=execute_secure,
                   ) -> DetectionSummary:
     """Run `trials` independent single-mutation experiments against copies
     of `bundle`.  `strategy_factory()` builds a fresh mutation strategy per
-    trial; default is a uniformly random single-element bit flip."""
+    trial; the default is a uniformly random single-element bit flip."""
     honest = executor(bundle, inputs, step_limit=DEFAULT_STEP_LIMIT)
     if honest.status != "normal":
         raise ValueError(f"honest run must succeed, got {honest.status}")
@@ -140,11 +141,7 @@ def run_detection(bundle: ProtectedBundle, inputs, trials: int, seed: int,
                                honest_guard_execs=honest.guard_execs,
                                edges=edges)
     for _ in range(trials):
-        strategy = strategy_factory() if strategy_factory else None
-        if strategy is None:
-            from .bundle import FlipRandomElement
-            strategy = FlipRandomElement()
-        mutated, changes = tamper_bundle(bundle, strategy, rng)
+        mutated, changes = tamper_bundle(bundle, strategy_factory(), rng)
         result = executor(mutated, inputs, step_limit=step_limit)
         target = changes[0]["function"]
         over_target = sum(n for (_, checkee), n in result.guard_edges.items()

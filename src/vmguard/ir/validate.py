@@ -257,57 +257,60 @@ class _FunctionChecker:
     def check_definedness(self) -> None:
         """Forward dataflow: a use is legal when the definition is present on
         every path from entry.  Phi arms are checked against the exit state
-        of their predecessor instead."""
+        of their predecessor instead.  Sets of ids are bit masks over the
+        order of `defs`."""
         fn = self.fn
         if not fn.blocks:
             return
-        all_ids = set(self.defs)
-        param_ids = {name for name, _ in fn.params}
-        block_defs = {
-            b.label: {i.result for i in b.instructions if i.result is not None}
-            for b in fn.blocks}
+        bit = {name: 1 << i for i, name in enumerate(self.defs)}
+        all_ids = (1 << len(bit)) - 1
+        param_ids = 0
+        for name, _ in fn.params:
+            param_ids |= bit[name]
+        block_defs = {}
+        for b in fn.blocks:
+            mask = 0
+            for i in b.instructions:
+                if i.result is not None:
+                    mask |= bit[i.result]
+            block_defs[b.label] = mask
 
-        out_sets = {b.label: set(all_ids) for b in fn.blocks}
+        out_sets = {b.label: all_ids for b in fn.blocks}
         entry_label = fn.blocks[0].label
+
+        def entry_state(b) -> int:
+            if b.label == entry_label:
+                return param_ids
+            state = all_ids                    # unreachable: vacuous
+            for p in self.preds[b.label]:
+                state &= out_sets[p]
+            return state
+
         changed = True
         while changed:
             changed = False
             for b in fn.blocks:
-                if b.label == entry_label:
-                    in_set = set(param_ids)
-                else:
-                    pre = self.preds[b.label]
-                    if pre:
-                        in_set = set.intersection(*(out_sets[p] for p in pre))
-                    else:
-                        in_set = set(all_ids)  # unreachable: vacuous
-                new_out = in_set | block_defs[b.label]
+                new_out = entry_state(b) | block_defs[b.label]
                 if new_out != out_sets[b.label]:
                     out_sets[b.label] = new_out
                     changed = True
 
         for b in fn.blocks:
-            if b.label == entry_label:
-                live = set(param_ids)
-            else:
-                pre = self.preds[b.label]
-                live = (set.intersection(*(out_sets[p] for p in pre))
-                        if pre else set(all_ids))
+            live = entry_state(b)
             for ins in b.instructions:
                 if ins.kind == "phi":
                     for value, lbl in ins.phi_args:
-                        if lbl in out_sets and value in self.defs \
-                                and value not in out_sets[lbl]:
+                        if lbl in out_sets and value in bit \
+                                and not out_sets[lbl] & bit[value]:
                             self.bad(f"phi %{ins.result} arm %{value} not "
                                      f"defined at end of block %{lbl}")
                 else:
-                    uses = list(ins.operands)
-                    for use in uses:
-                        if use in self.defs and use not in live:
+                    for use in ins.operands:
+                        if use in bit and not live & bit[use]:
                             self.bad(f"%{use} used in block %{b.label} "
                                      "before definition on some path")
                 if ins.result is not None:
-                    live.add(ins.result)
+                    live |= bit[ins.result]
 
     # -------------------------------------------------- driver
 

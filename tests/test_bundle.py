@@ -1,16 +1,24 @@
 import pytest
 
-from builders import CHECKED_HELPER, protect_text, random_bundle
+from builders import CHECKED_HELPER, MIXED_CALLS, protect_text, random_bundle
 from conftest import corpus_text
-from vmguard.bundle import (MAGIC, BadMagic, BundleError, FlipElement,
-                            FlipRandomElement,
-                            IndexOutOfRange, PreserveChecksumPair,
+from vmguard.bundle import (MAGIC, BadMagic, BundleError, ExternFunction,
+                            FlipElement, FlipRandomElement,
+                            IndexOutOfRange, PlainFunction,
+                            PreserveChecksumPair,
                             SwapOpcodes, TamperError, TrailingData,
                             TruncatedStream, UnsupportedVersion, ZeroRange,
                             copy_bundle, deserialize, serialize,
                             tamper_bundle, verify, STRATEGY_NAMES)
 from vmguard.guards import compute_vpa_hash
+from vmguard.ir import parse_module
+from vmguard.ir.core import TypeTag
+from vmguard.protect import ProtectionConfig, virtualize_module
 from vmguard.rng import SplitMix64
+from vmguard.runtime import execute_secure
+from vmguard.threaded import execute_optimized
+
+CORPUS = ("fib", "loop_sum", "qsort", "crc32", "sieve", "strsearch")
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +116,45 @@ def test_unparsable_plain_source_is_a_bundle_error():
         deserialize(data.replace(b"func @", b"func #", 1))
 
 
+def _fib_with_undefined_operand() -> bytes:
+    """fib at level 50, seed 0, with plain @fib's call argument renamed to
+    a value the function never defines: the source still parses."""
+    data = serialize(protect_text(corpus_text("fib"), seed=0, level=50))
+    assert data.count(b"@fib(%n1)") == 1
+    return data.replace(b"@fib(%n1)", b"@fib(%n9)")
+
+
+@pytest.mark.parametrize("engine", [execute_secure, execute_optimized])
+def test_plain_source_that_does_not_validate_is_a_bundle_error(engine):
+    with pytest.raises(BundleError, match="undefined value %n9"):
+        engine(deserialize(_fib_with_undefined_operand()), [8])
+
+
+def test_plain_source_must_define_the_function_it_is_filed_under():
+    data = serialize(protect_text(corpus_text("fib"), seed=0, level=50))
+    with pytest.raises(BundleError, match="defines @fob"):
+        deserialize(data.replace(b"func @fib(", b"func @fob(", 1))
+
+
+def test_plain_calls_are_checked_against_the_table():
+    bundle = virtualize_module(parse_module(MIXED_CALLS), ProtectionConfig(
+        seed=1, sensitive=("double",)))
+    assert isinstance(bundle.function("main"), PlainFunction)
+    honest = bundle.functions[0]
+    # a virtualized callee's parameter types come from its slots
+    wrong_type = parse_module(MIXED_CALLS.replace(
+        "add i64 %n, %one", "icmp eq i64 %n, %one")).function("main")
+    bundle.functions[0] = PlainFunction("main", wrong_type)
+    with pytest.raises(BundleError, match="argument to @double"):
+        deserialize(serialize(bundle))
+    bundle.functions[0] = honest
+    # an intrinsic the plain code calls must have a table entry
+    bundle.functions = [f for f in bundle.functions
+                        if not isinstance(f, ExternFunction)]
+    with pytest.raises(BundleError, match="table does not hold"):
+        deserialize(serialize(bundle))
+
+
 def test_copy_is_deep(fib_bundle):
     clone = copy_bundle(fib_bundle)
     clone.virt_functions()[0].vpa[0] ^= 1
@@ -116,6 +163,50 @@ def test_copy_is_deep(fib_bundle):
     fresh = copy_bundle(fib_bundle).virt_functions()[0]
     assert orig.vpa == fresh.vpa
     assert orig.image == fresh.image
+
+
+@pytest.mark.parametrize("level", [50, 100])
+def test_copy_serializes_like_the_original(level):
+    for name in CORPUS:
+        bundle = protect_text(corpus_text(name), seed=21, level=level)
+        assert serialize(copy_bundle(bundle)) == serialize(bundle), name
+
+
+def test_copy_shares_only_frozen_parts():
+    bundle = protect_text(corpus_text("fib"), seed=8, level=50)
+    clone = copy_bundle(bundle)
+    for a, b in zip(bundle.functions, clone.functions):
+        assert a is not b and a.name == b.name
+        if isinstance(a, PlainFunction):
+            assert b.fn is a.fn
+    for a, b in zip(bundle.virt_functions(), clone.virt_functions()):
+        assert all(x is y for x, y in zip(a.risa.spec_of.values(),
+                                          b.risa.spec_of.values()))
+
+
+def test_mutating_a_copy_leaves_the_original_untouched():
+    bundle = protect_text(corpus_text("fib"), seed=8, level=50)
+    before = serialize(bundle)
+    opcode_of = [dict(v.risa.opcode_of) for v in bundle.virt_functions()]
+    clone = copy_bundle(bundle)
+    for vfn in clone.virt_functions():
+        vfn.vpa[0] ^= 1
+        vfn.vpa.append(7)
+        vfn.image[0] ^= 1
+        vfn.image.append(3)
+        vfn.param_slots.append((0, TypeTag.I8))
+        opcode, spec = next(iter(vfn.risa.spec_of.items()))
+        del vfn.risa.spec_of[opcode]
+        vfn.risa.spec_of[opcode ^ 1] = spec
+        vfn.risa.opcode_of.clear()
+    for fn in clone.functions:
+        fn.name += "_x"
+    clone.edges[:] = [(1, 0)]
+    clone.functions.reverse()
+    clone.functions.append(ExternFunction("read_i64"))
+    clone.entry_index = None
+    assert serialize(bundle) == before
+    assert [v.risa.opcode_of for v in bundle.virt_functions()] == opcode_of
 
 
 def test_verify_accepts_all_protected_corpus_bundles():

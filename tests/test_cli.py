@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from builders import CHECKED_HELPER
+from builders import CHECKED_HELPER, protect_text
 from conftest import corpus_text
-from vmguard.bundle import deserialize
+from vmguard.bundle import deserialize, serialize
 from vmguard.cli import (EXIT_FAILURE, EXIT_OK, EXIT_TAMPER, EXIT_TRAP,
                          SEED_ENV, main)
 
@@ -84,6 +84,19 @@ def test_run_rejects_unparsable_plain_source(fib_vir, tmp_path, capsys):
     out.write_bytes(data.replace(b"func @", b"func #", 1))
     assert main(["run", str(out), "8"]) == EXIT_FAILURE
     assert "does not parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["secure", "optimized"])
+def test_run_rejects_plain_source_that_does_not_validate(tmp_path, capsys,
+                                                         mode):
+    # fib at level 50, seed 0, with plain @fib calling itself on a value it
+    # never defines: the text parses, so only validation can refuse it
+    data = serialize(protect_text(corpus_text("fib"), seed=0, level=50))
+    assert data.count(b"@fib(%n1)") == 1
+    out = tmp_path / "fib.vsc"
+    out.write_bytes(data.replace(b"@fib(%n1)", b"@fib(%n9)"))
+    assert main(["run", str(out), "8", "--mode", mode]) == EXIT_FAILURE
+    assert "does not validate" in capsys.readouterr().err
 
 
 def test_trap_exits_42(helper_vir, tmp_path, capsys):

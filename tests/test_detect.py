@@ -1,13 +1,17 @@
 import pytest
 
 from builders import CHECKED_HELPER, protect_text
-from vmguard.bundle import FlipElement, PreserveChecksumPair
+from conftest import corpus_text
+from vmguard import bundle as bundle_module
+from vmguard.bundle import (FlipElement, PreserveChecksumPair, deserialize,
+                            serialize)
 from vmguard.detect import (CHANGED, COLLISION_MISS, DETECTED, OUTCOMES,
                             REFINED, ROOT_MISS, SILENT, TRAPPED,
                             UNRUN_MISS, classify_run, refined_counts,
                             refined_outcome, run_detection)
 from vmguard.ir.core import ExecutionResult
 from vmguard.protect import ProtectionConfig, virtualize_module
+from vmguard.runtime import execute_secure
 from vmguard.threaded import execute_optimized
 
 
@@ -125,3 +129,21 @@ def test_honest_failure_is_rejected_up_front():
     bundle = protect_text(CHECKED_HELPER, seed=1)
     with pytest.raises(ValueError):
         run_detection(bundle, [], trials=5, seed=1)   # missing input
+
+
+@pytest.mark.parametrize("engine", [execute_secure, execute_optimized])
+@pytest.mark.parametrize("name", ["fib", "crc32"])
+def test_trials_match_trials_on_round_trip_copies(manifest, monkeypatch,
+                                                  name, engine):
+    """Trials on structural copies classify exactly like trials on copies
+    made through the wire format."""
+    bundle = protect_text(corpus_text(name), seed=17, level=50)
+    inputs = next(p["inputs"]["tiny"] for p in manifest["programs"]
+                  if p["name"] == name)
+    rows = run_detection(bundle, inputs, trials=30, seed=5,
+                         executor=engine).rows
+    monkeypatch.setattr(bundle_module, "copy_bundle",
+                        lambda b: deserialize(serialize(b)))
+    oracle = run_detection(bundle, inputs, trials=30, seed=5,
+                           executor=engine).rows
+    assert rows == oracle
