@@ -1,12 +1,19 @@
 """Checked execution engine and the shared run harness.
 
-This engine keeps nothing cached between steps: every dispatch re-reads
-the opcode and its operands (one slice of the live stream, in layout
-order), looks the handler up fresh, and bounds-checks the program
-counter.  Cells are read and written through `struct` accessors, which
-refuse a cell outside the image instead of growing it.  That makes it
-the natural place to observe corruption immediately, at the cost of
-per-step overhead the pre-decoding engine avoids.
+This engine keeps nothing cached between steps but handler closures:
+every dispatch re-reads the opcode from the live stream and picks its
+handler by it, and every handler reads its operands from the stream by
+index (`vpa[vpc + i]`) each time it runs.  Cells are read and written
+through `struct` accessors, which refuse a cell outside the image
+instead of growing it.  That makes it the natural place to observe
+corruption immediately, at the cost of per-step overhead the
+pre-decoding engine avoids.
+
+A handler binds its operator from the `arith` tables, with its masks and
+sign-bit flip worked out per handler signature, when it is first built.
+The dispatch loop fetches through one `try`: a counter past the stream
+end or an opcode without a built handler falls to a cold path, which
+raises the tamper signal or builds the handler.
 
 Corruption raises a TamperSignal, which unwinds the whole run; both
 engines judge guards through `check_guard`.  Traps (division by zero,
@@ -18,15 +25,15 @@ from __future__ import annotations
 
 import struct
 import sys
-from functools import partial
 
-from .arith import TrapError, binary_op, cast, icmp, to_signed
+from .arith import (BITWISE, COMPARE, SIGNED, TRAPPING, WRAPPING, TrapError,
+                    to_signed)
 from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         MAX_CALL_DEPTH, STEP_LIMIT_REASON,
                         STORE_BOUNDS_REASON, ExecContext)
 from .guards import compute_vpa_hash
-from .ir.core import BINARY_KINDS, ExecutionResult
+from .ir.core import ExecutionResult
 from .ir.interp import evaluate_function
 from .risa import CALLEE, CHECKEE
 
@@ -37,12 +44,15 @@ INVALID_REFERENCE = "invalid reference"
 
 
 class TamperSignal(Exception):
-    """Evidence of a corrupted bundle observed on the execution path."""
+    """Evidence of a corrupted bundle observed on the execution path.
+    `at_decode` is set when the optimized engine refused the damage while
+    decoding a function, before running it."""
 
     def __init__(self, kind: str, detail: str) -> None:
         super().__init__(f"{kind}: {detail}")
         self.kind = kind
         self.detail = detail
+        self.at_decode = False
 
 
 def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
@@ -84,16 +94,17 @@ def table_entry(bundle: ProtectedBundle, vfn: VirtFunction, role: str,
                        f"@{vfn.name}: {role} index {idx} names no {what}")
 
 
-def check_guard(ctx: ExecContext, vfn: VirtFunction, checkee: VirtFunction,
-                h: int, expected: int) -> None:
-    """Count one execution of `vfn`'s guard over `checkee`, then compare the
-    hash it computed with the expected value from `vfn`'s image."""
+def check_guard(ctx: ExecContext, edge: tuple[str, str], h: int,
+                expected: int) -> None:
+    """Count one execution of a guard on `edge`, its (checker, checkee)
+    name pair, then compare the hash it computed with the expected value
+    from the checker's image."""
     ctx.guard_execs += 1
-    key = (vfn.name, checkee.name)
-    ctx.guard_edges[key] = ctx.guard_edges.get(key, 0) + 1
+    ctx.guard_edges[edge] = ctx.guard_edges.get(edge, 0) + 1
     if h != expected:
-        raise TamperSignal(HASH_MISMATCH, f"@{vfn.name} checking "
-                           f"@{checkee.name}: computed {h:#06x}, "
+        checker, checkee = edge
+        raise TamperSignal(HASH_MISMATCH, f"@{checker} checking "
+                           f"@{checkee}: computed {h:#06x}, "
                            f"expected {expected:#06x}")
 
 
@@ -117,10 +128,12 @@ _CELL = {w: struct.Struct("<" + code) for w, code in CELL_CODE.items()}
 
 def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
                    ctx: ExecContext, engine):
-    """Compile one handler closure.  Operands are sliced from the live
-    stream on every invocation, in layout order, and cells are read and
-    written through the `_CELL` accessors; only type widths and the
-    semantic operation are baked in."""
+    """Compile one handler closure.  Operands are read from the live stream
+    by index on every invocation, and cells are read and written through
+    the `_CELL` accessors; only type widths, masks and the operator, bound
+    from the `arith` tables, are baked in.  Every operand element is read
+    before a trap can fire, so a record cut short by the stream end is an
+    invalid reference, never a trap."""
     vpa = vfn.vpa
     k = spec.kind
     layout = spec.layout
@@ -146,19 +159,61 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
     put = [None if t is None else _CELL[t.width].pack_into
            for _, t in layout]
 
-    if k in BINARY_KINDS or k.startswith("icmp."):
-        op = partial(binary_op, k) if k in BINARY_KINDS else \
-            partial(icmp, k[len("icmp."):])
-        bits = spec.operand_types[0].bits
+    if k in WRAPPING or k in BITWISE:
+        get_a, get_b, put_r = get[0], get[1], put[2]
+        if k in WRAPPING:
+            op, m = WRAPPING[k], (1 << spec.result_type.bits) - 1
+        else:
+            # bitwise results keep whatever bits the cells hold
+            op, m = BITWISE[k], (1 << 8 * spec.result_type.width) - 1
+
+        def handler(vm, vpc):
+            put_r(vm, vpa[vpc + 3], op(get_a(vm, vpa[vpc + 1])[0],
+                                       get_b(vm, vpa[vpc + 2])[0]) & m)
+            return vpc + 4
+        return handler
+
+    if k in TRAPPING:
+        op, bits = TRAPPING[k], spec.result_type.bits
         get_a, get_b, get_r, put_r = get[0], get[1], get[2], put[2]
         divides = k in ("sdiv", "srem")
 
         def handler(vm, vpc):
-            a, b, r = vpa[vpc + 1:vpc + 4]
-            x, y = get_a(vm, a)[0], get_b(vm, b)[0]
+            x = get_a(vm, vpa[vpc + 1])[0]
+            y = get_b(vm, vpa[vpc + 2])[0]
+            r = vpa[vpc + 3]
             if divides and not y:
                 get_r(vm, r)    # a result cell outside the image is tamper
             put_r(vm, r, op(x, y, bits))
+            return vpc + 4
+        return handler
+
+    if k.startswith("icmp."):
+        pred = k[len("icmp."):]
+        cmp = COMPARE[pred]
+        get_a, get_b, put_r = get[0], get[1], put[2]
+        # the comparison's bool packs as 1 or 0
+        if pred not in SIGNED:
+            def handler(vm, vpc):
+                put_r(vm, vpa[vpc + 3], cmp(get_a(vm, vpa[vpc + 1])[0],
+                                            get_b(vm, vpa[vpc + 2])[0]))
+                return vpc + 4
+            return handler
+        # flipping the sign bit maps two's complement onto unsigned order;
+        # an i1 cell is a whole byte, of which only the low bit counts
+        tag = spec.operand_types[0]
+        m, sb = (1 << tag.bits) - 1, 1 << (tag.bits - 1)
+        if tag.bits == 8 * tag.width:
+            def handler(vm, vpc):
+                put_r(vm, vpa[vpc + 3], cmp(get_a(vm, vpa[vpc + 1])[0] ^ sb,
+                                            get_b(vm, vpa[vpc + 2])[0] ^ sb))
+                return vpc + 4
+            return handler
+
+        def handler(vm, vpc):
+            put_r(vm, vpa[vpc + 3],
+                  cmp((get_a(vm, vpa[vpc + 1])[0] & m) ^ sb,
+                      (get_b(vm, vpa[vpc + 2])[0] & m) ^ sb))
             return vpc + 4
         return handler
 
@@ -166,50 +221,67 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
         get_c, get_v, put_r = get[0], get[1], put[3]
 
         def handler(vm, vpc):
-            c, a, b, r = vpa[vpc + 1:vpc + 5]
-            put_r(vm, r, *get_v(vm, a if get_c(vm, c)[0] else b))
+            put_r(vm, vpa[vpc + 4],
+                  get_v(vm, vpa[vpc + 2] if get_c(vm, vpa[vpc + 1])[0]
+                        else vpa[vpc + 3])[0])
             return vpc + 5
         return handler
 
     if k in ("zext", "sext", "trunc"):
-        src_tag, dst_tag = spec.operand_types[0], spec.result_type
+        src_bits, dst_bits = spec.operand_types[0].bits, \
+            spec.result_type.bits
         get_a, put_r = get[0], put[1]
+        dm = (1 << dst_bits) - 1
+        if k == "sext":
+            sm, sb = (1 << src_bits) - 1, 1 << (src_bits - 1)
+
+            def handler(vm, vpc):
+                put_r(vm, vpa[vpc + 2],
+                      (((get_a(vm, vpa[vpc + 1])[0] & sm) ^ sb) - sb) & dm)
+                return vpc + 3
+            return handler
+        m = (1 << src_bits) - 1 if k == "zext" else dm
 
         def handler(vm, vpc):
-            a, r = vpa[vpc + 1:vpc + 3]
-            put_r(vm, r, cast(k, get_a(vm, a)[0], src_tag, dst_tag))
+            put_r(vm, vpa[vpc + 2], get_a(vm, vpa[vpc + 1])[0] & m)
             return vpc + 3
         return handler
 
+    if k in ("load", "store"):
+        # an index cell is never i1, so its unsigned value is the signed
+        # one unless it reaches the sign bit, where the index is negative
+        if k == "load":
+            itag, w = spec.operand_types[0], spec.result_type.width
+        else:
+            itag, w = spec.operand_types[1], spec.operand_types[0].width
+        sb = 1 << (itag.bits - 1)
+
     if k == "load":
-        idx_bits = spec.operand_types[0].bits
-        w = spec.result_type.width
         get_i, get_v, put_r = get[2], get[3], put[3]
 
         def handler(vm, vpc):
-            base, count, ix, r = vpa[vpc + 1:vpc + 5]
-            i = to_signed(get_i(vm, ix)[0], idx_bits)
+            base, count = vpa[vpc + 1], vpa[vpc + 2]
+            i = get_i(vm, vpa[vpc + 3])[0]
+            r = vpa[vpc + 4]
             addr = base + i * w
-            if not 0 <= i < count or addr + w > size:
+            if i >= count or i >= sb or addr + w > size:
                 get_v(vm, r)    # a result cell outside the image is tamper
                 raise TrapError(LOAD_BOUNDS_REASON)
-            put_r(vm, r, *get_v(vm, addr))
+            put_r(vm, r, get_v(vm, addr)[0])
             return vpc + 5
         return handler
 
     if k == "store":
-        idx_bits = spec.operand_types[1].bits
-        w = spec.operand_types[0].width
         get_v, put_v, get_i = get[0], put[0], get[3]
 
         def handler(vm, vpc):
-            src, base, count, ix = vpa[vpc + 1:vpc + 5]
-            value = get_v(vm, src)
-            i = to_signed(get_i(vm, ix)[0], idx_bits)
+            value = get_v(vm, vpa[vpc + 1])[0]
+            base, count = vpa[vpc + 2], vpa[vpc + 3]
+            i = get_i(vm, vpa[vpc + 4])[0]
             addr = base + i * w
-            if not 0 <= i < count or addr + w > size:
+            if i >= count or i >= sb or addr + w > size:
                 raise TrapError(STORE_BOUNDS_REASON)
-            put_v(vm, addr, *value)
+            put_v(vm, addr, value)
             return vpc + 5
         return handler
 
@@ -222,8 +294,8 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
         get_c = get[0]
 
         def handler(vm, vpc):
-            c, t, f = vpa[vpc + 1:vpc + 4]
-            return t if get_c(vm, c)[0] else f
+            f = vpa[vpc + 3]
+            return vpa[vpc + 2] if get_c(vm, vpa[vpc + 1])[0] else f
         return handler
 
     if k == "ret":
@@ -235,27 +307,25 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
         ret_off = None if vfn.ret_slot is None else vfn.ret_slot[0]
 
         def handler(vm, vpc):
-            (src,) = vpa[vpc + 1:vpc + 2]
-            value = get_v(vm, src)
+            value = get_v(vm, vpa[vpc + 1])[0]
             if ret_off is not None:
-                put_v(vm, ret_off, *value)
+                put_v(vm, ret_off, value)
             return -1
         return handler
 
     if k == "call":
         n_args = len(spec.operand_types)
-        arg_gets = get[1:1 + n_args]
+        # (reader, element position) of each argument cell
+        arg_at = tuple(zip(get[1:1 + n_args], range(2, 2 + n_args)))
         put_r = put[-1] if spec.result_type is not None else None
         mask = 0 if put_r is None else (1 << spec.result_type.bits) - 1
 
         def handler(vm, vpc):
-            idx, *offs = vpa[vpc + 1:vpc + ln]
-            target = table_entry(bundle, vfn, CALLEE, idx)
-            args = [g(vm, off)[0]
-                    for g, off in zip(arg_gets, offs[:n_args], strict=True)]
+            target = table_entry(bundle, vfn, CALLEE, vpa[vpc + 1])
+            args = [g(vm, vpa[vpc + p])[0] for g, p in arg_at]
             value = call_function(bundle, target, args, ctx, engine)
             if put_r is not None:
-                put_r(vm, offs[n_args], (value or 0) & mask)
+                put_r(vm, vpa[vpc + ln - 1], (value or 0) & mask)
             return vpc + ln
         return handler
 
@@ -263,26 +333,50 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
     get_h, put_h = get[1], put[2]
 
     def handler(vm, vpc):
-        idx, exp_off, run_off = vpa[vpc + 1:vpc + 4]
+        idx, exp_off, run_off = vpa[vpc + 1], vpa[vpc + 2], vpa[vpc + 3]
         checkee = table_entry(bundle, vfn, CHECKEE, idx)
         # both cells must lie in the image before the hash is taken
         get_h(vm, exp_off)
         get_h(vm, run_off)
         h = compute_vpa_hash(checkee.vpa)
         put_h(vm, run_off, h)
-        check_guard(ctx, vfn, checkee, h, get_h(vm, exp_off)[0])
+        # the checkee is re-read from the stream, so its edge is too
+        check_guard(ctx, (vfn.name, checkee.name), h,
+                    get_h(vm, exp_off)[0])
         return vpc + 4
+    return handler
+
+
+def _fetch_cold(bundle: ProtectedBundle, vfn: VirtFunction,
+                ctx: ExecContext, handlers: dict, vpc: int):
+    """The handler for element `vpc` after the fast fetch missed: the
+    counter left the stream, the element names no handler, or its handler
+    is not built yet."""
+    vpa = vfn.vpa
+    if vpc >= len(vpa):
+        raise TamperSignal(
+            PC_ESCAPE, f"@{vfn.name}: counter {vpc} outside the "
+            f"{len(vpa)}-element stream")
+    spec = vfn.risa.spec_of.get(vpa[vpc])
+    if spec is None:
+        raise TamperSignal(
+            INVALID_OPCODE, f"@{vfn.name}: element {vpc} holds "
+            f"{vpa[vpc]:#06x}, which names no handler")
+    handler = handlers[vpa[vpc]] = _build_handler(bundle, vfn, spec, ctx,
+                                                  run_virt)
     return handler
 
 
 def run_virt(bundle: ProtectedBundle, vfn: VirtFunction, args,
              ctx: ExecContext) -> int | None:
     """One activation of a transformed function under the checked engine.
-    Handlers are built on first dispatch and kept for the run."""
+    Handlers are built on first dispatch and kept for the run.  Handlers
+    return an element of the stream (never negative), the next record's
+    start, or -1 to return, so a fetch that misses the stream or the
+    handler table is the only way out of the fast path."""
     handlers = ctx.decoded.setdefault(("checked", id(vfn)), {})
     vm = bytearray(vfn.image)
     vpa = vfn.vpa
-    n = len(vpa)
     vpc = 0
     limit = ctx.step_limit
     try:
@@ -292,19 +386,10 @@ def run_virt(bundle: ProtectedBundle, vfn: VirtFunction, args,
             ctx.steps += 1
             if ctx.steps > limit:
                 raise TrapError(STEP_LIMIT_REASON)
-            if not 0 <= vpc < n:
-                raise TamperSignal(
-                    PC_ESCAPE, f"@{vfn.name}: counter {vpc} outside the "
-                    f"{n}-element stream")
-            handler = handlers.get(vpa[vpc])
-            if handler is None:
-                spec = vfn.risa.spec_of.get(vpa[vpc])
-                if spec is None:
-                    raise TamperSignal(
-                        INVALID_OPCODE, f"@{vfn.name}: element {vpc} holds "
-                        f"{vpa[vpc]:#06x}, which names no handler")
-                handler = handlers[vpa[vpc]] = _build_handler(
-                    bundle, vfn, spec, ctx, run_virt)
+            try:
+                handler = handlers[vpa[vpc]]
+            except (IndexError, KeyError):
+                handler = _fetch_cold(bundle, vfn, ctx, handlers, vpc)
             vpc = handler(vm, vpc)
         if vfn.ret_slot is None:
             return None

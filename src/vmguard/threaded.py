@@ -312,30 +312,41 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
     # the remaining kind is the guard
     idx, exp_off, run_off = ops
     checkee = table_entry(bundle, vfn, CHECKEE, idx)
+    edge = (vfn.name, checkee.name)
 
     def run(vm):
         h = vm[run_off] = compute_vpa_hash(checkee.vpa)
-        check_guard(ctx, vfn, checkee, h, vm[exp_off])
+        check_guard(ctx, edge, h, vm[exp_off])
         return s
     return run
 
 
-def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
+def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     """Decoded closures, register-file template, (cell, mask) per
-    parameter and the return cell of `vfn`, built once per run."""
+    parameter and the return cell of `vfn`."""
+    cells = _Cells(vfn)
+    code = [_compile_record(bundle, vfn, rec, ctx, run_threaded, cells)
+            for rec in pre_decode(vfn)]
+    params = [(cells.cell(off, tag.width, "a parameter"),
+               (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
+    ret = None
+    if vfn.ret_slot is not None:
+        off, tag = vfn.ret_slot
+        ret = cells.cell(off, tag.width, "the return cell")
+    return code, cells.template(), params, ret
+
+
+def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
+    """`_decode` of `vfn`, built once per run.  A refusal while decoding
+    is marked `at_decode` on its tamper signal."""
     key = ("optimized", id(vfn))
     compiled = ctx.decoded.get(key)
     if compiled is None:
-        cells = _Cells(vfn)
-        code = [_compile_record(bundle, vfn, rec, ctx, run_threaded, cells)
-                for rec in pre_decode(vfn)]
-        params = [(cells.cell(off, tag.width, "a parameter"),
-                   (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
-        ret = None
-        if vfn.ret_slot is not None:
-            off, tag = vfn.ret_slot
-            ret = cells.cell(off, tag.width, "the return cell")
-        compiled = (code, cells.template(), params, ret)
+        try:
+            compiled = _decode(bundle, vfn, ctx)
+        except TamperSignal as signal:
+            signal.at_decode = True
+            raise
         ctx.decoded[key] = compiled
     return compiled
 

@@ -1,7 +1,8 @@
+import random
 from array import array
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builders import CHECKED_HELPER, protect_text
@@ -62,6 +63,24 @@ def test_same_mask_on_two_elements_preserves_the_checksum(elems, data):
     elems[i] ^= mask
     elems[j] ^= mask
     assert compute_vpa_hash(elems) == before
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=5000),
+       st.randoms(use_true_random=False),
+       st.sampled_from([array, tuple, list]))
+@example(0, random.Random(0), array)
+@example(23, random.Random(1), array)
+@example(24, random.Random(2), tuple)
+@example(1025, random.Random(3), list)
+@example(5000, random.Random(4), array)
+def test_checksum_matches_xor_reduce_at_every_length(n, rng, form):
+    # lengths span the element loop, the crossover and several halving
+    # schedules; every container the guards and tests hash is covered
+    elems = [rng.randrange(0x10000) for _ in range(n)]
+    vpa = array("H", elems) if form is array else form(elems)
+    assert compute_vpa_hash(vpa) == xor_fold16(elems)
+    assert list(vpa) == elems               # the caller's stream is intact
 
 
 def test_small_and_large_folding_paths_agree():

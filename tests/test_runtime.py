@@ -383,6 +383,77 @@ def test_record_cut_short_by_the_stream_end_is_tamper():
     assert res.tamper_cause.kind == INVALID_REFERENCE
 
 
+# every record kind below sits in the entry block, so the records before
+# any of them run in stream order up to it; the branch takes its true
+# edge, so only reading the false target shows the cut
+STRAIGHT_LINE = """\
+func @main(i64 %n) -> i64 {
+entry:
+  %buf = alloca i64 x 4
+  %z = const i64 0
+  store i64 %n, %buf, %z
+  %v = load i64 %buf, %z
+  %s = add i64 %v, %n
+  %c = icmp slt i64 %z, %s
+  %w = select i64 %c, %s, %z
+  %t = trunc i8 %w
+  %u = zext i64 %t
+  brcond %c, %pos, %neg
+pos:
+  ret i64 %u
+neg:
+  ret i64 %z
+}
+"""
+
+
+@pytest.mark.parametrize("kind", ["add", "load", "store", "brcond",
+                                  "select", "trunc"])
+def test_each_record_cut_short_by_the_stream_end_is_tamper(kind):
+    bundle, honest = run_text(STRAIGHT_LINE, [3], enable_guards=False)
+    assert (honest.status, honest.value) == ("normal", 6)
+    broken = copy_bundle(bundle)
+    main = broken.function("main")
+    off, spec = _record_of_kind(main, kind)
+    main.vpa = main.vpa[:off + spec.record_len - 1]   # loses its last operand
+    res = execute_secure(broken, [3])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_REFERENCE
+    assert f"record at {off} " in res.tamper_cause.detail
+
+
+def test_branch_to_exactly_the_stream_end_is_a_counter_escape():
+    bundle = protect_text(BRANCHY, seed=4, enable_guards=False)
+    broken = copy_bundle(bundle)
+    main = broken.function("main")
+    off, _ = _record_of_kind(main, "brcond")
+    main.vpa[off + 3] = len(main.vpa)       # the false edge, taken for 5
+    res = execute_secure(broken, [5])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == PC_ESCAPE
+    assert f"counter {len(main.vpa)} outside" in res.tamper_cause.detail
+
+
+def test_load_out_of_range_into_a_cell_past_the_image_is_tamper():
+    text = """\
+func @main(i64 %i) -> i64 {
+entry:
+  %buf = alloca i64 x 4
+  %v = load i64 %buf, %i
+  ret i64 %v
+}
+"""
+    bundle, res = run_text(text, [9], enable_guards=False)
+    assert (res.status, res.trap_reason) == ("trap", LOAD_BOUNDS_REASON)
+    broken = copy_bundle(bundle)
+    main = broken.function("main")
+    off, _ = _record_of_kind(main, "load")
+    main.vpa[off + 4] = len(main.image)
+    res = execute_secure(broken, [9])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_REFERENCE
+
+
 @pytest.mark.parametrize("element", [2, 3])
 def test_guard_cell_past_the_image_is_refused_before_hashing(monkeypatch,
                                                               element):

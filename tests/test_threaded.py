@@ -148,6 +148,7 @@ def test_structural_damage_is_refused_before_running():
     res = execute_optimized(broken, [5])
     assert res.status == "tamper"
     assert res.tamper_cause.kind == PC_ESCAPE
+    assert res.tamper_cause.at_decode
     assert res.steps == 0                    # nothing executed
 
 
@@ -174,6 +175,7 @@ def test_guards_hash_the_live_stream_not_a_snapshot():
     res = execute_optimized(bundle, [3])
     assert res.status == "tamper"
     assert res.tamper_cause.kind == HASH_MISMATCH
+    assert not res.tamper_cause.at_decode    # caught while running
 
 
 def test_detection_parity_between_engines(corpus_flat):
@@ -352,18 +354,16 @@ def test_i1_index_in_a_forged_opcode_table_is_refused():
     assert res.steps == 0
 
 
-# ---- totality --------------------------------------------------------------
+# ---- totality and agreement on tampered bundles ---------------------------
 
 SWEEP_STRATEGIES = (FlipRandomElement(), SwapOpcodes(), ZeroRange())
 SWEEP_DRAWS = 8
+SWEEP_STEP_LIMIT = 100_000
 
 
-@pytest.mark.parametrize("level", [100, 50])
-def test_engines_never_raise_on_tampered_corpus_bundles(corpus_flat, manifest,
-                                                        level):
-    """A corrupted stream ends in a result under both engines, never in an
-    exception; every escape is collected so a failure lists them all."""
-    escaped = []
+def _tampered_corpus_bundles(corpus_flat, manifest, level):
+    """(label, tampered bundle, inputs) for every corpus program, guards on
+    and off, every draw and every sweep strategy that applies."""
     for entry in manifest["programs"]:
         inputs = entry["inputs"]["tiny"]
         for guards in (True, False):
@@ -378,14 +378,55 @@ def test_engines_never_raise_on_tampered_corpus_bundles(corpus_flat, manifest,
                                                     SplitMix64(draw))
                     except TamperError:
                         continue
-                    for engine in (execute_secure, execute_optimized):
-                        try:
-                            res = engine(tampered, inputs,
-                                         step_limit=100_000)
-                        except Exception as exc:
-                            escaped.append((entry["name"], guards, draw,
-                                            type(strategy).__name__,
-                                            engine.__name__, repr(exc)))
-                        else:
-                            assert isinstance(res, ExecutionResult)
+                    yield ((entry["name"], guards, draw,
+                            type(strategy).__name__), tampered, inputs)
+
+
+@pytest.mark.parametrize("level", [100, 50])
+def test_engines_never_raise_on_tampered_corpus_bundles(corpus_flat, manifest,
+                                                        level):
+    """A corrupted stream ends in a result under both engines, never in an
+    exception; every escape is collected so a failure lists them all."""
+    escaped = []
+    for label, tampered, inputs in _tampered_corpus_bundles(
+            corpus_flat, manifest, level):
+        for engine in (execute_secure, execute_optimized):
+            try:
+                res = engine(tampered, inputs, step_limit=SWEEP_STEP_LIMIT)
+            except Exception as exc:
+                escaped.append(label + (engine.__name__, repr(exc)))
+            else:
+                assert isinstance(res, ExecutionResult)
     assert escaped == []
+
+
+def _fingerprint(res):
+    """Every field of a result, the tamper cause by its message."""
+    cause = res.tamper_cause
+    return (res.status, res.value, res.output, res.trap_reason,
+            None if cause is None else str(cause), res.steps,
+            res.guard_execs, res.guard_edges)
+
+
+@pytest.mark.parametrize("level", [100, 50])
+def test_engines_agree_on_tampered_corpus_bundles_unless_refused_at_decode(
+        corpus_flat, manifest, level):
+    """Damage the optimized engine does not refuse while decoding leads
+    both engines to the same result, field for field."""
+    differ = []
+    agreed = 0
+    for label, tampered, inputs in _tampered_corpus_bundles(
+            corpus_flat, manifest, level):
+        optimized = execute_optimized(tampered, inputs,
+                                      step_limit=SWEEP_STEP_LIMIT)
+        if optimized.status == "tamper" and optimized.tamper_cause.at_decode:
+            continue
+        secure = execute_secure(tampered, inputs,
+                                step_limit=SWEEP_STEP_LIMIT)
+        if _fingerprint(secure) == _fingerprint(optimized):
+            agreed += 1
+        else:
+            differ.append((label, _fingerprint(secure),
+                           _fingerprint(optimized)))
+    assert differ == []
+    assert agreed > 0       # some damage must get past decoding
