@@ -2,8 +2,9 @@
 
 Values are canonical unsigned ints in [0, 2**bits), or any value of an
 engine's cell (an i1 cell is a byte).  The operator tables define each
-binary kind and predicate once: `binary_op`/`icmp` dispatch through them
-and the optimized engine binds them into its closures.
+binary kind and predicate once, and `value_closure` binds them, with
+their masks, into the closures the optimized engine and the reference
+interpreter run.
 """
 
 from __future__ import annotations
@@ -91,37 +92,88 @@ COMPARE = {
 }
 # these compare the low `bits` as two's complement, the others whole cells
 SIGNED = ("slt", "sle", "sgt", "sge")
+# the kinds `value_closure` builds; a compare is spelled icmp.<pred>
+VALUE_KINDS = frozenset([*WRAPPING, *BITWISE, *TRAPPING, "select", "zext",
+                         "sext", "trunc", *(f"icmp.{p}" for p in COMPARE)])
 
 
-def binary_op(kind: str, a: int, b: int, bits: int) -> int:
-    op = WRAPPING.get(kind)
-    if op is not None:
-        return op(a, b) & ((1 << bits) - 1)
-    op = BITWISE.get(kind)
-    if op is not None:
-        return op(a, b)
-    op = TRAPPING.get(kind)
-    if op is not None:
-        return op(a, b, bits)
-    raise ValueError(f"not a binary kind: {kind!r}")
+def value_closure(kind: str, operand_types, result: TypeTag | None, cells,
+                  s: int):
+    """The closure `run(regs) -> s` that computes one value over a list of
+    canonical ints: `kind` is a binary kind, `icmp.<pred>`, `select` or a
+    cast, and `cells` holds the operand indices followed by the result's.
+    The operator, masks and sign-bit flip are worked out here, once."""
+    if kind in WRAPPING or kind in BITWISE:
+        a, b, r = cells
+        if kind in WRAPPING:
+            op, m = WRAPPING[kind], (1 << result.bits) - 1
+        else:
+            # bitwise results keep whatever bits the cells hold
+            op, m = BITWISE[kind], (1 << 8 * result.width) - 1
 
+        def run(regs):
+            regs[r] = op(regs[a], regs[b]) & m
+            return s
+        return run
 
-def icmp(pred: str, a: int, b: int, bits: int) -> int:
-    cmp = COMPARE.get(pred)
-    if cmp is None:
-        raise ValueError(f"unknown predicate {pred!r}")
-    if pred in SIGNED:
+    if kind in TRAPPING:
+        op, bits = TRAPPING[kind], result.bits
+        a, b, r = cells
+
+        def run(regs):
+            regs[r] = op(regs[a], regs[b], bits)
+            return s
+        return run
+
+    if kind.startswith("icmp."):
+        pred = kind[len("icmp."):]
+        cmp = COMPARE.get(pred)
+        if cmp is None:
+            raise ValueError(f"unknown predicate {pred!r}")
+        a, b, r = cells
+        if pred not in SIGNED:
+            def run(regs):
+                regs[r] = 1 if cmp(regs[a], regs[b]) else 0
+                return s
+            return run
         # flipping the sign bit maps two's complement onto unsigned order
-        m, sb = (1 << bits) - 1, 1 << (bits - 1)
-        a, b = (a & m) ^ sb, (b & m) ^ sb
-    return 1 if cmp(a, b) else 0
+        operand = operand_types[0]
+        sb = 1 << (operand.bits - 1)
+        if operand.bits == 8 * operand.width:
+            def run(regs):
+                regs[r] = 1 if cmp(regs[a] ^ sb, regs[b] ^ sb) else 0
+                return s
+            return run
+        # an i1 cell is a whole byte, of which only the low bit counts
+        m = (1 << operand.bits) - 1
 
+        def run(regs):
+            regs[r] = 1 if cmp((regs[a] & m) ^ sb, (regs[b] & m) ^ sb) else 0
+            return s
+        return run
 
-def cast(kind: str, value: int, src: TypeTag, dst: TypeTag) -> int:
-    if kind == "zext":
-        return wrap(value, src.bits)
-    if kind == "sext":
-        return wrap(to_signed(value, src.bits), dst.bits)
-    if kind == "trunc":
-        return wrap(value, dst.bits)
-    raise ValueError(f"not a cast kind: {kind!r}")
+    if kind == "select":
+        c, a, b, r = cells
+
+        def run(regs):
+            regs[r] = regs[a] if regs[c] else regs[b]
+            return s
+        return run
+
+    if kind in ("zext", "sext", "trunc"):
+        a, r = cells
+        operand, dm = operand_types[0], (1 << result.bits) - 1
+        if kind == "sext":
+            sm, sb = (1 << operand.bits) - 1, 1 << (operand.bits - 1)
+
+            def run(regs):
+                regs[r] = (((regs[a] & sm) ^ sb) - sb) & dm
+                return s
+            return run
+        m = (1 << operand.bits) - 1 if kind == "zext" else dm
+
+        def run(regs):
+            regs[r] = regs[a] & m
+            return s
+        return run
+    raise ValueError(f"not a value kind: {kind!r}")

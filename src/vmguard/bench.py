@@ -4,9 +4,10 @@ Every measured run is first gated on correctness: the protected execution
 must match the reference interpreter's outcome exactly, otherwise the
 cell is recorded as failed and skipped.  Timing wraps only the execution
 call; parsing and protection happen outside the clock.  Each cell draws
-`seeds` independent protection networks and runs `reps` executions per
-network; medians are reported rather than means so one noisy rep cannot
-skew a row.
+`seeds` independent protection networks and runs `reps` timed executions
+per network, after one untimed execution that pays the first-call costs.
+Rows report the median rather than the mean, so one noisy rep cannot skew
+a row, and give the minimum and interquartile range beside it.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class BenchmarkRow:
     arm: str
     mode: str
     median_seconds: float
+    min_seconds: float
+    iqr_seconds: float           # interquartile range of the timed runs
     reference_seconds: float
     steps: float                 # median over the protection draws
     guard_execs: float
@@ -114,24 +117,27 @@ class BenchmarkReport:
         out = io.StringIO()
         w = csv.writer(out)
         w.writerow(["program", "level", "arm", "mode", "median_seconds",
-                    "reference_seconds", "overhead_pct", "steps",
-                    "guard_execs"])
+                    "min_seconds", "iqr_seconds", "reference_seconds",
+                    "overhead_pct", "steps", "guard_execs"])
         for r in self.rows:
             w.writerow([r.program, r.level, r.arm, r.mode,
-                        f"{r.median_seconds:.6f}",
+                        f"{r.median_seconds:.6f}", f"{r.min_seconds:.6f}",
+                        f"{r.iqr_seconds:.6f}",
                         f"{r.reference_seconds:.6f}",
                         f"{r.overhead_pct:.2f}", r.steps, r.guard_execs])
         return out.getvalue()
 
     def format_table(self) -> str:
         header = (f"{'program':<11}{'level':>6}{'arm':>7}  {'mode':<11}"
-                  f"{'median s':>10}{'ref s':>10}{'overhead':>10}"
+                  f"{'median s':>10}{'min s':>10}{'IQR s':>10}"
+                  f"{'ref s':>10}{'overhead':>10}"
                   f"{'steps':>11}{'guards':>9}")
         lines = [header, "-" * len(header)]
         for r in self.rows:
             lines.append(
                 f"{r.program:<11}{r.level:>6}{r.arm:>7}  {r.mode:<11}"
-                f"{r.median_seconds:>10.4f}{r.reference_seconds:>10.4f}"
+                f"{r.median_seconds:>10.4f}{r.min_seconds:>10.4f}"
+                f"{r.iqr_seconds:>10.4f}{r.reference_seconds:>10.4f}"
                 f"{r.overhead_pct:>9.1f}%{r.steps:>11}{r.guard_execs:>9}")
         for f in self.failures:
             where = "/".join(p for p in (f.arm, f.mode) if p)
@@ -141,9 +147,11 @@ class BenchmarkReport:
 
 
 def _sample(thunk, reps: int):
-    """Raw wall times of `reps` invocations plus the last result."""
+    """Raw wall times of `reps` invocations plus the last result.  One
+    untimed invocation comes first, so first-call costs stay out of the
+    times."""
     times = []
-    result = None
+    result = thunk()
     for _ in range(reps):
         t0 = time.perf_counter()
         result = thunk()
@@ -155,6 +163,13 @@ def measure(thunk, reps: int):
     """Median wall time of `reps` invocations plus the last result."""
     times, result = _sample(thunk, reps)
     return statistics.median(times), result
+
+
+def _iqr(times: list[float]) -> float:
+    if len(times) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q3 - q1
 
 
 def _validate_plan(cfg: BenchmarkConfig) -> None:
@@ -234,6 +249,7 @@ def run_benchmarks(cfg: BenchmarkConfig) -> BenchmarkReport:
                     report.rows.append(BenchmarkRow(
                         program=name, level=level, arm=arm, mode=mode,
                         median_seconds=statistics.median(times),
+                        min_seconds=min(times), iqr_seconds=_iqr(times),
                         reference_seconds=t_ref,
                         steps=statistics.median(steps),
                         guard_execs=statistics.median(guards)))

@@ -36,7 +36,8 @@ class ExecContext:
         self.call_depth = 0
         self.guard_execs = 0
         self.guard_edges: dict[tuple[str, str], int] = {}
-        # each engine's per-run decode of a function, by (engine, id(vfn))
+        # each executor's per-run compile of a function, by (executor,
+        # id(function)), and the plain functions' call hook
         self.decoded: dict[tuple[str, int], object] = {}
         # optional set collecting (function, block) pairs as they run
         self.trace_blocks: set | None = None

@@ -109,13 +109,23 @@ def check_guard(ctx: ExecContext, edge: tuple[str, str], h: int,
 
 
 def _plain_hook(bundle: ProtectedBundle, ctx: ExecContext, engine):
-    def hook(name: str, args):
-        try:
-            target = bundle.function(name)
-        except KeyError:
-            raise TamperSignal(INVALID_REFERENCE, f"call to @{name}, which "
-                               "the bundle does not define")
-        return call_function(bundle, target, args, ctx, engine)
+    """The call hook of the run's plain functions, built on first use.  It
+    resolves names through a map built once, in which the first of
+    duplicate names wins, as in `index_of`."""
+    key = ("plain_hook", id(bundle))
+    hook = ctx.decoded.get(key)
+    if hook is None:
+        by_name: dict[str, object] = {}
+        for fn in bundle.functions:
+            by_name.setdefault(fn.name, fn)
+
+        def hook(name: str, args):
+            target = by_name.get(name)
+            if target is None:
+                raise TamperSignal(INVALID_REFERENCE, f"call to @{name}, "
+                                   "which the bundle does not define")
+            return call_function(bundle, target, args, ctx, engine)
+        ctx.decoded[key] = hook
     return hook
 
 

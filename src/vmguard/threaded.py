@@ -39,7 +39,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .arith import BITWISE, COMPARE, SIGNED, TRAPPING, WRAPPING, TrapError
+from .arith import VALUE_KINDS, TrapError, value_closure
 from .bundle import ProtectedBundle, VirtFunction
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
@@ -170,82 +170,8 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
     ops = [cells.cell(v, tag.width, where) if role in CELL_ROLES else v
            for (role, tag), v in zip(spec.layout, rec.operands)]
 
-    if k in WRAPPING or k in BITWISE:
-        w = spec.result_type.width
-        a, b, r = ops
-        if k in WRAPPING:
-            op, m = WRAPPING[k], (1 << spec.result_type.bits) - 1
-        else:
-            # bitwise results keep whatever bits the cells hold
-            op, m = BITWISE[k], (1 << 8 * w) - 1
-
-        def run(vm):
-            vm[r] = op(vm[a], vm[b]) & m
-            return s
-        return run
-
-    if k in TRAPPING:
-        op = TRAPPING[k]
-        bits = spec.result_type.bits
-        a, b, r = ops
-
-        def run(vm):
-            vm[r] = op(vm[a], vm[b], bits)
-            return s
-        return run
-
-    if k.startswith("icmp."):
-        pred = k.split(".", 1)[1]
-        cmp = COMPARE[pred]
-        bits = spec.operand_types[0].bits
-        w = spec.operand_types[0].width
-        a, b, r = ops
-        if pred not in SIGNED:
-            def run(vm):
-                vm[r] = 1 if cmp(vm[a], vm[b]) else 0
-                return s
-            return run
-        # flipping the sign bit maps two's complement onto unsigned order
-        sb = 1 << (bits - 1)
-        if bits == 8 * w:
-            def run(vm):
-                vm[r] = 1 if cmp(vm[a] ^ sb, vm[b] ^ sb) else 0
-                return s
-        else:
-            # an i1 cell is a whole byte, of which only the low bit counts
-            m = (1 << bits) - 1
-
-            def run(vm):
-                vm[r] = 1 if cmp((vm[a] & m) ^ sb, (vm[b] & m) ^ sb) else 0
-                return s
-        return run
-
-    if k == "select":
-        c, a, b, r = ops
-
-        def run(vm):
-            vm[r] = vm[a] if vm[c] else vm[b]
-            return s
-        return run
-
-    if k in ("zext", "sext", "trunc"):
-        src_bits, dst_bits = spec.operand_types[0].bits, \
-            spec.result_type.bits
-        a, r = ops
-        dm = (1 << dst_bits) - 1
-        if k == "sext":
-            sm, sb = (1 << src_bits) - 1, 1 << (src_bits - 1)
-
-            def run(vm):
-                vm[r] = (((vm[a] & sm) ^ sb) - sb) & dm
-                return s
-        else:
-            m = (1 << src_bits) - 1 if k == "zext" else dm
-
-            def run(vm):
-                vm[r] = vm[a] & m
-                return s
-        return run
+    if k in VALUE_KINDS:
+        return value_closure(k, spec.operand_types, spec.result_type, ops, s)
 
     if k in ("load", "store"):
         # an index is in bounds when 0 <= signed index < limit; capping the

@@ -1,10 +1,11 @@
 import csv
 import io
+import time
 
 import pytest
 
 from vmguard.bench import (ARMS, MODES, TIERS, BenchError, BenchmarkConfig,
-                           BenchmarkRow, coverage_table,
+                           BenchmarkRow, _sample, coverage_table,
                            format_coverage_table, load_manifest,
                            load_program_text, measure, run_benchmarks)
 from vmguard.ir import parse_module
@@ -32,9 +33,24 @@ def test_measure_returns_median_and_last_result():
         return len(calls)
 
     median, result = measure(thunk, reps=5)
-    assert len(calls) == 5
-    assert result == 5
+    assert len(calls) == 6          # one untimed warm-up, five timed
+    assert result == 6
     assert median >= 0.0
+
+
+def test_sample_warms_up_once_untimed():
+    calls = []
+
+    def thunk():
+        calls.append(1)
+        # the first call is slow, as a first call filling caches would be
+        time.sleep(0.05 if len(calls) == 1 else 0.0)
+        return len(calls)
+
+    times, result = _sample(thunk, reps=3)
+    assert len(calls) == 4 and result == 4
+    assert len(times) == 3
+    assert max(times) < 0.05
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +67,8 @@ def test_report_has_one_row_per_cell(tiny_report):
             row = tiny_report.row("fib", arm, mode)
             assert isinstance(row, BenchmarkRow)
             assert row.median_seconds > 0
+            assert 0 < row.min_seconds <= row.median_seconds
+            assert row.iqr_seconds >= 0
             assert row.reference_seconds > 0
             assert row.steps > 0
 
@@ -76,14 +94,16 @@ def test_csv_round_trips_through_the_stdlib_reader(tiny_report):
     for parsed in rows:
         row = tiny_report.row(parsed["program"], parsed["arm"],
                               parsed["mode"])
-        assert float(parsed["median_seconds"]) == \
-            pytest.approx(row.median_seconds, abs=1e-6)
+        for column in ("median_seconds", "min_seconds", "iqr_seconds"):
+            assert float(parsed[column]) == \
+                pytest.approx(getattr(row, column), abs=1e-6)
         assert int(parsed["steps"]) == row.steps
 
 
 def test_table_mentions_every_cell(tiny_report):
     text = tiny_report.format_table()
     assert "fib" in text
+    assert "min s" in text and "IQR s" in text
     for arm in ARMS:
         assert arm in text
 

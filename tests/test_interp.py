@@ -1,9 +1,16 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import M64, PROGRAM_MODELS, signed64
-from vmguard.ir import parse_module, reference_interpret
+from oracles import (M64, PROGRAM_MODELS, binary_model, cast_model,
+                     icmp_model, signed64)
+from vmguard.arith import DIV_BY_ZERO, TrapError
+from vmguard.execstate import ExecContext
+from vmguard.ir import (TypeTag, evaluate_function, interp, parse_module,
+                        reference_interpret)
+from vmguard.ir.core import BINARY_KINDS, CAST_KINDS, ICMP_PREDICATES
 
 
 def run(text, inputs=(), step_limit=10_000_000):
@@ -239,3 +246,223 @@ def test_straightline_programs_match_python(consts, steps):
         idx += 1
     got = eval_expr(lines, ret=f"v{idx - 1}")
     assert got == signed64(vals[-1])
+
+
+# ---- the compiled interpreter ----------------------------------------------
+
+TAGS = list(TypeTag)
+CAST_PAIRS = [(kind, src, dst) for kind in CAST_KINDS for src in TAGS
+              for dst in TAGS
+              if (src.bits > dst.bits) == (kind == "trunc")
+              and src.bits != dst.bits]
+
+
+@lru_cache(maxsize=None)
+def one_instruction(body: str, params: TypeTag, ret: TypeTag):
+    """`@main(iN %a, iN %b)` computing `%r` in one instruction."""
+    return parse_module(
+        f"func @main({params.text} %a, {params.text} %b) -> {ret.text} {{\n"
+        f"entry:\n  %r = {body}\n  ret {ret.text} %r\n}}\n").function("main")
+
+
+def evaluate(fn, args, hook=None, ctx=None):
+    """The raw (unsigned) value of one activation."""
+    return evaluate_function(fn, args, hook, ctx or ExecContext())
+
+
+def operands(tag):
+    return st.integers(0, (1 << tag.bits) - 1)
+
+
+@pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.text)
+@pytest.mark.parametrize("kind", BINARY_KINDS)
+@given(data=st.data())
+def test_binary_instruction_matches_model(kind, tag, data):
+    a, b = data.draw(operands(tag)), data.draw(operands(tag))
+    fn = one_instruction(f"{kind} {tag.text} %a, %b", tag, tag)
+    want = binary_model(kind, a, b, tag.bits)
+    if want is None:
+        with pytest.raises(TrapError) as exc:
+            evaluate(fn, [a, b])
+        assert exc.value.reason == DIV_BY_ZERO
+    else:
+        assert evaluate(fn, [a, b]) == want
+
+
+@pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.text)
+@pytest.mark.parametrize("pred", ICMP_PREDICATES)
+@given(data=st.data())
+def test_icmp_instruction_matches_model(pred, tag, data):
+    a, b = data.draw(operands(tag)), data.draw(operands(tag))
+    fn = one_instruction(f"icmp {pred} {tag.text} %a, %b", tag, TypeTag.I1)
+    assert evaluate(fn, [a, b]) == icmp_model(pred, a, b, tag.bits)
+
+
+@pytest.mark.parametrize(
+    "kind,src,dst", CAST_PAIRS,
+    ids=lambda v: v if isinstance(v, str) else v.text)
+@given(data=st.data())
+def test_cast_instruction_matches_model(kind, src, dst, data):
+    a, b = data.draw(operands(src)), data.draw(operands(src))
+    fn = one_instruction(f"{kind} {dst.text} %a", src, dst)
+    assert evaluate(fn, [a, b]) == cast_model(kind, a, src.bits, dst.bits)
+
+
+def test_step_limit_in_mid_block_keeps_output_and_counts_the_step():
+    res = run("""\
+func @main() -> i64 {
+entry:
+  %a = const i64 7
+  call void @print_i64(%a)
+  %b = const i64 8
+  %c = add i64 %a, %b
+  ret i64 %c
+}
+""", step_limit=3)
+    assert res.status == "trap"
+    assert res.trap_reason == "step limit exceeded"
+    assert res.output == [7]
+    assert res.steps == 4
+
+
+def test_step_limit_inside_a_callee():
+    text = """\
+func @f() -> i64 {
+entry:
+  %a = const i64 1
+  %b = const i64 2
+  %c = add i64 %a, %b
+  ret i64 %c
+}
+
+func @main() -> i64 {
+entry:
+  %x = call i64 @f()
+  ret i64 %x
+}
+"""
+    assert run(text).steps == 6
+    res = run(text, step_limit=3)
+    assert res.status == "trap"
+    assert res.trap_reason == "step limit exceeded"
+    assert res.steps == 4
+
+
+@pytest.mark.parametrize("ty, body, reason", [
+    ("i64", "%a = const i64 7\n  %z = const i64 0\n  %r = sdiv i64 %a, %z",
+     "division by zero"),
+    ("i8", "%buf = alloca i8 x 4\n  %i = const i8 -1\n  %r = load i8 %buf, %i",
+     "load index out of bounds"),
+    # 200 unsigned would be in bounds; read as an i8 it is -56
+    ("i8", "%buf = alloca i8 x 300\n  %i = const i8 -56\n"
+     "  %r = load i8 %buf, %i", "load index out of bounds"),
+], ids=["sdiv-by-zero", "load-minus-one", "load-negative-i8"])
+def test_mid_block_trap_reports_the_trapping_step(ty, body, reason):
+    res = run(f"func @main() -> {ty} {{\nentry:\n  {body}\n"
+              f"  %s = add {ty} %r, %r\n  ret {ty} %s\n}}\n")
+    assert res.status == "trap"
+    assert res.trap_reason == reason
+    assert res.steps == 3
+
+
+def test_last_in_bounds_index_of_a_narrow_type_loads():
+    res = run("""\
+func @main() -> i8 {
+entry:
+  %buf = alloca i8 x 300
+  %i = const i8 127
+  %v = const i8 5
+  store i8 %v, %buf, %i
+  %r = load i8 %buf, %i
+  ret i8 %r
+}
+""")
+    assert res.status == "normal" and res.value == 5
+
+
+def test_trace_leaves_out_the_arm_never_taken():
+    module = parse_module("""\
+func @main(i64 %n) -> i64 {
+entry:
+  %z = const i64 0
+  %c = icmp slt i64 %n, %z
+  brcond %c, %neg, %done
+neg:
+  %m = sub i64 %z, %n
+  ret i64 %m
+done:
+  ret i64 %n
+}
+""")
+    trace = set()
+    res = reference_interpret(module, "main", [5], trace_blocks=trace)
+    assert res.value == 5
+    assert trace == {("main", "entry"), ("main", "done")}
+
+
+def test_call_results_stay_unmasked_and_signed_compares_mask_them():
+    fn = parse_module("""\
+func @g() -> i1 {
+entry:
+  %t = const i1 1
+  ret i1 %t
+}
+
+func @main(i64 %unused, i64 %n) -> i1 {
+entry:
+  %c = call i1 @g()
+  %zero = const i1 0
+  %lt = icmp slt i1 %c, %zero
+  %r = select i1 %lt, %c, %lt
+  ret i1 %r
+}
+""").function("main")
+    # an engine may hand back an i1 cell as a whole byte: 0xFE reads as 0
+    assert evaluate(fn, [0, 0], lambda name, args: 0xFE) == 0
+    # 0xFF reads as -1 < 0, and the select passes the raw value on
+    assert evaluate(fn, [0, 0], lambda name, args: 0xFF) == 0xFF
+
+
+def test_nested_calls_go_through_each_activations_hook():
+    fn = parse_module("""\
+func @main() -> i64 {
+entry:
+  %x = call i64 @read_i64()
+  ret i64 %x
+}
+""").function("main")
+    ctx = ExecContext()
+    assert evaluate(fn, [], lambda name, args: 11, ctx) == 11
+    assert evaluate(fn, [], lambda name, args: 22, ctx) == 22
+    assert len(ctx.decoded) == 1
+
+
+def test_a_function_compiles_once_per_run(monkeypatch):
+    compiled = []
+    compile_ = interp._compile
+
+    def counting(fn, ctx):
+        compiled.append(fn.name)
+        return compile_(fn, ctx)
+
+    monkeypatch.setattr(interp, "_compile", counting)
+    module = parse_module("""\
+func @f(i64 %a) -> i64 {
+entry:
+  %b = add i64 %a, %a
+  ret i64 %b
+}
+
+func @main() -> i64 {
+entry:
+  %one = const i64 1
+  %x = call i64 @f(%one)
+  %y = call i64 @f(%x)
+  ret i64 %y
+}
+""")
+    assert reference_interpret(module, "main").value == 4
+    assert sorted(compiled) == ["f", "main"]
+    # nothing outlives a run's context: a second run compiles afresh
+    assert reference_interpret(module, "main").value == 4
+    assert sorted(compiled) == ["f", "f", "main", "main"]
