@@ -1,15 +1,20 @@
 """Fixed-width two's-complement arithmetic shared by every execution engine.
 
 Values are canonical unsigned ints in [0, 2**bits), or any value of an
-engine's cell (an i1 cell is a byte).  The operator tables define each
-binary kind and predicate once, and `value_closure` binds them, with
-their masks, into the closures the optimized engine and the reference
-interpreter run.
+engine's cell (an i1 cell is a byte).  `value_expr` states what each
+value kind computes, with which masks and sign-bit flip, as one
+expression over operand placeholders; every executor takes its value
+code from it.  A `Template` is the shape of closure an executor runs,
+with a hole for that expression: it compiles one closure factory per
+signature, on first use, so building a closure is one lookup and one
+call, and the closure runs the same operations a hand-written one
+would.  `value_closure` builds the register-list closures of the
+optimized engine and the reference interpreter; the checked engine
+keeps its live-stream templates in `runtime`.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:       # importing vmguard.ir at run time would be circular
@@ -76,104 +81,116 @@ def ashr(a: int, amount: int, bits: int) -> int:
     return wrap(sa >> amount, bits)
 
 
-WRAPPING = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-# bitwise results keep whatever bits the cells hold
-BITWISE = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
+# the infix operator of each wrapping and bitwise kind and predicate
+WRAPPING = {"add": "+", "sub": "-", "mul": "*"}
+BITWISE = {"and": "&", "or": "|", "xor": "^"}
 # called as op(a, b, bits)
 TRAPPING = {"sdiv": sdiv, "srem": srem, "shl": shl, "lshr": lshr,
             "ashr": ashr}
 
 COMPARE = {
-    "eq": operator.eq, "ne": operator.ne,
-    "slt": operator.lt, "sle": operator.le,
-    "sgt": operator.gt, "sge": operator.ge,
-    "ult": operator.lt, "ule": operator.le,
-    "ugt": operator.gt, "uge": operator.ge,
+    "eq": "==", "ne": "!=",
+    "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
+    "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
 }
 # these compare the low `bits` as two's complement, the others whole cells
 SIGNED = ("slt", "sle", "sgt", "sge")
-# the kinds `value_closure` builds; a compare is spelled icmp.<pred>
+# the kinds `value_expr` states; a compare is spelled icmp.<pred>
 VALUE_KINDS = frozenset([*WRAPPING, *BITWISE, *TRAPPING, "select", "zext",
                          "sext", "trunc", *(f"icmp.{p}" for p in COMPARE)])
+# the operand placeholders of a value kind, in operand order, by arity
+PLACEHOLDERS = {1: "x", 2: "xy", 3: "cxy"}
 
 
-def value_closure(kind: str, operand_types, result: TypeTag | None, cells,
-                  s: int):
-    """The closure `run(regs) -> s` that computes one value over a list of
-    canonical ints: `kind` is a binary kind, `icmp.<pred>`, `select` or a
-    cast, and `cells` holds the operand indices followed by the result's.
-    The operator, masks and sign-bit flip are worked out here, once."""
-    if kind in WRAPPING or kind in BITWISE:
-        a, b, r = cells
-        if kind in WRAPPING:
-            op, m = WRAPPING[kind], (1 << result.bits) - 1
-        else:
-            # bitwise results keep whatever bits the cells hold
-            op, m = BITWISE[kind], (1 << 8 * result.width) - 1
-
-        def run(regs):
-            regs[r] = op(regs[a], regs[b]) & m
-            return s
-        return run
-
+def value_expr(kind: str, operand_types, result: TypeTag):
+    """One expression that computes `kind`, and the constants it names.
+    The expression reads its operands through the placeholders `{x}` and
+    `{y}` (a select's condition is `{c}`, its arms `{x}` and `{y}`; a cast
+    reads `{x}`).  The operator, masks and sign-bit flip of every value
+    kind are worked out here and nowhere else."""
+    if kind in WRAPPING:
+        return "({x} %s {y}) & m" % WRAPPING[kind], \
+            {"m": (1 << result.bits) - 1}
+    if kind in BITWISE:
+        # bitwise results keep whatever bits the cells hold
+        return "({x} %s {y}) & m" % BITWISE[kind], \
+            {"m": (1 << 8 * result.width) - 1}
     if kind in TRAPPING:
-        op, bits = TRAPPING[kind], result.bits
-        a, b, r = cells
-
-        def run(regs):
-            regs[r] = op(regs[a], regs[b], bits)
-            return s
-        return run
-
+        return "op({x}, {y}, bits)", {"op": TRAPPING[kind],
+                                      "bits": result.bits}
     if kind.startswith("icmp."):
         pred = kind[len("icmp."):]
         cmp = COMPARE.get(pred)
         if cmp is None:
             raise ValueError(f"unknown predicate {pred!r}")
-        a, b, r = cells
         if pred not in SIGNED:
-            def run(regs):
-                regs[r] = 1 if cmp(regs[a], regs[b]) else 0
-                return s
-            return run
+            return "1 if {x} %s {y} else 0" % cmp, {}
         # flipping the sign bit maps two's complement onto unsigned order
         operand = operand_types[0]
         sb = 1 << (operand.bits - 1)
         if operand.bits == 8 * operand.width:
-            def run(regs):
-                regs[r] = 1 if cmp(regs[a] ^ sb, regs[b] ^ sb) else 0
-                return s
-            return run
+            return "1 if {x} ^ sb %s {y} ^ sb else 0" % cmp, {"sb": sb}
         # an i1 cell is a whole byte, of which only the low bit counts
-        m = (1 << operand.bits) - 1
-
-        def run(regs):
-            regs[r] = 1 if cmp((regs[a] & m) ^ sb, (regs[b] & m) ^ sb) else 0
-            return s
-        return run
-
+        return "1 if ({x} & m) ^ sb %s ({y} & m) ^ sb else 0" % cmp, \
+            {"m": (1 << operand.bits) - 1, "sb": sb}
     if kind == "select":
-        c, a, b, r = cells
-
-        def run(regs):
-            regs[r] = regs[a] if regs[c] else regs[b]
-            return s
-        return run
-
+        return "{x} if {c} else {y}", {}
     if kind in ("zext", "sext", "trunc"):
-        a, r = cells
-        operand, dm = operand_types[0], (1 << result.bits) - 1
+        bits = operand_types[0].bits
+        sm, dm = (1 << bits) - 1, (1 << result.bits) - 1
         if kind == "sext":
-            sm, sb = (1 << operand.bits) - 1, 1 << (operand.bits - 1)
-
-            def run(regs):
-                regs[r] = (((regs[a] & sm) ^ sb) - sb) & dm
-                return s
-            return run
-        m = (1 << operand.bits) - 1 if kind == "zext" else dm
-
-        def run(regs):
-            regs[r] = regs[a] & m
-            return s
-        return run
+            return "((({x} & sm) ^ sb) - sb) & m", \
+                {"sm": sm, "sb": 1 << (bits - 1), "m": dm}
+        return "{x} & m", {"m": sm if kind == "zext" else dm}
     raise ValueError(f"not a value kind: {kind!r}")
+
+
+class Template(dict):
+    """The closure factories of one closure shape, compiled on first use
+    and kept by signature: (kind, operand types as a tuple, result type).
+
+    `body` defines `run`, which may name `TrapError`, with `{value}` for
+    the expression, and `{res}` and `{end}` for the positions of the
+    result and of the element after it, the operands counting from 1.
+    `read` reads one operand: `{p}` is its placeholder, `{i}` its
+    position.  A factory takes one argument per placeholder, named by it,
+    then `params`, and returns a new `run`; the constants are bound once
+    per signature, as closure cells.  The source comes only from the
+    template and `value_expr`'s fixed table."""
+
+    def __init__(self, body: str, read: str, params: str) -> None:
+        super().__init__()
+        self.body, self.read, self.params = body, read, params
+
+    def __missing__(self, key):
+        kind, operand_types, result = key
+        expr, consts = value_expr(kind, operand_types, result)
+        names = PLACEHOLDERS[len(operand_types)]
+        value = expr.format(**{p: self.read.format(p=p, i=i)
+                               for i, p in enumerate(names, 1)})
+        run = self.body.format(value=value, res=len(names) + 1,
+                               end=len(names) + 2)
+        source = (f"def bind({', '.join(consts)}):\n"
+                  f"    def factory({', '.join(names)}, {self.params}):\n"
+                  + "".join(f"        {line}\n" for line in run.splitlines())
+                  + "        return run\n"
+                  "    return factory\n")
+        scope = {"TrapError": TrapError}
+        exec(compile(source, f"<{kind} closure>", "exec"), scope)
+        factory = self[key] = scope["bind"](**consts)
+        return factory
+
+
+# a closure over a list of canonical ints, which returns its successor
+REGISTERS = Template("""\
+def run(regs):
+    regs[r] = {value}
+    return s""", read="regs[{p}]", params="r, s")
+
+
+def value_closure(kind: str, operand_types: tuple, result: TypeTag | None,
+                  cells, s: int):
+    """The closure `run(regs) -> s` that computes one value over a list of
+    canonical ints: `kind` is a binary kind, `icmp.<pred>`, `select` or a
+    cast, and `cells` holds the operand indices followed by the result's."""
+    return REGISTERS[kind, operand_types, result](*cells, s)

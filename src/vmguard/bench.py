@@ -1,13 +1,16 @@
 """Wall-clock measurement harness.
 
-Every measured run is first gated on correctness: the protected execution
-must match the reference interpreter's outcome exactly, otherwise the
-cell is recorded as failed and skipped.  Timing wraps only the execution
-call; parsing and protection happen outside the clock.  Each cell draws
-`seeds` independent protection networks and runs `reps` timed executions
-per network, after one untimed execution that pays the first-call costs.
-Rows report the median rather than the mean, so one noisy rep cannot skew
-a row, and give the minimum and interquartile range beside it.
+Each cell draws `seeds` independent protection networks and runs `reps`
+timed executions per network, after one untimed execution that pays the
+first-call costs.  That execution is gated on correctness: it must match
+the reference interpreter's outcome exactly, otherwise the cell is
+recorded as failed and skipped.  Timing wraps only the execution call;
+parsing and protection happen outside the clock.  The timed reps of a
+program's arms and modes are interleaved, one run per network in turn,
+so that slow stretches of a shared host fall on every cell rather than
+on whichever ran then.  Rows report the median rather than the mean, so
+one noisy rep cannot skew a row, and give the minimum and interquartile
+range beside it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 
 from .guards import coverage_report
@@ -35,10 +39,6 @@ TIERS = ("tiny", "check", "bench")
 
 class BenchError(Exception):
     pass
-
-
-class _CellProblem(Exception):
-    """Recorded in the report instead of aborting the whole run."""
 
 
 def corpus_root():
@@ -188,6 +188,50 @@ def _validate_plan(cfg: BenchmarkConfig) -> None:
         raise BenchError("reps and seeds must be at least 1")
 
 
+def _time_level(report: BenchmarkReport, cfg: BenchmarkConfig, name: str,
+                level: int, module, inputs, ref, t_ref: float,
+                limit: dict) -> None:
+    """Rows of one program at one level.  Every arm's draws are built
+    first, and each draw of each (arm, mode) cell runs once, untimed,
+    where its outcome is checked.  The timed reps then rotate through
+    the draws of the cells that passed, one run each, in reverse order
+    on odd reps, so a drift in host speed falls on every cell alike."""
+    cells = []
+    for arm in cfg.arms:
+        bundles = [virtualize_module(module, ProtectionConfig(
+            seed=cfg.seed + i, level=level,
+            guards_per_checkee=cfg.guards_per_checkee,
+            enable_guards=(arm == "vo+sc")))
+            for i in range(cfg.seeds)]
+        for mode in cfg.modes:
+            executor = (execute_secure if mode == "secure"
+                        else execute_optimized)
+            runs = [partial(executor, b, inputs, **limit) for b in bundles]
+            results = [run() for run in runs]
+            bad = next((r for r in results if not r.same_outcome(ref)), None)
+            if bad is not None:
+                report.failures.append(CellFailure(
+                    name, level, arm, mode, "protected run diverged from "
+                    f"reference ({bad.status} vs {ref.status})"))
+                continue
+            cells.append((arm, mode, results, runs, []))
+
+    order = [(run, times) for _, _, _, runs, times in cells for run in runs]
+    for rep in range(cfg.reps):
+        for run, times in (reversed(order) if rep % 2 else order):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+
+    for arm, mode, results, _, times in cells:
+        report.rows.append(BenchmarkRow(
+            program=name, level=level, arm=arm, mode=mode,
+            median_seconds=statistics.median(times), min_seconds=min(times),
+            iqr_seconds=_iqr(times), reference_seconds=t_ref,
+            steps=statistics.median(r.steps for r in results),
+            guard_execs=statistics.median(r.guard_execs for r in results)))
+
+
 def run_benchmarks(cfg: BenchmarkConfig) -> BenchmarkReport:
     manifest = load_manifest()
     by_name = {p["name"]: p for p in manifest["programs"]}
@@ -218,41 +262,8 @@ def run_benchmarks(cfg: BenchmarkConfig) -> BenchmarkReport:
             continue
 
         for level in cfg.levels:
-            for arm in cfg.arms:
-                bundles = [virtualize_module(module, ProtectionConfig(
-                    seed=cfg.seed + i, level=level,
-                    guards_per_checkee=cfg.guards_per_checkee,
-                    enable_guards=(arm == "vo+sc")))
-                    for i in range(cfg.seeds)]
-                for mode in cfg.modes:
-                    executor = (execute_secure if mode == "secure"
-                                else execute_optimized)
-                    times: list[float] = []
-                    steps: list[int] = []
-                    guards: list[int] = []
-                    try:
-                        for bundle in bundles:
-                            ts, res = _sample(
-                                lambda: executor(bundle, inputs, **limit),
-                                cfg.reps)
-                            if not res.same_outcome(ref):
-                                raise _CellProblem(
-                                    "protected run diverged from reference"
-                                    f" ({res.status} vs {ref.status})")
-                            times.extend(ts)
-                            steps.append(res.steps)
-                            guards.append(res.guard_execs)
-                    except _CellProblem as err:
-                        report.failures.append(CellFailure(
-                            name, level, arm, mode, str(err)))
-                        continue
-                    report.rows.append(BenchmarkRow(
-                        program=name, level=level, arm=arm, mode=mode,
-                        median_seconds=statistics.median(times),
-                        min_seconds=min(times), iqr_seconds=_iqr(times),
-                        reference_seconds=t_ref,
-                        steps=statistics.median(steps),
-                        guard_execs=statistics.median(guards)))
+            _time_level(report, cfg, name, level, module, inputs, ref,
+                        t_ref, limit)
     return report
 
 

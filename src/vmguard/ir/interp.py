@@ -4,9 +4,10 @@ compared against.
 On its first activation in a run, a function is compiled into one
 closure per instruction, in block order, over a register list: every
 value id gets a slot, and each closure computes its instruction and
-returns the index of the next one, or -1 to return.  Operators and their
-masks are bound once, through the same `arith.value_closure` the
-optimized engine uses.  The compiled form lives in the run's
+returns the index of the next one, or -1 to return.  Value closures come
+from `arith.value_closure`, the register-list template the optimized
+engine uses too, filled with the one expression `arith.value_expr`
+states for each kind.  The compiled form lives in the run's
 `ExecContext`, so nothing outlives the run.  Each executed instruction
 still costs one step from the shared budget, counted before it runs,
 and traps keep their reasons.  Calls resolve through a pluggable hook so
@@ -148,7 +149,8 @@ def _compile_instruction(ins, s, slots, tags, starts, counts):
         return run
 
     return value_closure("icmp." + ins.predicate if k == "icmp" else k,
-                         [tags[o] for o in ins.operands], tags[ins.result],
+                         tuple(tags[o] for o in ins.operands),
+                         tags[ins.result],
                          [slots[o] for o in ins.operands]
                          + [slots[ins.result]], s)
 

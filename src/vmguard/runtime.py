@@ -9,11 +9,13 @@ instead of growing it.  That makes it the natural place to observe
 corruption immediately, at the cost of per-step overhead the
 pre-decoding engine avoids.
 
-A handler binds its operator from the `arith` tables, with its masks and
-sign-bit flip worked out per handler signature, when it is first built.
-The dispatch loop fetches through one `try`: a counter past the stream
-end or an opcode without a built handler falls to a cold path, which
-raises the tamper signal or builds the handler.
+A value handler is built from one of two templates here, the plain one
+and the trapping one, filled with the expression `arith.value_expr`
+states for its kind, so every executor computes each value kind from
+one statement of its operator, masks and sign-bit flip.  The dispatch
+loop fetches through one `try`: a counter past the stream end or an
+opcode without a built handler falls to a cold path, which raises the
+tamper signal or builds the handler.
 
 Corruption raises a TamperSignal, which unwinds the whole run; both
 engines judge guards through `check_guard`.  Traps (division by zero,
@@ -26,8 +28,7 @@ from __future__ import annotations
 import struct
 import sys
 
-from .arith import (BITWISE, COMPARE, SIGNED, TRAPPING, WRAPPING, TrapError,
-                    to_signed)
+from .arith import TRAPPING, VALUE_KINDS, Template, TrapError, to_signed
 from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         MAX_CALL_DEPTH, STEP_LIMIT_REASON,
@@ -135,15 +136,35 @@ CELL_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # struct.error for a cell that does not lie wholly inside the image
 _CELL = {w: struct.Struct("<" + code) for w, code in CELL_CODE.items()}
 
+# value handlers: each operand placeholder is bound to its cell's reader,
+# and `get_r`/`put_r` to the result cell's reader and writer
+_OPERAND = "{p}(vm, vpa[vpc + {i}])[0]"
+_VALUE = Template("""\
+def run(vm, vpc):
+    put_r(vm, vpa[vpc + {res}], {value})
+    return vpc + {end}""", read=_OPERAND, params="vpa, get_r, put_r")
+# a trapping operation reads the result cell before its trap propagates,
+# so a result cell outside the image is tamper, not a trap
+_TRAPPING = Template("""\
+def run(vm, vpc):
+    r = vpa[vpc + {res}]
+    try:
+        value = {value}
+    except TrapError:
+        get_r(vm, r)
+        raise
+    put_r(vm, r, value)
+    return vpc + {end}""", read=_OPERAND, params="vpa, get_r, put_r")
+
 
 def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
                    ctx: ExecContext, engine):
     """Compile one handler closure.  Operands are read from the live stream
     by index on every invocation, and cells are read and written through
-    the `_CELL` accessors; only type widths, masks and the operator, bound
-    from the `arith` tables, are baked in.  Every operand element is read
-    before a trap can fire, so a record cut short by the stream end is an
-    invalid reference, never a trap."""
+    the `_CELL` accessors; only type widths, masks and the operator are
+    baked in.  Every operand element is read before a trap can fire, so a
+    record cut short by the stream end is an invalid reference, never a
+    trap."""
     vpa = vfn.vpa
     k = spec.kind
     layout = spec.layout
@@ -169,93 +190,11 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
     put = [None if t is None else _CELL[t.width].pack_into
            for _, t in layout]
 
-    if k in WRAPPING or k in BITWISE:
-        get_a, get_b, put_r = get[0], get[1], put[2]
-        if k in WRAPPING:
-            op, m = WRAPPING[k], (1 << spec.result_type.bits) - 1
-        else:
-            # bitwise results keep whatever bits the cells hold
-            op, m = BITWISE[k], (1 << 8 * spec.result_type.width) - 1
-
-        def handler(vm, vpc):
-            put_r(vm, vpa[vpc + 3], op(get_a(vm, vpa[vpc + 1])[0],
-                                       get_b(vm, vpa[vpc + 2])[0]) & m)
-            return vpc + 4
-        return handler
-
-    if k in TRAPPING:
-        op, bits = TRAPPING[k], spec.result_type.bits
-        get_a, get_b, get_r, put_r = get[0], get[1], get[2], put[2]
-        divides = k in ("sdiv", "srem")
-
-        def handler(vm, vpc):
-            x = get_a(vm, vpa[vpc + 1])[0]
-            y = get_b(vm, vpa[vpc + 2])[0]
-            r = vpa[vpc + 3]
-            if divides and not y:
-                get_r(vm, r)    # a result cell outside the image is tamper
-            put_r(vm, r, op(x, y, bits))
-            return vpc + 4
-        return handler
-
-    if k.startswith("icmp."):
-        pred = k[len("icmp."):]
-        cmp = COMPARE[pred]
-        get_a, get_b, put_r = get[0], get[1], put[2]
-        # the comparison's bool packs as 1 or 0
-        if pred not in SIGNED:
-            def handler(vm, vpc):
-                put_r(vm, vpa[vpc + 3], cmp(get_a(vm, vpa[vpc + 1])[0],
-                                            get_b(vm, vpa[vpc + 2])[0]))
-                return vpc + 4
-            return handler
-        # flipping the sign bit maps two's complement onto unsigned order;
-        # an i1 cell is a whole byte, of which only the low bit counts
-        tag = spec.operand_types[0]
-        m, sb = (1 << tag.bits) - 1, 1 << (tag.bits - 1)
-        if tag.bits == 8 * tag.width:
-            def handler(vm, vpc):
-                put_r(vm, vpa[vpc + 3], cmp(get_a(vm, vpa[vpc + 1])[0] ^ sb,
-                                            get_b(vm, vpa[vpc + 2])[0] ^ sb))
-                return vpc + 4
-            return handler
-
-        def handler(vm, vpc):
-            put_r(vm, vpa[vpc + 3],
-                  cmp((get_a(vm, vpa[vpc + 1])[0] & m) ^ sb,
-                      (get_b(vm, vpa[vpc + 2])[0] & m) ^ sb))
-            return vpc + 4
-        return handler
-
-    if k == "select":
-        get_c, get_v, put_r = get[0], get[1], put[3]
-
-        def handler(vm, vpc):
-            put_r(vm, vpa[vpc + 4],
-                  get_v(vm, vpa[vpc + 2] if get_c(vm, vpa[vpc + 1])[0]
-                        else vpa[vpc + 3])[0])
-            return vpc + 5
-        return handler
-
-    if k in ("zext", "sext", "trunc"):
-        src_bits, dst_bits = spec.operand_types[0].bits, \
-            spec.result_type.bits
-        get_a, put_r = get[0], put[1]
-        dm = (1 << dst_bits) - 1
-        if k == "sext":
-            sm, sb = (1 << src_bits) - 1, 1 << (src_bits - 1)
-
-            def handler(vm, vpc):
-                put_r(vm, vpa[vpc + 2],
-                      (((get_a(vm, vpa[vpc + 1])[0] & sm) ^ sb) - sb) & dm)
-                return vpc + 3
-            return handler
-        m = (1 << src_bits) - 1 if k == "zext" else dm
-
-        def handler(vm, vpc):
-            put_r(vm, vpa[vpc + 2], get_a(vm, vpa[vpc + 1])[0] & m)
-            return vpc + 3
-        return handler
+    if k in VALUE_KINDS:
+        # the layout holds the operand cells, then the result cell
+        template = _TRAPPING if k in TRAPPING else _VALUE
+        return template[k, spec.operand_types, spec.result_type](
+            *get[:-1], vpa, get[-1], put[-1])
 
     if k in ("load", "store"):
         # an index cell is never i1, so its unsigned value is the signed

@@ -6,9 +6,12 @@ into closures; the dispatch loop then just indexes a list.  Memory is a
 register file rather than a byte image: a list indexed by byte offset in
 which every cell and region element the records reference holds its
 value as one canonical unsigned int, so a handler is a few list
-operations (`vm[r] = (vm[a] + vm[b]) & m`) instead of byte slices.  The
-template list is built from the image once per run, at decode time, and
-each activation starts from a copy of it.
+operations (`vm[r] = (vm[a] + vm[b]) & m`) instead of byte slices.  A
+value record's closure comes from `arith.value_closure`, the
+register-list template the reference interpreter uses too, filled with
+the expression `arith.value_expr` states for its kind.  The register
+list is built from the image once per run, at decode time, and each
+activation starts from a copy of it.
 
 That removes the per-step opcode lookup, operand fetch, byte conversion
 and counter bounds check the checked engine pays for, at the cost of

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from vmguard import bench
 from vmguard.bench import (ARMS, MODES, TIERS, BenchError, BenchmarkConfig,
                            BenchmarkRow, _sample, coverage_table,
                            format_coverage_table, load_manifest,
@@ -13,6 +14,7 @@ from vmguard.ir.interp import reference_interpret
 from vmguard.ir.phi import eliminate_phis
 from vmguard.protect import ProtectionConfig, virtualize_module
 from vmguard.runtime import execute_secure
+from vmguard.threaded import execute_optimized
 
 
 def test_corpus_files_load_through_package_data():
@@ -51,6 +53,37 @@ def test_sample_warms_up_once_untimed():
     assert len(calls) == 4 and result == 4
     assert len(times) == 3
     assert max(times) < 0.05
+
+
+def test_timed_reps_rotate_through_every_cell(monkeypatch):
+    calls = []
+
+    def recording(mode, executor):
+        def run(bundle, inputs, **kw):
+            calls.append((mode, id(bundle)))
+            return executor(bundle, inputs, **kw)
+        return run
+
+    monkeypatch.setattr(bench, "execute_secure",
+                        recording("secure", execute_secure))
+    monkeypatch.setattr(bench, "execute_optimized",
+                        recording("optimized", execute_optimized))
+    reps, seeds = 3, 2
+    report = run_benchmarks(BenchmarkConfig(
+        programs=("fib",), reps=reps, seeds=seeds, tier="tiny", seed=3))
+    assert len(report.rows) == len(ARMS) * len(MODES)
+    cells = len(ARMS) * len(MODES) * seeds
+    # one untimed run per draw and mode, then the timed reps
+    warm, timed = calls[:cells], calls[cells:]
+    assert len(set(warm)) == cells and len(timed) == reps * cells
+    laps = [timed[i:i + cells] for i in range(0, len(timed), cells)]
+    # each lap runs every cell once, in turn, and odd laps run backwards
+    assert laps[0] == warm
+    assert laps[1] == laps[0][::-1] and laps[2] == laps[0]
+    # the first half of a lap is one arm's draws, the second the other's
+    half = cells // 2
+    assert not {b for _, b in laps[0][:half]} & {b for _, b in
+                                                  laps[0][half:]}
 
 
 @pytest.fixture(scope="module")

@@ -303,6 +303,44 @@ def test_i1_divisor_cell_with_zero_value_bit_traps(engine):
     assert (res.status, res.trap_reason) == ("trap", DIV_BY_ZERO)
 
 
+def test_division_by_zero_into_a_result_cell_past_the_image_is_tamper():
+    # the trap would fire, but the record's result cell is forged first
+    bundle, res = run_text("""\
+func @main(i64 %n) -> i64 {
+entry:
+  %z = const i64 0
+  %q = sdiv i64 %n, %z
+  ret i64 %q
+}
+""", [7], enable_guards=False)
+    assert (res.status, res.trap_reason) == ("trap", DIV_BY_ZERO)
+    main = bundle.function("main")
+    start = next(s for s, spec in walk_records(main.risa, main.vpa)
+                 if spec.kind == "sdiv")
+    mutated = copy_bundle(bundle)
+    mutated.function("main").vpa[start + 3] = len(main.image)
+    checked = execute_secure(mutated, [7])
+    assert checked.status == "tamper"
+    assert checked.tamper_cause.kind == INVALID_REFERENCE
+    assert not checked.tamper_cause.at_decode
+    optimized = execute_optimized(mutated, [7])
+    assert optimized.status == "tamper"
+    assert optimized.tamper_cause.at_decode
+
+
+def test_i1_divisor_with_zero_value_bit_into_a_forged_result_is_tamper():
+    bundle, _ = run_text(I1_DIVISION, [0], enable_guards=False)
+    main = bundle.function("main")
+    start = next(s for s, spec in walk_records(main.risa, main.vpa)
+                 if spec.kind == "sdiv")
+    mutated = copy_bundle(bundle)
+    mutated.function("main").image[main.vpa[start + 2]] = 2
+    mutated.function("main").vpa[start + 3] = len(main.image)
+    res = execute_secure(mutated, [0])
+    assert (res.status, res.tamper_cause.kind) == ("tamper",
+                                                   INVALID_REFERENCE)
+
+
 # ---- mixed plain and transformed call graphs -------------------------------
 
 
