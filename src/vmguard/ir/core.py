@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..arith import to_signed
+
 
 class TypeTag(enum.IntEnum):
     """Integer type.  Each member carries its bit count, its byte width as
@@ -145,56 +147,84 @@ class ExecutionResult:
                 and self.output == other.output)
 
 
-# ---------------------------------------------------------------- printing
+# ------------------------------------------------------------ text forms
 
-def _fmt_signed(value: int, tag: TypeTag) -> str:
-    bits = tag.bits
-    v = value & ((1 << bits) - 1)
-    if v >= 1 << (bits - 1):
-        v -= 1 << bits
-    return str(v)
+# Fields of an instruction's text form.  `RESULT_FORMS` and
+# `STATEMENT_FORMS` give, for each kind, the fields written after its
+# keyword; the printer and the parser both walk them, so the two cannot
+# disagree.  Any other string in a form is a literal token: ",", "x" or
+# "void".
+TYPE = 0        # the instruction's type
+OPERAND = 1     # %value: the next operand
+LABEL = 2       # %label: the next branch target
+IMM = 3         # const immediate, written signed and stored wrapped
+COUNT = 4       # alloca element count
+PREDICATE = 5   # icmp predicate
+CALL = 6        # @callee(%arg, ...): the callee and every remaining operand
+ARMS = 7        # phi arms: [%value, %label], ...
+RET_VALUE = 8   # `void`, or a type and an operand
+
+_PAIR = (TYPE, OPERAND, ",", OPERAND)
+
+# forms written after `%result = `
+RESULT_FORMS = {
+    "const": (TYPE, IMM),
+    **dict.fromkeys(BINARY_KINDS, _PAIR),
+    "icmp": (PREDICATE, *_PAIR),
+    "select": (*_PAIR, ",", OPERAND),
+    **dict.fromkeys(CAST_KINDS, (TYPE, OPERAND)),
+    "alloca": (TYPE, "x", COUNT),
+    "load": _PAIR,
+    "call": (TYPE, CALL),
+    "phi": (TYPE, ARMS),
+}
+
+# forms of instructions that define no value
+STATEMENT_FORMS = {
+    "store": (*_PAIR, ",", OPERAND),
+    "call": ("void", CALL),
+    "br": (LABEL,),
+    "brcond": (OPERAND, ",", LABEL, ",", LABEL),
+    "ret": (RET_VALUE,),
+}
 
 
 def format_instruction(ins: Instruction) -> str:
     k = ins.kind
-    if k == "const":
-        return f"%{ins.result} = const {ins.type.text} {_fmt_signed(ins.value, ins.type)}"
-    if k in BINARY_KINDS:
-        a, b = ins.operands
-        return f"%{ins.result} = {k} {ins.type.text} %{a}, %{b}"
-    if k == "icmp":
-        a, b = ins.operands
-        return f"%{ins.result} = icmp {ins.predicate} {ins.type.text} %{a}, %{b}"
-    if k == "select":
-        c, a, b = ins.operands
-        return f"%{ins.result} = select {ins.type.text} %{c}, %{a}, %{b}"
-    if k in CAST_KINDS:
-        return f"%{ins.result} = {k} {ins.type.text} %{ins.operands[0]}"
-    if k == "alloca":
-        return f"%{ins.result} = alloca {ins.type.text} x {ins.count}"
-    if k == "load":
-        base, idx = ins.operands
-        return f"%{ins.result} = load {ins.type.text} %{base}, %{idx}"
-    if k == "store":
-        val, base, idx = ins.operands
-        return f"store {ins.type.text} %{val}, %{base}, %{idx}"
-    if k == "call":
-        args = ", ".join(f"%{a}" for a in ins.operands)
-        if ins.result is None:
-            return f"call void @{ins.callee}({args})"
-        return f"%{ins.result} = call {ins.type.text} @{ins.callee}({args})"
-    if k == "phi":
-        arms = ", ".join(f"[%{v}, %{lbl}]" for v, lbl in ins.phi_args)
-        return f"%{ins.result} = phi {ins.type.text} {arms}"
-    if k == "br":
-        return f"br %{ins.labels[0]}"
-    if k == "brcond":
-        return f"brcond %{ins.operands[0]}, %{ins.labels[0]}, %{ins.labels[1]}"
-    if k == "ret":
-        if ins.operands:
-            return f"ret {ins.type.text} %{ins.operands[0]}"
-        return "ret void"
-    raise ValueError(f"unknown instruction kind {k!r}")
+    if ins.result is None:
+        form, text = STATEMENT_FORMS.get(k), k
+    else:
+        form, text = RESULT_FORMS.get(k), f"%{ins.result} = {k}"
+    if form is None:
+        raise ValueError(f"unknown instruction kind {k!r}")
+    operands, labels = iter(ins.operands), iter(ins.labels)
+    for field in form:
+        if field == OPERAND:
+            text += f" %{next(operands)}"
+        elif field == ",":
+            text += ","
+        elif field == TYPE:
+            text += " " + ins.type.text
+        elif field == LABEL:
+            text += f" %{next(labels)}"
+        elif field == IMM:
+            text += f" {to_signed(ins.value, ins.type.bits)}"
+        elif field == COUNT:
+            text += f" {ins.count}"
+        elif field == PREDICATE:
+            text += " " + ins.predicate
+        elif field == CALL:
+            args = ", ".join(f"%{a}" for a in operands)
+            text += f" @{ins.callee}({args})"
+        elif field == ARMS:
+            text += " " + ", ".join(f"[%{v}, %{lbl}]"
+                                    for v, lbl in ins.phi_args)
+        elif field == RET_VALUE:
+            text += (f" {ins.type.text} %{next(operands)}" if ins.operands
+                     else " void")
+        else:
+            text += " " + field
+    return text
 
 
 def format_function(fn: IrFunction) -> str:

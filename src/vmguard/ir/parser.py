@@ -1,13 +1,19 @@
 """Text-format parser for `.vir` modules.
 
-Grammar sketch (comments run from ';' to end of line):
+Grammar sketch (blanks separate tokens; comments run from ';' to end of
+line):
 
     module   := func*
     func     := "func" "@" NAME "(" [type "%" id ("," type "%" id)*] ")"
                 "->" ("void" | type) "{" block+ "}"
     block    := LABEL ":" instr+
-    instr    := "%" id "=" rhs | "store" ... | "br" %L | "brcond" %c, %Lt, %Lf
-              | "ret" (type %v | "void") | "call" "void" @f(...)
+    instr    := "%" id "=" KIND fields | KIND fields
+
+The fields after each instruction kind are listed once, in
+`core.RESULT_FORMS` (after "%" id "=") and `core.STATEMENT_FORMS`, and
+the printer walks the same table.  Tokens are ASCII: names match
+`[A-Za-z_.][A-Za-z0-9_.]*` and integer literals `-?[0-9]+`; any other
+character outside a comment is an error.
 
 Branch targets and phi predecessors are written with a '%' sigil but live in
 the label namespace, separate from value ids.
@@ -15,8 +21,15 @@ the label namespace, separate from value ids.
 
 from __future__ import annotations
 
-from .core import (BINARY_KINDS, CAST_KINDS, ICMP_PREDICATES, TYPE_BY_NAME,
-                   Block, Instruction, IrFunction, IrModule, TypeTag)
+import re
+from itertools import islice
+from string import ascii_letters
+
+from ..arith import wrap
+from .core import (ARMS, CALL, COUNT, ICMP_PREDICATES, IMM, LABEL, OPERAND,
+                   PREDICATE, RESULT_FORMS, RET_VALUE, STATEMENT_FORMS, TYPE,
+                   TYPE_BY_NAME, Block, Instruction, IrFunction, IrModule,
+                   TypeTag)
 
 
 class ParseError(Exception):
@@ -26,314 +39,208 @@ class ParseError(Exception):
         self.column = column
 
 
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyz"
-                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
+_TOKEN = r"->|[(){},:=@%\[\]]|-?[0-9]+|[A-Za-z_.][A-Za-z0-9_.]*"
+_TOKENS = re.compile(_TOKEN)
+# the longest prefix that blanks, comments and tokens cover
+_COVERED = re.compile(rf"(?:[ \t\r\n]+|;[^\n]*|{_TOKEN})*")
+_COMMENT = re.compile(r";[^\n]*")
+_INTEGER = re.compile(r"-?[0-9]+")
+_NAME_START = frozenset(ascii_letters + "_.")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """Tokens as (kind, text, line, col); kind is 'ident', 'int' or 'punct'."""
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "(){},:=@%[]":
-            tokens.append(("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "-" or ch.isdigit():
-            start = i
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            lit = text[start:j]
-            if lit == "-":
-                raise ParseError("stray '-'", line, col)
-            tokens.append(("int", lit, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_CHARS:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    return tokens
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
-class _Cursor:
-    def __init__(self, tokens: list[tuple[str, str, int, int]]) -> None:
-        self.tokens = tokens
+class _Parser:
+    """The tokens of one text and the index of the next.  A token's line
+    and column are only worked out for the error that names it."""
+
+    def __init__(self, text: str) -> None:
+        end = _COVERED.match(text).end()
+        if end < len(text):
+            ch = text[end]
+            raise ParseError("stray '-'" if ch == "-"
+                             else f"unexpected character {ch!r}",
+                             *_line_col(text, end))
+        # a comment ends its line, so removing it moves no token
+        self.text = _COMMENT.sub("", text)
+        self.tokens = _TOKENS.findall(self.text)
         self.pos = 0
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def error(self, message: str, at: int) -> ParseError:
+        """A ParseError at token `at`; past the end, at the last token."""
+        at = min(at, len(self.tokens) - 1)
+        if at < 0:
+            return ParseError(message, 1, 1)
+        match = next(islice(_TOKENS.finditer(self.text), at, None))
+        return ParseError(message, *_line_col(self.text, match.start()))
 
-    def peek(self):
-        if self.at_end():
-            last = self.tokens[-1] if self.tokens else ("", "", 1, 1)
-            raise ParseError("unexpected end of input", last[2], last[3])
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        try:
+            return self.tokens[self.pos]
+        except IndexError:
+            raise self.error("unexpected end of input", self.pos) from None
 
-    def next(self):
-        tok = self.peek()
+    def next(self) -> str:
+        token = self.peek()
         self.pos += 1
-        return tok
+        return token
 
-    def expect(self, text: str):
-        kind, got, line, col = self.next()
-        if got != text:
-            raise ParseError(f"expected {text!r}, found {got!r}", line, col)
+    def expect(self, literal: str) -> None:
+        token = self.next()
+        if token != literal:
+            raise self.error(f"expected {literal!r}, found {token!r}",
+                             self.pos - 1)
 
-    def ident(self, what: str) -> str:
-        kind, got, line, col = self.next()
-        if kind != "ident":
-            raise ParseError(f"expected {what}, found {got!r}", line, col)
-        return got
+    def name(self, what: str) -> str:
+        token = self.next()
+        if token[0] not in _NAME_START:
+            raise self.error(f"expected {what}, found {token!r}", self.pos - 1)
+        return token
 
     def integer(self) -> int:
-        kind, got, line, col = self.next()
-        if kind != "int":
-            raise ParseError(f"expected integer, found {got!r}", line, col)
-        return int(got)
-
-    def value(self) -> str:
-        self.expect("%")
-        return self.ident("value id")
+        token = self.next()
+        if not _INTEGER.fullmatch(token):
+            raise self.error(f"expected integer, found {token!r}",
+                             self.pos - 1)
+        return int(token)
 
     def type_tag(self) -> TypeTag:
-        kind, got, line, col = self.next()
-        if got not in TYPE_BY_NAME:
-            raise ParseError(f"expected type, found {got!r}", line, col)
-        return TYPE_BY_NAME[got]
+        token = self.next()
+        tag = TYPE_BY_NAME.get(token)
+        if tag is None:
+            raise self.error(f"expected type, found {token!r}", self.pos - 1)
+        return tag
 
+    def ref(self, what: str = "value id") -> str:
+        """A name written after a '%' sigil."""
+        self.expect("%")
+        return self.name(what)
 
-def _wrap_const(value: int, tag: TypeTag) -> int:
-    return value & ((1 << tag.bits) - 1)
+    def instruction(self) -> Instruction:
+        """One instruction, read by walking the fields of its form."""
+        result, forms = None, STATEMENT_FORMS
+        unknown = "expected instruction, found"
+        if self.peek() == "%":
+            result = self.ref()
+            self.expect("=")
+            forms, unknown = RESULT_FORMS, "unknown instruction kind"
+        at = self.pos
+        kind = self.next()
+        form = forms.get(kind)
+        if form is None:
+            raise self.error(f"{unknown} {kind!r}", at)
+        tag = value = predicate = callee = count = None
+        operands, labels, arms = [], [], []
+        for field in form:
+            if field == OPERAND:
+                operands.append(self.ref())
+            elif field == TYPE:
+                tag = self.type_tag()
+            elif field == LABEL:
+                labels.append(self.ref("label"))
+            elif field == IMM:
+                value = wrap(self.integer(), tag.bits)
+            elif field == COUNT:
+                count = self.integer()
+            elif field == PREDICATE:
+                predicate = self.name("comparison predicate")
+                if predicate not in ICMP_PREDICATES:
+                    raise self.error(f"unknown predicate {predicate!r}", at)
+            elif field == CALL:
+                self.expect("@")
+                callee = self.name("function name")
+                self.expect("(")
+                if self.peek() != ")":
+                    operands.append(self.ref())
+                    while self.peek() != ")":
+                        self.expect(",")
+                        operands.append(self.ref())
+                self.pos += 1
+            elif field == ARMS:
+                while True:
+                    self.expect("[")
+                    v = self.ref()
+                    self.expect(",")
+                    arms.append((v, self.ref("predecessor label")))
+                    self.expect("]")
+                    if self.tokens[self.pos:self.pos + 1] != [","]:
+                        break
+                    self.pos += 1
+            elif field == RET_VALUE:
+                if self.peek() == "void":
+                    self.pos += 1
+                else:
+                    tag = self.type_tag()
+                    operands.append(self.ref())
+            else:
+                self.expect(field)
+        return Instruction(kind, result, tag, tuple(operands), value,
+                           predicate, tuple(labels), callee, count,
+                           tuple(arms))
 
+    def function(self) -> IrFunction:
+        self.expect("func")
+        self.expect("@")
+        name = self.name("function name")
+        self.expect("(")
+        params = []
+        if self.peek() != ")":
+            while True:
+                tag = self.type_tag()
+                params.append((self.ref("parameter name"), tag))
+                if self.peek() == ")":
+                    break
+                self.expect(",")
+        self.expect(")")
+        self.expect("->")
+        if self.peek() == "void":
+            self.pos += 1
+            ret = None
+        else:
+            ret = self.type_tag()
+        self.expect("{")
 
-def _parse_rhs(cur: _Cursor, result: str) -> Instruction:
-    kind_tok = cur.next()
-    _, kind, line, col = kind_tok
-    if kind == "const":
-        tag = cur.type_tag()
-        return Instruction("const", result=result, type=tag,
-                           value=_wrap_const(cur.integer(), tag))
-    if kind in BINARY_KINDS:
-        tag = cur.type_tag()
-        a = cur.value()
-        cur.expect(",")
-        b = cur.value()
-        return Instruction(kind, result=result, type=tag, operands=(a, b))
-    if kind == "icmp":
-        pred = cur.ident("comparison predicate")
-        if pred not in ICMP_PREDICATES:
-            raise ParseError(f"unknown predicate {pred!r}", line, col)
-        tag = cur.type_tag()
-        a = cur.value()
-        cur.expect(",")
-        b = cur.value()
-        return Instruction("icmp", result=result, type=tag, predicate=pred,
-                           operands=(a, b))
-    if kind == "select":
-        tag = cur.type_tag()
-        c = cur.value()
-        cur.expect(",")
-        a = cur.value()
-        cur.expect(",")
-        b = cur.value()
-        return Instruction("select", result=result, type=tag, operands=(c, a, b))
-    if kind in CAST_KINDS:
-        tag = cur.type_tag()
-        return Instruction(kind, result=result, type=tag,
-                           operands=(cur.value(),))
-    if kind == "alloca":
-        tag = cur.type_tag()
-        cur.expect("x")
-        return Instruction("alloca", result=result, type=tag,
-                           count=cur.integer())
-    if kind == "load":
-        tag = cur.type_tag()
-        base = cur.value()
-        cur.expect(",")
-        idx = cur.value()
-        return Instruction("load", result=result, type=tag, operands=(base, idx))
-    if kind == "call":
-        tag = cur.type_tag()
-        cur.expect("@")
-        callee = cur.ident("function name")
-        args = _parse_args(cur)
-        return Instruction("call", result=result, type=tag, callee=callee,
-                           operands=args)
-    if kind == "phi":
-        tag = cur.type_tag()
-        arms = []
+        blocks: list[Block] = []
+        label_at = self.pos
         while True:
-            cur.expect("[")
-            v = cur.value()
-            cur.expect(",")
-            cur.expect("%")
-            lbl = cur.ident("predecessor label")
-            cur.expect("]")
-            arms.append((v, lbl))
-            if cur.at_end() or cur.peek()[1] != ",":
+            label = self.name("block label")
+            self.expect(":")
+            instructions: list[Instruction] = []
+            while True:
+                ins = self.instruction()
+                instructions.append(ins)
+                if ins.is_terminator:
+                    break
+            blocks.append(Block(label, tuple(instructions)))
+            if self.peek() == "}":
+                self.pos += 1
                 break
-            cur.expect(",")
-        return Instruction("phi", result=result, type=tag,
-                           phi_args=tuple(arms))
-    raise ParseError(f"unknown instruction kind {kind!r}", line, col)
+            label_at = self.pos
 
-
-def _parse_args(cur: _Cursor) -> tuple[str, ...]:
-    cur.expect("(")
-    args = []
-    if cur.peek()[1] != ")":
-        while True:
-            args.append(cur.value())
-            if cur.peek()[1] == ")":
-                break
-            cur.expect(",")
-    cur.expect(")")
-    return tuple(args)
-
-
-def _parse_instruction(cur: _Cursor) -> Instruction:
-    kind, text, line, col = cur.peek()
-    if text == "%":
-        cur.next()
-        result = cur.ident("value id")
-        cur.expect("=")
-        return _parse_rhs(cur, result)
-    if text == "store":
-        cur.next()
-        tag = cur.type_tag()
-        val = cur.value()
-        cur.expect(",")
-        base = cur.value()
-        cur.expect(",")
-        idx = cur.value()
-        return Instruction("store", type=tag, operands=(val, base, idx))
-    if text == "br":
-        cur.next()
-        cur.expect("%")
-        return Instruction("br", labels=(cur.ident("label"),))
-    if text == "brcond":
-        cur.next()
-        c = cur.value()
-        cur.expect(",")
-        cur.expect("%")
-        t = cur.ident("label")
-        cur.expect(",")
-        cur.expect("%")
-        f = cur.ident("label")
-        return Instruction("brcond", operands=(c,), labels=(t, f))
-    if text == "ret":
-        cur.next()
-        if cur.peek()[1] == "void":
-            cur.next()
-            return Instruction("ret")
-        tag = cur.type_tag()
-        return Instruction("ret", type=tag, operands=(cur.value(),))
-    if text == "call":
-        cur.next()
-        cur.expect("void")
-        cur.expect("@")
-        callee = cur.ident("function name")
-        return Instruction("call", callee=callee, operands=_parse_args(cur))
-    raise ParseError(f"expected instruction, found {text!r}", line, col)
-
-
-def _parse_function(cur: _Cursor) -> IrFunction:
-    cur.expect("func")
-    cur.expect("@")
-    name = cur.ident("function name")
-    cur.expect("(")
-    params = []
-    if cur.peek()[1] != ")":
-        while True:
-            tag = cur.type_tag()
-            cur.expect("%")
-            params.append((cur.ident("parameter name"), tag))
-            if cur.peek()[1] == ")":
-                break
-            cur.expect(",")
-    cur.expect(")")
-    cur.expect("->")
-    if cur.peek()[1] == "void":
-        cur.next()
-        ret = None
-    else:
-        ret = cur.type_tag()
-    cur.expect("{")
-
-    blocks: list[Block] = []
-    label_tok = cur.next()
-    while True:
-        kind, label, line, col = label_tok
-        if kind != "ident":
-            raise ParseError(f"expected block label, found {label!r}", line, col)
-        cur.expect(":")
-        instructions: list[Instruction] = []
-        while True:
-            ins = _parse_instruction(cur)
-            instructions.append(ins)
-            if ins.is_terminator:
-                break
-        blocks.append(Block(label, tuple(instructions)))
-        nxt = cur.next()
-        if nxt[1] == "}":
-            break
-        label_tok = nxt
-
-    fn = IrFunction(name, tuple(params), ret, tuple(blocks))
-    _check_labels(fn, label_tok)
-    return fn
-
-
-def _check_labels(fn: IrFunction, near) -> None:
-    defined = {b.label for b in fn.blocks}
-    if len(defined) != len(fn.blocks):
-        raise ParseError(f"duplicate block label in @{fn.name}", near[2], near[3])
-    for block in fn.blocks:
-        for ins in block.instructions:
-            for lbl in ins.labels:
-                if lbl not in defined:
-                    raise ParseError(
-                        f"undefined label %{lbl} in @{fn.name}", near[2], near[3])
+        defined = {b.label for b in blocks}
+        if len(defined) != len(blocks):
+            raise self.error(f"duplicate block label in @{name}", label_at)
+        for block in blocks:
+            for ins in block.instructions:
+                for lbl in ins.labels:
+                    if lbl not in defined:
+                        raise self.error(
+                            f"undefined label %{lbl} in @{name}", label_at)
+        return IrFunction(name, tuple(params), ret, tuple(blocks))
 
 
 def parse_module(text: str) -> IrModule:
-    cur = _Cursor(_tokenize(text))
+    parser = _Parser(text)
     functions: list[IrFunction] = []
     seen: set[str] = set()
-    while not cur.at_end():
-        tok = cur.peek()
-        fn = _parse_function(cur)
+    while parser.pos < len(parser.tokens):
+        at = parser.pos
+        fn = parser.function()
         if fn.name in seen:
-            raise ParseError(f"duplicate function @{fn.name}", tok[2], tok[3])
+            raise parser.error(f"duplicate function @{fn.name}", at)
         seen.add(fn.name)
         functions.append(fn)
     return IrModule(tuple(functions))

@@ -77,8 +77,11 @@ CELL_ROLES = (CELL, RESULT)
 
 def _layout(kind: str, ops: tuple[TypeTag, ...], res: TypeTag | None):
     """(role, type) per operand element, or None when the types do not fit
-    the kind.  Cell roles carry the cell's type, region roles the element
-    type; table indices and branch targets carry None."""
+    the kind or the kind has no wire code.  Cell roles carry the cell's
+    type, region roles the element type; table indices and branch targets
+    carry None."""
+    if kind not in KIND_CODE:
+        return None
     n = len(ops)
     if kind == "call":
         return ((CALLEE, None),) + tuple((CELL, t) for t in ops) + \

@@ -278,22 +278,24 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
             return vpc + ln
         return handler
 
-    # the remaining kind is the guard
-    get_h, put_h = get[1], put[2]
+    if k == "guard":
+        get_h, put_h = get[1], put[2]
 
-    def handler(vm, vpc):
-        idx, exp_off, run_off = vpa[vpc + 1], vpa[vpc + 2], vpa[vpc + 3]
-        checkee = table_entry(bundle, vfn, CHECKEE, idx)
-        # both cells must lie in the image before the hash is taken
-        get_h(vm, exp_off)
-        get_h(vm, run_off)
-        h = compute_vpa_hash(checkee.vpa)
-        put_h(vm, run_off, h)
-        # the checkee is re-read from the stream, so its edge is too
-        check_guard(ctx, (vfn.name, checkee.name), h,
-                    get_h(vm, exp_off)[0])
-        return vpc + 4
-    return handler
+        def handler(vm, vpc):
+            idx, exp_off, run_off = vpa[vpc + 1], vpa[vpc + 2], vpa[vpc + 3]
+            checkee = table_entry(bundle, vfn, CHECKEE, idx)
+            # both cells must lie in the image before the hash is taken
+            get_h(vm, exp_off)
+            get_h(vm, run_off)
+            h = compute_vpa_hash(checkee.vpa)
+            put_h(vm, run_off, h)
+            # the checkee is re-read from the stream, so its edge is too
+            check_guard(ctx, (vfn.name, checkee.name), h,
+                        get_h(vm, exp_off)[0])
+            return vpc + 4
+        return handler
+    # `risa._layout` gives no other kind a layout
+    raise AssertionError(f"no handler for kind {k!r}")
 
 
 def _fetch_cold(bundle: ProtectedBundle, vfn: VirtFunction,

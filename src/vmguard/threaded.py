@@ -238,16 +238,18 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
             return s
         return run
 
-    # the remaining kind is the guard
-    idx, exp_off, run_off = ops
-    checkee = table_entry(bundle, vfn, CHECKEE, idx)
-    edge = (vfn.name, checkee.name)
+    if k == "guard":
+        idx, exp_off, run_off = ops
+        checkee = table_entry(bundle, vfn, CHECKEE, idx)
+        edge = (vfn.name, checkee.name)
 
-    def run(vm):
-        h = vm[run_off] = compute_vpa_hash(checkee.vpa)
-        check_guard(ctx, edge, h, vm[exp_off])
-        return s
-    return run
+        def run(vm):
+            h = vm[run_off] = compute_vpa_hash(checkee.vpa)
+            check_guard(ctx, edge, h, vm[exp_off])
+            return s
+        return run
+    # `risa._layout` gives no other kind a layout
+    raise AssertionError(f"no handler for kind {k!r}")
 
 
 def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):

@@ -117,6 +117,7 @@ def test_every_kind_has_a_layout_that_fixes_its_record_length(kind):
     HandlerSpec("ret", (I64, I64)),
     HandlerSpec("const", (I64,), I64),
     HandlerSpec("guard", (), I64),
+    HandlerSpec("icmp.lt", (TypeTag.I8, TypeTag.I8), I1),
 ])
 def test_signatures_that_do_not_fit_their_kind_have_no_layout(spec):
     assert spec.layout is None

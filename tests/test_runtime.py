@@ -397,6 +397,20 @@ def test_misfit_opcode_entry_is_tamper_only_when_dispatched(engine):
     assert res.tamper_cause.kind == INVALID_OPCODE
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_opcode_entry_of_a_kind_without_a_wire_code_is_refused(engine):
+    # icmp.lt reads like a compare but names no handler kind, so neither
+    # engine may build one for it, least of all a guard
+    broken = copy_bundle(protect_text(CHECKED_HELPER, seed=3))
+    main = broken.function("main")
+    used, _ = _record_of_kind(main, "mul")
+    main.risa.spec_of[main.vpa[used]] = HandlerSpec(
+        "icmp.lt", (TypeTag.I64, TypeTag.I64), TypeTag.I1)
+    res = engine(broken, [3])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_OPCODE
+
+
 def test_verify_reports_misfit_opcode_entries():
     bundle = protect_text(CHECKED_HELPER, seed=3)
     main = bundle.function("main")

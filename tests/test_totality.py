@@ -8,6 +8,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import protect_text
+from conftest import corpus_text
 from vmguard.bundle import BundleError, ExternFunction, deserialize, serialize
 from vmguard.cli import EXIT_FAILURE, EXIT_OK, EXIT_TAMPER, EXIT_TRAP, main
 from vmguard.ir.core import ExecutionResult
@@ -94,3 +96,28 @@ def test_run_maps_damaged_bundles_to_documented_exits(honest,
     rc = main(["run", str(path), *map(str, inputs), "--mode", mode,
                "--step-limit", str(limit)])
     assert rc in (EXIT_OK, EXIT_TRAP, EXIT_TAMPER, EXIT_FAILURE)
+
+
+@pytest.fixture()
+def superscript_source():
+    """fib at level 50, seed 0, with `²` as the integer of a const in the
+    source of plain @fib; the byte count stays the same."""
+    data = serialize(protect_text(corpus_text("fib"), seed=0, level=50))
+    honest = b"%two = const i64 2\n"
+    assert data.count(honest) == 1
+    return data.replace(honest, "%two = const i64 \u00b2".encode())
+
+
+def test_non_ascii_digit_in_plain_source_is_a_bundle_error(
+        superscript_source):
+    with pytest.raises(BundleError, match="unexpected character"):
+        deserialize(superscript_source)
+
+
+def test_run_refuses_non_ascii_digit_in_plain_source(superscript_source,
+                                                     tmp_path, capsys):
+    path = tmp_path / "fib.vsc"
+    path.write_bytes(superscript_source)
+    assert main(["run", str(path), "8"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "does not parse" in err and "Traceback" not in err
