@@ -43,6 +43,14 @@ def to_signed(value: int, bits: int) -> int:
     return value
 
 
+def index_limit(count: int, index: TypeTag) -> int:
+    """How many leading elements of a `count`-element region an index of
+    type `index` may reach: an index is in bounds when 0 <= signed index
+    < count, and capping the limit below the sign bit lets an index
+    cell's unsigned value stand in for the signed one."""
+    return min(count, 1 << (index.bits - 1))
+
+
 def _signed_quotient(a: int, b: int, bits: int) -> tuple[int, int, int]:
     """Both operands as signed values and their quotient, rounded toward
     zero; a divisor whose low `bits` are all zero traps."""

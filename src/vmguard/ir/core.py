@@ -189,42 +189,61 @@ STATEMENT_FORMS = {
 }
 
 
+class _Printers(dict):
+    """One printer per form, by (kind, defines a value), compiled on first
+    use into a single f-string over the instruction's fields."""
+
+    # the f-string text each field of a form prints; `{n}` is the number
+    # of operands the fields before it consumed
+    FIELDS = {
+        OPERAND: " %{{ins.operands[{n}]}}",
+        ",": ",",
+        TYPE: " {{ins.type.text}}",
+        LABEL: " %{{ins.labels[{m}]}}",
+        IMM: " {{to_signed(ins.value, ins.type.bits)}}",
+        COUNT: " {{ins.count}}",
+        PREDICATE: " {{ins.predicate}}",
+        CALL: " @{{ins.callee}}({{_names(ins.operands[{n}:])}})",
+        ARMS: " {{_arms(ins.phi_args)}}",
+        RET_VALUE: " {{_ret_value(ins)}}",
+    }
+
+    def __missing__(self, key):
+        kind, has_result = key
+        form = (RESULT_FORMS if has_result else STATEMENT_FORMS).get(kind)
+        if form is None:
+            raise ValueError(f"unknown instruction kind {kind!r}")
+        text = "%{ins.result} = " + kind if has_result else kind
+        n = m = 0
+        for field in form:
+            text += self.FIELDS.get(field, " " + str(field)).format(n=n, m=m)
+            n += field == OPERAND
+            m += field == LABEL
+        scope = {"to_signed": to_signed, "_names": _names, "_arms": _arms,
+                 "_ret_value": _ret_value}
+        exec(compile(f"def printer(ins):\n    return f{text!r}\n",
+                     f"<{kind} printer>", "exec"), scope)
+        printer = self[key] = scope["printer"]
+        return printer
+
+
+def _names(values) -> str:
+    return ", ".join(f"%{v}" for v in values)
+
+
+def _arms(phi_args) -> str:
+    return ", ".join(f"[%{v}, %{label}]" for v, label in phi_args)
+
+
+def _ret_value(ins: Instruction) -> str:
+    return f"{ins.type.text} %{ins.operands[0]}" if ins.operands else "void"
+
+
+_PRINTERS = _Printers()
+
+
 def format_instruction(ins: Instruction) -> str:
-    k = ins.kind
-    if ins.result is None:
-        form, text = STATEMENT_FORMS.get(k), k
-    else:
-        form, text = RESULT_FORMS.get(k), f"%{ins.result} = {k}"
-    if form is None:
-        raise ValueError(f"unknown instruction kind {k!r}")
-    operands, labels = iter(ins.operands), iter(ins.labels)
-    for field in form:
-        if field == OPERAND:
-            text += f" %{next(operands)}"
-        elif field == ",":
-            text += ","
-        elif field == TYPE:
-            text += " " + ins.type.text
-        elif field == LABEL:
-            text += f" %{next(labels)}"
-        elif field == IMM:
-            text += f" {to_signed(ins.value, ins.type.bits)}"
-        elif field == COUNT:
-            text += f" {ins.count}"
-        elif field == PREDICATE:
-            text += " " + ins.predicate
-        elif field == CALL:
-            args = ", ".join(f"%{a}" for a in operands)
-            text += f" @{ins.callee}({args})"
-        elif field == ARMS:
-            text += " " + ", ".join(f"[%{v}, %{lbl}]"
-                                    for v, lbl in ins.phi_args)
-        elif field == RET_VALUE:
-            text += (f" {ins.type.text} %{next(operands)}" if ins.operands
-                     else " void")
-        else:
-            text += " " + field
-    return text
+    return _PRINTERS[ins.kind, ins.result is not None](ins)
 
 
 def format_function(fn: IrFunction) -> str:

@@ -17,7 +17,7 @@ plain form inside a bundle.
 
 from __future__ import annotations
 
-from ..arith import TrapError, to_signed, value_closure
+from ..arith import TrapError, index_limit, to_signed, value_closure
 from ..execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                          STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
 from .core import ExecutionResult, IrFunction, IrModule, TypeTag
@@ -100,13 +100,9 @@ def _compile_instruction(ins, s, slots, tags, starts, counts):
         return run
 
     if k in ("load", "store"):
-        # an index is in bounds when 0 <= signed index < count; capping the
-        # limit below the index type's sign bit lets the unsigned value
-        # stand in for the signed one
         ops = [slots[o] for o in ins.operands]
         base, ix = ops[-2], ops[-1]
-        limit = min(counts[ins.operands[-2]],
-                    1 << (tags[ins.operands[-1]].bits - 1))
+        limit = index_limit(counts[ins.operands[-2]], tags[ins.operands[-1]])
         if k == "load":
             r = slots[ins.result]
 

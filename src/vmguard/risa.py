@@ -133,6 +133,15 @@ class HandlerSpec:
     operand_types: tuple[TypeTag, ...] = ()
     result_type: TypeTag | None = None
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # specs key the opcode tables and, a tuple of them, each hot block
+        # shape; the fields are frozen, so the hash is worked out once
+        return hash((self.kind, self.operand_types, self.result_type))
+
     @cached_property
     def layout(self) -> tuple[tuple[str, TypeTag | None], ...] | None:
         """The record's operand elements, in stream order, as (role, type)

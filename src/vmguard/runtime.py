@@ -28,7 +28,8 @@ from __future__ import annotations
 import struct
 import sys
 
-from .arith import TRAPPING, VALUE_KINDS, Template, TrapError, to_signed
+from .arith import (TRAPPING, VALUE_KINDS, Template, TrapError, index_limit,
+                    to_signed)
 from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         MAX_CALL_DEPTH, STEP_LIMIT_REASON,
@@ -197,13 +198,13 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
             *get[:-1], vpa, get[-1], put[-1])
 
     if k in ("load", "store"):
-        # an index cell is never i1, so its unsigned value is the signed
-        # one unless it reaches the sign bit, where the index is negative
         if k == "load":
             itag, w = spec.operand_types[0], spec.result_type.width
         else:
             itag, w = spec.operand_types[1], spec.operand_types[0].width
-        sb = 1 << (itag.bits - 1)
+        # the count is re-read from the stream on every execution; as one
+        # 16-bit element, its `index_limit` is the smaller of it and `cap`
+        cap = index_limit(1 << 16, itag)
 
     if k == "load":
         get_i, get_v, put_r = get[2], get[3], put[3]
@@ -213,7 +214,7 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
             i = get_i(vm, vpa[vpc + 3])[0]
             r = vpa[vpc + 4]
             addr = base + i * w
-            if i >= count or i >= sb or addr + w > size:
+            if i >= count or i >= cap or addr + w > size:
                 get_v(vm, r)    # a result cell outside the image is tamper
                 raise TrapError(LOAD_BOUNDS_REASON)
             put_r(vm, r, get_v(vm, addr)[0])
@@ -228,7 +229,7 @@ def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
             base, count = vpa[vpc + 2], vpa[vpc + 3]
             i = get_i(vm, vpa[vpc + 4])[0]
             addr = base + i * w
-            if i >= count or i >= sb or addr + w > size:
+            if i >= count or i >= cap or addr + w > size:
                 raise TrapError(STORE_BOUNDS_REASON)
             put_v(vm, addr, value)
             return vpc + 5
@@ -358,17 +359,23 @@ def execute_with_engine(bundle: ProtectedBundle, engine, inputs=(),
                         step_limit: int = DEFAULT_STEP_LIMIT,
                         entry: str | None = None) -> ExecutionResult:
     """Run a bundle to completion under the given transformed-function
-    engine and package the outcome."""
+    engine and package the outcome.  A bundle whose own entry index is
+    absent or names an intrinsic ends as tamper, before the first step;
+    an explicit `entry` naming an intrinsic is a caller error."""
+    ctx = ExecContext(inputs, step_limit)
     if entry is not None:
         target = bundle.function(entry)
+        if isinstance(target, ExternFunction):
+            raise ValueError("entry cannot be an intrinsic")
     else:
-        if bundle.entry_index is None:
-            raise ValueError("bundle declares no entry function")
-        target = bundle.functions[bundle.entry_index]
-    if isinstance(target, ExternFunction):
-        raise ValueError("entry cannot be an intrinsic")
+        index = bundle.entry_index
+        target = None if index is None else bundle.functions[index]
+        if target is None or isinstance(target, ExternFunction):
+            what = ("no entry function" if target is None
+                    else f"intrinsic @{target.name} as its entry")
+            return ExecutionResult.of(ctx, "tamper", tamper_cause=TamperSignal(
+                INVALID_REFERENCE, f"the bundle names {what}"))
 
-    ctx = ExecContext(inputs, step_limit)
     # each activation costs a handful of Python frames; make sure the
     # deepest honest call chain fits before the interpreter's own limit,
     # for this run only

@@ -13,6 +13,22 @@ the expression `arith.value_expr` states for its kind.  The register
 list is built from the image once per run, at decode time, and each
 activation starts from a copy of it.
 
+A basic block that gets hot runs as one generated function.  The first
+record counts activations, a loop's back edge counts the entries over
+its edges, and so does every edge out of a hot block; once a count
+reaches `HOT`, the block that starts at the edge's target is built and
+patched into the dispatch list in place of its first closure.  Its
+source comes from `_STATEMENTS`, one statement per record kind (a value
+kind's from `arith.value_expr`), and is compiled once per block shape,
+the records' specs, into a factory kept in a bounded process-wide
+cache; cells, region limits and successors are factory arguments, so
+no stream content or run state is cached.  Calls and guards run their
+record's own closure, so every guard still hashes the live stream.  The
+block counts steps per segment, ending one at each call and guard: a
+trap takes back the steps of the records after it, and a segment the
+step limit falls inside runs record by record.  Steps, traps, outputs
+and guard counts stay those of the per-record run.
+
 That removes the per-step opcode lookup, operand fetch, byte conversion
 and counter bounds check the checked engine pays for, at the cost of
 observing corruption lazily:
@@ -39,10 +55,12 @@ observing corruption lazily:
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
-from .arith import VALUE_KINDS, TrapError, value_closure
+from .arith import (PLACEHOLDERS, TRAPPING, VALUE_KINDS, TrapError,
+                    index_limit, value_closure, value_expr)
 from .bundle import ProtectedBundle, VirtFunction
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
@@ -117,10 +135,13 @@ class _Cells:
         self.size = len(vfn.image)
         self.spans: set[tuple[int, int, int]] = set()  # (start, end, width)
 
-    def cell(self, off: int, width: int, where: str) -> int:
-        """Validate one baked cell reference; corrupt offsets are refused
-        here so the hot loop never bounds-checks them."""
+    def cell(self, off: int, width: int, where: str | int) -> int:
+        """Validate one baked cell reference, made by the record at offset
+        `where` or by what `where` names; corrupt offsets are refused here
+        so the hot loop never bounds-checks them."""
         if off + width > self.size:
+            if isinstance(where, int):
+                where = f"record at {where}"
             raise TamperSignal(
                 INVALID_REFERENCE, f"@{self.vfn.name}: {where} references "
                 "a cell outside the image")
@@ -160,16 +181,23 @@ class _Cells:
 
 def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
                     rec: ThreadedRecord, ctx: ExecContext, engine,
-                    cells: _Cells):
+                    cells: _Cells, blocks: _Blocks):
+    """The closure that runs `rec` and returns its successor.  A branch
+    back to its own or an earlier record, a loop's back edge, counts the
+    entries over each of its edges and heats the target whose count runs
+    out; edges out of a hot block count there.  A load or store notes its
+    index limit in `blocks`."""
     spec = rec.spec
     k = spec.kind
     s = rec.successor
+    if k == "br" and rec.operands[0] <= rec.offset:
+        return _counting_br(s, blocks.heat)
     if k in ("const", "alloca", "br"):
         # no engine reads these operands: constants sit in the template
         return lambda vm: s
 
     # every cell the record names is validated here, once
-    where = f"record at {rec.offset}"
+    where = rec.offset
     ops = [cells.cell(v, tag.width, where) if role in CELL_ROLES else v
            for (role, tag), v in zip(spec.layout, rec.operands)]
 
@@ -177,16 +205,14 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
         return value_closure(k, spec.operand_types, spec.result_type, ops, s)
 
     if k in ("load", "store"):
-        # an index is in bounds when 0 <= signed index < limit; capping the
-        # limit below the index type's sign bit lets the unsigned value
-        # stand in for the signed one
         if k == "load":
             itag, w = spec.operand_types[0], spec.result_type.width
             base, count, ix, r = ops
         else:
             itag, w = spec.operand_types[1], spec.operand_types[0].width
             v, base, count, ix = ops
-        limit = min(cells.region(base, count, w), 1 << (itag.bits - 1))
+        limit = blocks.limits[rec.offset] = index_limit(
+            cells.region(base, count, w), itag)
 
         if k == "load":
             def run(vm):
@@ -207,6 +233,8 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
     if k == "brcond":
         c = ops[0]
         t, f = s
+        if min(ops[1], ops[2]) <= rec.offset:
+            return _counting_brcond(c, t, f, blocks.heat)
 
         def run(vm):
             return t if vm[c] else f
@@ -252,12 +280,311 @@ def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
     raise AssertionError(f"no handler for kind {k!r}")
 
 
+# a loop's back edge counts the entries over its edges, as the `br` and
+# `brcond` statements of a hot block do; written out, since building a
+# one-record block from the table costs every decode more
+def _counting_br(t: int, heat):
+    n = HOT
+
+    def run(vm):
+        nonlocal n
+        n -= 1
+        if not n:
+            heat(t)
+        return t
+    return run
+
+
+def _counting_brcond(c: int, t: int, f: int, heat):
+    nt = nf = HOT
+
+    def run(vm):
+        nonlocal nt, nf
+        if vm[c]:
+            nt -= 1
+            if not nt:
+                heat(t)
+            return t
+        nf -= 1
+        if not nf:
+            heat(f)
+        return f
+    return run
+
+
+# ------------------------------------------------------------ hot blocks
+
+# entries into a block, as an activation's first block, over a loop's
+# back edge or from a hot block, after which it runs as one generated
+# function
+HOT = 32
+# block shapes whose factories are kept, process-wide
+MAX_BLOCK_SHAPES = 1024
+
+# The Python statement(s) each record kind runs as inside a hot block.
+# `{aN}` is the record's N-th block argument, as `_block_args` gives
+# them, and `{eN}` counts the entries over the edge to `{aN}`; `{w}` is
+# a load or store's element width; `{back}` is how many records of its
+# segment follow the record, which a trap takes back off `ctx.steps` so
+# it reports the trapping record's step.  A value kind's statement is
+# `_VALUE` or `_TRAPPING` around its `arith.value_expr` expression, and a
+# call or guard runs its record's own closure.
+_VALUE = "vm[{r}] = {value}\n"
+_TRAPPING = """\
+try:
+    vm[{r}] = {value}
+except TrapError:
+    ctx.steps -= {back}
+    raise
+"""
+_STATEMENTS = {
+    **dict.fromkeys(VALUE_KINDS, _VALUE),
+    **dict.fromkeys(TRAPPING, _TRAPPING),
+    "const": "",
+    "alloca": "",
+    "load": """\
+i = vm[{a0}]
+if i >= {a1}:
+    ctx.steps -= {back}
+    raise TrapError(LOAD_BOUNDS_REASON)
+vm[{a3}] = vm[{a2} + i * {w}]
+""",
+    "store": """\
+i = vm[{a0}]
+if i >= {a1}:
+    ctx.steps -= {back}
+    raise TrapError(STORE_BOUNDS_REASON)
+vm[{a2} + i * {w}] = vm[{a3}]
+""",
+    "call": "{a0}(vm)\n",
+    "guard": "{a0}(vm)\n",
+    "br": """\
+{e0} -= 1
+if not {e0}:
+    heat({a0})
+return {a0}
+""",
+    "brcond": """\
+if vm[{a0}]:
+    {e1} -= 1
+    if not {e1}:
+        heat({a1})
+    return {a1}
+{e2} -= 1
+if not {e2}:
+    heat({a2})
+return {a2}
+""",
+    # a ret with a value copies it to the return cell
+    "ret": "vm[{a0}] = vm[{a1}]\nreturn -1\n",
+}
+# the kinds that end a block, and those that end a segment of it
+_TERMINATORS = ("br", "brcond", "ret")
+_SEGMENT_ENDS = ("call", "guard")
+
+
+def _statement(spec: HandlerSpec) -> str:
+    """`spec`'s statement template, with its value expression and element
+    width filled in."""
+    k = spec.kind
+    if k == "ret" and not spec.layout:
+        return "return -1\n"
+    template = _STATEMENTS[k]
+    if k in VALUE_KINDS:
+        expr, consts = value_expr(k, spec.operand_types, spec.result_type)
+        names = PLACEHOLDERS[len(spec.operand_types)]
+        value = expr.format(**{p: f"vm[{{a{i}}}]"
+                               for i, p in enumerate(names)})
+        if consts:
+            # constants become literals, an operator its `arith` function
+            literal = {name: getattr(c, "__name__", repr(c))
+                       for name, c in consts.items()}
+            value = re.sub(r"\b(%s)\b" % "|".join(consts),
+                           lambda m: literal[m[1]], value)
+        return template.replace("{value}", value).replace(
+            "{r}", f"{{a{len(names)}}}")
+    if k in ("load", "store"):
+        width = (spec.result_type if k == "load"
+                 else spec.operand_types[0]).width
+        return template.replace("{w}", str(width))
+    return template
+
+
+def _block_args(vfn: VirtFunction, rec: ThreadedRecord, run,
+                limits: dict) -> tuple:
+    """The arguments of `rec`'s statement, numbered as its `_STATEMENTS`
+    entry names them; `run` is the record's closure and `limits` the
+    index limits of loads and stores by offset, all worked out when the
+    record was decoded.  A value record's arguments are its operands, the
+    operand cells then the result cell, so it needs no call here."""
+    k = rec.spec.kind
+    ops = rec.operands
+    if k in ("call", "guard"):
+        return (run,)
+    if k == "br":
+        return (rec.successor,)
+    if k == "brcond":
+        return (ops[0], *rec.successor)
+    if k == "load":
+        return ops[2], limits[rec.offset], ops[0], ops[3]
+    if k == "store":
+        return ops[3], limits[rec.offset], ops[1], ops[0]
+    if k == "ret" and ops:
+        # with no return cell, the value is copied onto itself
+        return (ops[0] if vfn.ret_slot is None else vfn.ret_slot[0], ops[0])
+    return ()
+
+
+def _block_source(specs: tuple[HandlerSpec, ...]) -> str:
+    """The source of the factory of one block shape, the specs of its
+    records, the last a terminator.  The factory takes the run's context,
+    step limit, `heat` and `cold`, the leader's ordinal `o`, then each
+    record's block arguments."""
+    params, counters, body = [], [], []
+    start = 0
+    for j, spec in enumerate(specs):
+        if j == start:
+            # count the segment ahead; the dispatch loop has counted the
+            # leader already
+            end = next((e + 1 for e in range(j, len(specs))
+                        if specs[e].kind in _SEGMENT_ENDS), len(specs))
+            count = end - start - (start == 0)
+            if count:
+                body += [f"st = ctx.steps + {count}",
+                         "if st > limit:",
+                         f"    return cold(vm, o + {start}, "
+                         f"{int(start == 0)})",
+                         "ctx.steps = st"]
+        template = _statement(spec)
+        fields = set(re.findall(r"\{(\w+)\}", template))
+        names = {f: f"{f}_{j}" for f in fields if f[0] in "ae"}
+        params += [f"a{p}_{j}" for p in range(
+            sum(f[0] == "a" for f in fields))]
+        counters += [n for f, n in names.items() if f[0] == "e"]
+        body += template.format(back=end - 1 - j, **names).splitlines()
+        if spec.kind in _SEGMENT_ENDS:
+            start = j + 1
+    params = ["ctx", "limit", "heat", "cold", "o", *params]
+    lines = [f"def factory({', '.join(params)}):"]
+    if counters:
+        lines += [f"    {' = '.join(counters)} = {HOT}"]
+    # the arguments bind as defaults, fast locals kept in one tuple, and
+    # only the entry counters as closure cells
+    lines += [f"    def block(vm, {', '.join(f'{p}={p}' for p in params)}):"]
+    if counters:
+        lines += [f"        nonlocal {', '.join(counters)}"]
+    lines += [f"        {line}" for line in body]
+    lines += ["    return block"]
+    return "\n".join(lines) + "\n"
+
+
+class _BlockFactories(dict):
+    """Block factories by shape, the tuple of the records' specs.  A
+    factory is compiled on first use; the oldest is dropped once
+    `MAX_BLOCK_SHAPES` are kept.  The source comes only from `_STATEMENTS`
+    and `value_expr`'s fixed table; nothing of a run or of a stream is
+    cached."""
+
+    def __missing__(self, shape):
+        if len(self) >= MAX_BLOCK_SHAPES:
+            del self[next(iter(self))]
+        scope = {"TrapError": TrapError, **TRAPPING,
+                 "LOAD_BOUNDS_REASON": LOAD_BOUNDS_REASON,
+                 "STORE_BOUNDS_REASON": STORE_BOUNDS_REASON}
+        exec(compile(_block_source(shape), "<hot block>", "exec"), scope)
+        factory = self[shape] = scope["factory"]
+        return factory
+
+
+BLOCK_FACTORIES = _BlockFactories()
+
+
+class _Blocks:
+    """One function's dispatch list in one run, and the hot blocks patched
+    into it.  The list starts as the per-record closures, the first one
+    behind a counter of activations; `heat(leader)` replaces the closure
+    at `leader` with the block that starts there, run as one generated
+    function.  `limits` holds the index limit of each load and store, by
+    record offset, as decoding worked it out."""
+
+    __slots__ = ("vfn", "records", "ctx", "limits", "code", "first", "flat",
+                 "hot")
+
+    def __init__(self, vfn: VirtFunction, records: list[ThreadedRecord],
+                 ctx: ExecContext) -> None:
+        self.vfn = vfn
+        self.records = records
+        self.ctx = ctx
+        self.limits: dict[int, int] = {}
+        self.flat = None            # the closures, from the first heat on
+
+    def dispatch_list(self, code: list) -> list:
+        """`code`, the records' closures, with the first behind a counter
+        of activations."""
+        self.code = code
+        first = self.first = code[0]
+        heat = self.heat
+        n = HOT
+
+        def enter(vm):
+            nonlocal n
+            n -= 1
+            if not n:
+                heat(0)
+            return first(vm)
+        code[0] = enter
+        return code
+
+    def heat(self, leader: int) -> None:
+        """Patch the block at `leader` into the dispatch list, unless it is
+        there already.  A block runs to the next terminator, through any
+        branch target on the way, which may start a block of its own."""
+        if self.flat is None:
+            self.flat = self.code.copy()
+            self.flat[0] = self.first
+            self.hot = set()
+        elif leader in self.hot:
+            return
+        self.hot.add(leader)
+        vfn, flat, limits = self.vfn, self.flat, self.limits
+        specs, args = [], []
+        for o, rec in enumerate(self.records[leader:], leader):
+            spec = rec.spec
+            specs.append(spec)
+            if spec.kind in VALUE_KINDS:
+                args += rec.operands
+            else:
+                args += _block_args(vfn, rec, flat[o], limits)
+                if spec.kind in _TERMINATORS:
+                    break
+        ctx = self.ctx
+        self.code[leader] = BLOCK_FACTORIES[tuple(specs)](
+            ctx, ctx.step_limit, self.heat, self.cold, leader, *args)
+
+    def cold(self, vm, ordinal: int, counted: int) -> int:
+        """Run the per-record closures from `ordinal` to the activation's
+        end, which a hot block hands over when the step limit falls inside
+        one of its segments; `counted` of its steps are counted already."""
+        ctx, flat = self.ctx, self.flat
+        ctx.steps -= counted
+        limit = ctx.step_limit
+        while ordinal != -1:
+            ctx.steps += 1
+            if ctx.steps > limit:
+                raise TrapError(STEP_LIMIT_REASON)
+            ordinal = flat[ordinal](vm)
+        return -1
+
+
 def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
-    """Decoded closures, register-file template, (cell, mask) per
-    parameter and the return cell of `vfn`."""
+    """Dispatch list, register-file template, (cell, mask) per parameter
+    and the return cell of `vfn`."""
     cells = _Cells(vfn)
-    code = [_compile_record(bundle, vfn, rec, ctx, run_threaded, cells)
-            for rec in pre_decode(vfn)]
+    records = pre_decode(vfn)
+    blocks = _Blocks(vfn, records, ctx)
+    code = blocks.dispatch_list([
+        _compile_record(bundle, vfn, rec, ctx, run_threaded, cells, blocks)
+        for rec in records])
     params = [(cells.cell(off, tag.width, "a parameter"),
                (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
     ret = None

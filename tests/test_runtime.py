@@ -162,9 +162,23 @@ def test_bundle_without_entry_needs_an_explicit_name():
     bundle = protect_text(CHECKED_HELPER, seed=1)
     headless = copy_bundle(bundle)
     headless.entry_index = None
-    with pytest.raises(ValueError):
-        execute_secure(headless, [3])
-    assert execute_secure(headless, [3], entry="main").value == 21
+    for engine in (execute_secure, execute_optimized):
+        res = engine(headless, [3])
+        assert res.status == "tamper" and res.steps == 0
+        assert res.tamper_cause.kind == INVALID_REFERENCE
+        assert engine(headless, [3], entry="main").value == 21
+
+
+def test_entry_index_naming_an_intrinsic_is_tamper(corpus_flat):
+    bundle = copy_bundle(protect_module(corpus_flat["fib"], seed=1))
+    bundle.entry_index = bundle.index_of("print_i64")
+    for engine in (execute_secure, execute_optimized):
+        res = engine(bundle, [1])
+        assert res.status == "tamper" and res.steps == 0
+        assert res.tamper_cause.kind == INVALID_REFERENCE
+        assert not res.tamper_cause.at_decode
+        with pytest.raises(ValueError):
+            engine(bundle, [1], entry="print_i64")
 
 
 # ---- detection paths -------------------------------------------------------

@@ -1,13 +1,18 @@
+import itertools
+
 import pytest
 
 from builders import CHECKED_HELPER, MIXED_CALLS, protect_text
+from vmguard import runtime, threaded
+from vmguard.arith import DIV_BY_ZERO
 from vmguard.bundle import (FlipRandomElement, SwapOpcodes, TamperError,
                             ZeroRange, copy_bundle, tamper_bundle)
 from vmguard.execstate import (LOAD_BOUNDS_REASON, STEP_LIMIT_REASON,
                                STORE_BOUNDS_REASON)
+from vmguard.guards import compute_vpa_hash
 from vmguard.ir import ExecutionResult, TypeTag, reference_interpret
 from vmguard.protect import ProtectionConfig, virtualize_module
-from vmguard.risa import HandlerSpec, walk_records
+from vmguard.risa import KIND_NAMES, HandlerSpec, handler_spec, walk_records
 from vmguard.rng import SplitMix64
 from vmguard.runtime import (HASH_MISMATCH, INVALID_OPCODE,
                              INVALID_REFERENCE, PC_ESCAPE, TamperSignal,
@@ -430,3 +435,210 @@ def test_engines_agree_on_tampered_corpus_bundles_unless_refused_at_decode(
                            _fingerprint(optimized)))
     assert differ == []
     assert agreed > 0       # some damage must get past decoding
+
+
+# ---- hot blocks -------------------------------------------------------------
+
+# `n` turns of a loop whose body divides by `stop - i`, stores at index
+# `i + soff` and loads at `i + loff` of a 64-element region, so each trap
+# fires in the middle of the body once it runs as a hot block
+TRAPPING_LOOP = """\
+func @main(i64 %n, i64 %stop, i64 %soff, i64 %loff) -> i64 {
+entry:
+  %zero = const i64 0
+  %one = const i64 1
+  %arr = alloca i64 x 64
+  br %loop
+loop:
+  %i = phi i64 [%zero, %entry], [%inext, %body]
+  %acc = phi i64 [%zero, %entry], [%accnext, %body]
+  %more = icmp slt i64 %i, %n
+  brcond %more, %body, %exit
+body:
+  %d = sub i64 %stop, %i
+  %q = sdiv i64 %n, %d
+  %si = add i64 %i, %soff
+  store i64 %q, %arr, %si
+  %li = add i64 %i, %loff
+  %x = load i64 %arr, %li
+  %accnext = add i64 %acc, %x
+  %inext = add i64 %i, %one
+  br %loop
+exit:
+  ret i64 %acc
+}
+"""
+
+# a loop that calls a helper with a loop of its own on every turn
+CALLING_LOOP = """\
+func @main(i64 %n) -> i64 {
+entry:
+  %zero = const i64 0
+  %one = const i64 1
+  br %loop
+loop:
+  %i = phi i64 [%zero, %entry], [%inext, %body]
+  %acc = phi i64 [%zero, %entry], [%accnext, %body]
+  %more = icmp slt i64 %i, %n
+  brcond %more, %body, %exit
+body:
+  %t = call i64 @tri(%i)
+  call void @print_i64(%t)
+  %accnext = add i64 %acc, %t
+  %inext = add i64 %i, %one
+  br %loop
+exit:
+  ret i64 %acc
+}
+
+func @tri(i64 %k) -> i64 {
+entry:
+  %zero = const i64 0
+  %one = const i64 1
+  br %loop
+loop:
+  %j = phi i64 [%zero, %entry], [%jnext, %body]
+  %s = phi i64 [%zero, %entry], [%snext, %body]
+  %more = icmp sle i64 %j, %k
+  brcond %more, %body, %exit
+body:
+  %snext = add i64 %s, %j
+  %jnext = add i64 %j, %one
+  br %loop
+exit:
+  ret i64 %s
+}
+"""
+
+
+@pytest.fixture()
+def heated(monkeypatch):
+    """The ctx.steps of every block patched in, in order."""
+    steps = []
+    heat = threaded._Blocks.heat
+
+    def spy(self, leader):
+        before = self.code[leader]
+        heat(self, leader)
+        if self.code[leader] is not before:
+            steps.append(self.ctx.steps)
+    monkeypatch.setattr(threaded._Blocks, "heat", spy)
+    return steps
+
+
+def _same_run(a, b):
+    assert _fingerprint(a) == _fingerprint(b)
+
+
+def test_step_limit_sweep_across_the_hot_transition(corpus_flat, manifest,
+                                                    heated):
+    entry = next(p for p in manifest["programs"] if p["name"] == "loop_sum")
+    inputs = entry["inputs"]["check"]
+    bundle = virtualize_module(corpus_flat["loop_sum"],
+                               ProtectionConfig(seed=3, level=100))
+    honest = execute_optimized(bundle, inputs)
+    assert honest.status == "normal" and heated
+    first = heated[0]
+    for limit in range(first - 40, first + 400):
+        a = execute_secure(bundle, inputs, step_limit=limit)
+        b = execute_optimized(bundle, inputs, step_limit=limit)
+        assert a.status == b.status == "trap", limit
+        assert a.trap_reason == b.trap_reason == STEP_LIMIT_REASON
+        assert a.steps == b.steps == limit + 1, limit
+        _same_run(a, b)
+
+
+@pytest.mark.parametrize("inputs, reason", [
+    ([100, 50, 0, 0], DIV_BY_ZERO),
+    ([100, 1000, 14, 0], STORE_BOUNDS_REASON),
+    ([100, 1000, 0, 14], LOAD_BOUNDS_REASON),
+])
+def test_trap_inside_a_hot_block_reports_its_own_step(inputs, reason, heated):
+    bundle = protect_text(TRAPPING_LOOP, seed=6, enable_guards=False)
+    a = execute_secure(bundle, inputs)
+    b = execute_optimized(bundle, inputs)
+    assert heated and heated[0] < b.steps
+    assert a.status == b.status == "trap"
+    assert a.trap_reason == b.trap_reason == reason
+    _same_run(a, b)
+    # step limits that fall in the trapping record's segment
+    for limit in range(b.steps - 12, b.steps + 2):
+        _same_run(execute_secure(bundle, inputs, step_limit=limit),
+                  execute_optimized(bundle, inputs, step_limit=limit))
+
+
+def test_guard_mismatch_inside_a_hot_block(corpus_flat, manifest,
+                                           monkeypatch, heated):
+    entry = next(p for p in manifest["programs"] if p["name"] == "loop_sum")
+    inputs = entry["inputs"]["check"]
+    # a draw that puts a guard in the loop
+    bundle = next(b for b in (virtualize_module(
+        corpus_flat["loop_sum"], ProtectionConfig(seed=s, level=100))
+        for s in range(40)) if execute_optimized(b, inputs).guard_execs > 200)
+
+    def forged_after(n):
+        """compute_vpa_hash, with every result after the n-th flipped."""
+        calls = [0]
+
+        def forged(vpa):
+            calls[0] += 1
+            return compute_vpa_hash(vpa) ^ (calls[0] > n)
+        return forged
+
+    heated.clear()
+    monkeypatch.setattr(runtime, "compute_vpa_hash", forged_after(150))
+    a = execute_secure(bundle, inputs)
+    monkeypatch.setattr(threaded, "compute_vpa_hash", forged_after(150))
+    b = execute_optimized(bundle, inputs)
+    assert heated and heated[0] < b.steps
+    assert a.status == b.status == "tamper"
+    assert a.tamper_cause.kind == b.tamper_cause.kind == HASH_MISMATCH
+    assert a.guard_execs == b.guard_execs == 151
+    _same_run(a, b)
+
+
+def test_callee_trips_the_limit_when_called_from_a_hot_block(heated):
+    bundle = protect_text(CALLING_LOOP, seed=8, level=100)
+    honest = execute_optimized(bundle, [60])
+    assert honest.status == "normal"
+    # from the last block to get hot, the caller's, sweep the limit
+    # through a few of its turns
+    last = heated[-1]
+    assert last + 1200 < honest.steps
+    for limit in range(last, last + 1200, 3):
+        a = execute_secure(bundle, [60], step_limit=limit)
+        b = execute_optimized(bundle, [60], step_limit=limit)
+        assert b.status == "trap" and b.steps == limit + 1, limit
+        _same_run(a, b)
+
+
+def test_block_factories_stay_bounded(corpus_flat, manifest, monkeypatch):
+    monkeypatch.setattr(threaded, "MAX_BLOCK_SHAPES", 3)
+    factories = threaded._BlockFactories()
+    monkeypatch.setattr(threaded, "BLOCK_FACTORIES", factories)
+    for entry in manifest["programs"]:
+        inputs = entry["inputs"]["check"]
+        bundle = virtualize_module(corpus_flat[entry["name"]],
+                                   ProtectionConfig(seed=2, level=100))
+        _same_run(execute_secure(bundle, inputs),
+                  execute_optimized(bundle, inputs))
+        assert 0 < len(factories) <= 3
+
+
+def _fitting_spec(kind):
+    """A signature of `kind` that has a layout."""
+    tags = list(TypeTag)
+    for n in range(4):
+        for ops in itertools.product(tags, repeat=n):
+            for res in (None, *tags):
+                spec = handler_spec(kind, ops, res)
+                if spec.layout is not None:
+                    return spec
+    raise AssertionError(f"no signature of {kind!r} has a layout")
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+def test_every_kind_has_a_block_statement(kind):
+    spec = _fitting_spec(kind)
+    shape = (spec,) if spec.kind == "ret" else (spec, handler_spec("ret"))
+    compile(threaded._block_source(shape), "<hot block>", "exec")

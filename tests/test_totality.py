@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from builders import protect_text
 from conftest import corpus_text
-from vmguard.bundle import BundleError, ExternFunction, deserialize, serialize
+from vmguard.bundle import BundleError, deserialize, serialize
 from vmguard.cli import EXIT_FAILURE, EXIT_OK, EXIT_TAMPER, EXIT_TRAP, main
 from vmguard.ir.core import ExecutionResult
 from vmguard.protect import ProtectionConfig, virtualize_module
@@ -59,13 +59,6 @@ def _damaged(data: bytes, damage) -> bytes:
     return bytes(out)
 
 
-def _runnable(bundle) -> bool:
-    """False for a bundle the engines refuse up front with ValueError: no
-    entry, or an entry that is an intrinsic."""
-    return (bundle.entry_index is not None and not isinstance(
-        bundle.functions[bundle.entry_index], ExternFunction))
-
-
 @settings(max_examples=EXAMPLES)
 @given(DAMAGE)
 def test_damaged_bundles_load_or_run_to_a_result(honest, case):
@@ -76,10 +69,6 @@ def test_damaged_bundles_load_or_run_to_a_result(honest, case):
     except BundleError:
         return
     for engine in (execute_secure, execute_optimized):
-        if not _runnable(bundle):
-            with pytest.raises(ValueError):
-                engine(bundle, inputs, step_limit=limit)
-            continue
         assert isinstance(engine(bundle, inputs, step_limit=limit),
                           ExecutionResult)
 
@@ -121,3 +110,14 @@ def test_run_refuses_non_ascii_digit_in_plain_source(superscript_source,
     assert main(["run", str(path), "8"]) == EXIT_FAILURE
     err = capsys.readouterr().err
     assert "does not parse" in err and "Traceback" not in err
+
+
+def test_run_maps_an_intrinsic_entry_to_the_tamper_exit(tmp_path, capsys):
+    """One flipped bit of the entry index can name an intrinsic; the bundle
+    still loads, and running it ends as tamper before the first step."""
+    bundle = protect_text(corpus_text("fib"), seed=0, level=50)
+    bundle.entry_index = bundle.index_of("print_i64")
+    path = tmp_path / "fib.vsc"
+    path.write_bytes(serialize(bundle))
+    assert main(["run", str(path), "8"]) == EXIT_TAMPER
+    assert "tamper detected: invalid reference" in capsys.readouterr().err
