@@ -133,12 +133,6 @@ class ProtectedBundle:
     def function(self, name: str):
         return self.functions[self.index_of(name)]
 
-    @property
-    def entry_name(self) -> str | None:
-        if self.entry_index is None:
-            return None
-        return self.functions[self.entry_index].name
-
     def edge_names(self) -> list[GuardEdge]:
         return [GuardEdge(self.functions[a].name, self.functions[b].name)
                 for a, b in self.edges]

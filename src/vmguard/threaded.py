@@ -9,25 +9,30 @@ value as one canonical unsigned int, so a handler is a few list
 operations (`vm[r] = (vm[a] + vm[b]) & m`) instead of byte slices.  A
 value record's closure comes from `arith.value_closure`, the
 register-list template the reference interpreter uses too, filled with
-the expression `arith.value_expr` states for its kind.  The register
-list is built from the image once per run, at decode time, and each
-activation starts from a copy of it.
+the expression `arith.value_expr` states for its kind; any other
+record's runs its kind's statement from `_STATEMENTS`, compiled once per
+spec, and for a branch per direction, into a one-record factory.  The
+arguments of each record's statement are worked out once, at decode, by
+`_record_args`.  The register list is built from the image once per
+run, at decode time, and each activation starts from a copy of it.
 
 A basic block that gets hot runs as one generated function.  The first
 record counts activations, a loop's back edge counts the entries over
 its edges, and so does every edge out of a hot block; once a count
 reaches `HOT`, the block that starts at the edge's target is built and
 patched into the dispatch list in place of its first closure.  Its
-source comes from `_STATEMENTS`, one statement per record kind (a value
-kind's from `arith.value_expr`), and is compiled once per block shape,
-the records' specs, into a factory kept in a bounded process-wide
-cache; cells, region limits and successors are factory arguments, so
-no stream content or run state is cached.  Calls and guards run their
-record's own closure, so every guard still hashes the live stream.  The
-block counts steps per segment, ending one at each call and guard: a
-trap takes back the steps of the records after it, and a segment the
-step limit falls inside runs record by record.  Steps, traps, outputs
-and guard counts stay those of the per-record run.
+source strings together the same `_STATEMENTS`, one per record kind (a
+value kind's from `arith.value_expr`), and is compiled once per block
+shape, the records' specs.  Both kinds of factory are kept in bounded
+process-wide caches; cells, region limits, callees and successors are
+factory arguments, so no stream content or run state is cached.  Calls
+and guards run inline: the generated code looks `call_function` and
+`compute_vpa_hash` up in this module at each call, and every guard
+still hashes the live stream.  The block counts steps per segment,
+ending one at each call and guard: a trap takes back the steps of the
+records after it, and a segment the step limit falls inside runs record
+by record.  Steps, traps, outputs and guard counts stay those of the
+per-record run.
 
 That removes the per-step opcode lookup, operand fetch, byte conversion
 and counter bounds check the checked engine pays for, at the cost of
@@ -61,6 +66,8 @@ from dataclasses import dataclass
 
 from .arith import (PLACEHOLDERS, TRAPPING, VALUE_KINDS, TrapError,
                     index_limit, value_closure, value_expr)
+# the trapping kinds' functions, which generated statements name
+from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ProtectedBundle, VirtFunction
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
@@ -179,156 +186,65 @@ class _Cells:
         return vm
 
 
-def _compile_record(bundle: ProtectedBundle, vfn: VirtFunction,
-                    rec: ThreadedRecord, ctx: ExecContext, engine,
-                    cells: _Cells, blocks: _Blocks):
-    """The closure that runs `rec` and returns its successor.  A branch
-    back to its own or an earlier record, a loop's back edge, counts the
-    entries over each of its edges and heats the target whose count runs
-    out; edges out of a hot block count there.  A load or store notes its
-    index limit in `blocks`."""
+def _record_args(bundle: ProtectedBundle, vfn: VirtFunction,
+                 rec: ThreadedRecord, cells: _Cells):
+    """The arguments of `rec`'s statement, numbered as its `_STATEMENTS`
+    entry names them, worked out once when the record is decoded: every
+    cell the record names is validated here, a load or store's index limit
+    computed and a call's callee or a guard's checkee resolved.  A value
+    record's arguments are its operand cells, then its result cell."""
     spec = rec.spec
     k = spec.kind
-    s = rec.successor
-    if k == "br" and rec.operands[0] <= rec.offset:
-        return _counting_br(s, blocks.heat)
-    if k in ("const", "alloca", "br"):
+    if k in ("const", "alloca"):
         # no engine reads these operands: constants sit in the template
-        return lambda vm: s
-
-    # every cell the record names is validated here, once
-    where = rec.offset
-    ops = [cells.cell(v, tag.width, where) if role in CELL_ROLES else v
+        return ()
+    if k == "br":
+        return (rec.successor,)
+    ops = [cells.cell(v, tag.width, rec.offset) if role in CELL_ROLES else v
            for (role, tag), v in zip(spec.layout, rec.operands)]
-
     if k in VALUE_KINDS:
-        return value_closure(k, spec.operand_types, spec.result_type, ops, s)
-
-    if k in ("load", "store"):
-        if k == "load":
-            itag, w = spec.operand_types[0], spec.result_type.width
-            base, count, ix, r = ops
-        else:
-            itag, w = spec.operand_types[1], spec.operand_types[0].width
-            v, base, count, ix = ops
-        limit = blocks.limits[rec.offset] = index_limit(
-            cells.region(base, count, w), itag)
-
-        if k == "load":
-            def run(vm):
-                i = vm[ix]
-                if i >= limit:
-                    raise TrapError(LOAD_BOUNDS_REASON)
-                vm[r] = vm[base + i * w]
-                return s
-        else:
-            def run(vm):
-                i = vm[ix]
-                if i >= limit:
-                    raise TrapError(STORE_BOUNDS_REASON)
-                vm[base + i * w] = vm[v]
-                return s
-        return run
-
+        return ops
+    if k == "load":
+        base, count, ix, r = ops
+        n = cells.region(base, count, spec.result_type.width)
+        return ix, index_limit(n, spec.operand_types[0]), base, r
+    if k == "store":
+        v, base, count, ix = ops
+        n = cells.region(base, count, spec.operand_types[0].width)
+        return ix, index_limit(n, spec.operand_types[1]), base, v
     if k == "brcond":
-        c = ops[0]
-        t, f = s
-        if min(ops[1], ops[2]) <= rec.offset:
-            return _counting_brcond(c, t, f, blocks.heat)
-
-        def run(vm):
-            return t if vm[c] else f
-        return run
-
+        return (ops[0], *rec.successor)
     if k == "ret":
-        if ops and vfn.ret_slot is not None:
-            src, roff = ops[0], vfn.ret_slot[0]
-
-            def run(vm):
-                vm[roff] = vm[src]
-                return -1
-            return run
-        return lambda vm: -1
-
+        # a value goes to the return cell, or with none onto itself
+        return ops and (ops[0] if vfn.ret_slot is None
+                        else vfn.ret_slot[0], ops[0])
     if k == "call":
-        target = table_entry(bundle, vfn, CALLEE, ops[0])
-        arg_cells = ops[1:1 + len(spec.operand_types)]
-        res = rm = None
-        if spec.result_type is not None:
-            res = ops[-1]
-            rm = (1 << spec.result_type.bits) - 1
-
-        def run(vm):
-            value = call_function(bundle, target, [vm[o] for o in arg_cells],
-                                  ctx, engine)
-            if res is not None:
-                vm[res] = (value or 0) & rm
-            return s
-        return run
-
+        return (bundle, table_entry(bundle, vfn, CALLEE, ops[0]), *ops[1:])
     if k == "guard":
-        idx, exp_off, run_off = ops
-        checkee = table_entry(bundle, vfn, CHECKEE, idx)
-        edge = (vfn.name, checkee.name)
-
-        def run(vm):
-            h = vm[run_off] = compute_vpa_hash(checkee.vpa)
-            check_guard(ctx, edge, h, vm[exp_off])
-            return s
-        return run
+        checkee = table_entry(bundle, vfn, CHECKEE, ops[0])
+        return (checkee, (vfn.name, checkee.name), *ops[1:])
     # `risa._layout` gives no other kind a layout
     raise AssertionError(f"no handler for kind {k!r}")
 
 
-# a loop's back edge counts the entries over its edges, as the `br` and
-# `brcond` statements of a hot block do; written out, since building a
-# one-record block from the table costs every decode more
-def _counting_br(t: int, heat):
-    n = HOT
-
-    def run(vm):
-        nonlocal n
-        n -= 1
-        if not n:
-            heat(t)
-        return t
-    return run
-
-
-def _counting_brcond(c: int, t: int, f: int, heat):
-    nt = nf = HOT
-
-    def run(vm):
-        nonlocal nt, nf
-        if vm[c]:
-            nt -= 1
-            if not nt:
-                heat(t)
-            return t
-        nf -= 1
-        if not nf:
-            heat(f)
-        return f
-    return run
-
-
-# ------------------------------------------------------------ hot blocks
+# ------------------------------------------------------------ statements
 
 # entries into a block, as an activation's first block, over a loop's
 # back edge or from a hot block, after which it runs as one generated
 # function
 HOT = 32
-# block shapes whose factories are kept, process-wide
+# factories kept, process-wide, in each cache
 MAX_BLOCK_SHAPES = 1024
 
-# The Python statement(s) each record kind runs as inside a hot block.
-# `{aN}` is the record's N-th block argument, as `_block_args` gives
-# them, and `{eN}` counts the entries over the edge to `{aN}`; `{w}` is
-# a load or store's element width; `{back}` is how many records of its
-# segment follow the record, which a trap takes back off `ctx.steps` so
-# it reports the trapping record's step.  A value kind's statement is
+# The Python statement(s) each record kind runs as, alone as a cold record
+# or inside a hot block.  `{aN}` is the record's N-th argument, as
+# `_record_args` gives them, and `{eN}` counts the entries over the edge
+# to `{aN}`; `{w}` is a load or store's element width and `{args}` a
+# call's argument cells; `{back}` is how many records of its segment
+# follow the record, which a trap takes back off `ctx.steps` so it
+# reports the trapping record's step.  A value kind's statement is
 # `_VALUE` or `_TRAPPING` around its `arith.value_expr` expression, and a
-# call or guard runs its record's own closure.
+# call with a result stores it masked to its type.
 _VALUE = "vm[{r}] = {value}\n"
 _TRAPPING = """\
 try:
@@ -356,8 +272,11 @@ if i >= {a1}:
     raise TrapError(STORE_BOUNDS_REASON)
 vm[{a2} + i * {w}] = vm[{a3}]
 """,
-    "call": "{a0}(vm)\n",
-    "guard": "{a0}(vm)\n",
+    "call": "v = call_function({a0}, {a1}, [{args}], ctx, run_threaded)\n",
+    "guard": """\
+h = vm[{a3}] = compute_vpa_hash({a0}.vpa)
+check_guard(ctx, {a1}, h, vm[{a2}])
+""",
     "br": """\
 {e0} -= 1
 if not {e0}:
@@ -378,17 +297,23 @@ return {a2}
     # a ret with a value copies it to the return cell
     "ret": "vm[{a0}] = vm[{a1}]\nreturn -1\n",
 }
+# a cold branch that is not a loop's back edge counts no entries
+_FORWARD = {"br": "return {a0}\n",
+            "brcond": "return {a1} if vm[{a0}] else {a2}\n"}
 # the kinds that end a block, and those that end a segment of it
 _TERMINATORS = ("br", "brcond", "ret")
 _SEGMENT_ENDS = ("call", "guard")
 
 
-def _statement(spec: HandlerSpec) -> str:
-    """`spec`'s statement template, with its value expression and element
-    width filled in."""
+def _statement(spec: HandlerSpec, forward: bool = False) -> str:
+    """`spec`'s statement template, with its value expression, element
+    width or argument cells filled in; `forward` picks a branch's
+    uncounted form."""
     k = spec.kind
     if k == "ret" and not spec.layout:
         return "return -1\n"
+    if forward:
+        return _FORWARD[k]
     template = _STATEMENTS[k]
     if k in VALUE_KINDS:
         expr, consts = value_expr(k, spec.operand_types, spec.result_type)
@@ -407,40 +332,24 @@ def _statement(spec: HandlerSpec) -> str:
         width = (spec.result_type if k == "load"
                  else spec.operand_types[0]).width
         return template.replace("{w}", str(width))
+    if k == "call":
+        n = len(spec.operand_types)
+        template = template.replace("{args}", ", ".join(
+            f"vm[{{a{i}}}]" for i in range(2, 2 + n)))
+        if spec.result_type is not None:
+            mask = (1 << spec.result_type.bits) - 1
+            template += f"vm[{{a{2 + n}}}] = (v or 0) & {mask}\n"
     return template
 
 
-def _block_args(vfn: VirtFunction, rec: ThreadedRecord, run,
-                limits: dict) -> tuple:
-    """The arguments of `rec`'s statement, numbered as its `_STATEMENTS`
-    entry names them; `run` is the record's closure and `limits` the
-    index limits of loads and stores by offset, all worked out when the
-    record was decoded.  A value record's arguments are its operands, the
-    operand cells then the result cell, so it needs no call here."""
-    k = rec.spec.kind
-    ops = rec.operands
-    if k in ("call", "guard"):
-        return (run,)
-    if k == "br":
-        return (rec.successor,)
-    if k == "brcond":
-        return (ops[0], *rec.successor)
-    if k == "load":
-        return ops[2], limits[rec.offset], ops[0], ops[3]
-    if k == "store":
-        return ops[3], limits[rec.offset], ops[1], ops[0]
-    if k == "ret" and ops:
-        # with no return cell, the value is copied onto itself
-        return (ops[0] if vfn.ret_slot is None else vfn.ret_slot[0], ops[0])
-    return ()
-
-
-def _block_source(specs: tuple[HandlerSpec, ...]) -> str:
+def _block_source(specs: tuple[HandlerSpec, ...],
+                  forward: bool = False) -> str:
     """The source of the factory of one block shape, the specs of its
-    records, the last a terminator.  The factory takes the run's context,
-    step limit, `heat` and `cold`, the leader's ordinal `o`, then each
-    record's block arguments."""
-    params, counters, body = [], [], []
+    records: a hot block, the last a terminator, or one cold record, with
+    `forward` for a branch in its uncounted form.  The factory takes the
+    run's context, step limit, `heat` and `cold`, the first record's
+    ordinal `o`, then each record's arguments."""
+    params, counters, body = ["ctx", "limit", "heat", "cold", "o"], [], []
     start = 0
     for j, spec in enumerate(specs):
         if j == start:
@@ -455,7 +364,7 @@ def _block_source(specs: tuple[HandlerSpec, ...]) -> str:
                          f"    return cold(vm, o + {start}, "
                          f"{int(start == 0)})",
                          "ctx.steps = st"]
-        template = _statement(spec)
+        template = _statement(spec, forward)
         fields = set(re.findall(r"\{(\w+)\}", template))
         names = {f: f"{f}_{j}" for f in fields if f[0] in "ae"}
         params += [f"a{p}_{j}" for p in range(
@@ -464,13 +373,19 @@ def _block_source(specs: tuple[HandlerSpec, ...]) -> str:
         body += template.format(back=end - 1 - j, **names).splitlines()
         if spec.kind in _SEGMENT_ENDS:
             start = j + 1
-    params = ["ctx", "limit", "heat", "cold", "o", *params]
     lines = [f"def factory({', '.join(params)}):"]
+    if specs[-1].kind not in _TERMINATORS:
+        # a record run alone goes on to the next one
+        lines += [f"    nxt = o + {len(specs)}"]
+        params += ["nxt"]
+        body += ["return nxt"]
     if counters:
         lines += [f"    {' = '.join(counters)} = {HOT}"]
-    # the arguments bind as defaults, fast locals kept in one tuple, and
-    # only the entry counters as closure cells
-    lines += [f"    def block(vm, {', '.join(f'{p}={p}' for p in params)}):"]
+    # what the block reads binds as defaults, fast locals kept in one
+    # tuple, and only the entry counters as closure cells
+    text = "\n".join(body)
+    bound = [f"{p}={p}" for p in params if re.search(rf"\b{p}\b", text)]
+    lines += [f"    def block({', '.join(['vm', *bound])}):"]
     if counters:
         lines += [f"        nonlocal {', '.join(counters)}"]
     lines += [f"        {line}" for line in body]
@@ -478,25 +393,31 @@ def _block_source(specs: tuple[HandlerSpec, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _BlockFactories(dict):
-    """Block factories by shape, the tuple of the records' specs.  A
-    factory is compiled on first use; the oldest is dropped once
-    `MAX_BLOCK_SHAPES` are kept.  The source comes only from `_STATEMENTS`
-    and `value_expr`'s fixed table; nothing of a run or of a stream is
-    cached."""
+class _Factories(dict):
+    """Factories by key, compiled from `source(key)` on first use; the
+    oldest is dropped once `MAX_BLOCK_SHAPES` are kept.  The source comes
+    only from `_STATEMENTS` and `value_expr`'s fixed table, so nothing of a
+    run or of a stream is cached.  The code runs in this module's
+    namespace: `call_function` and `compute_vpa_hash` are looked up at
+    each call, and a wrapper installed on either sees every call."""
 
-    def __missing__(self, shape):
+    def __init__(self, source) -> None:
+        self.source = source
+
+    def __missing__(self, key):
         if len(self) >= MAX_BLOCK_SHAPES:
             del self[next(iter(self))]
-        scope = {"TrapError": TrapError, **TRAPPING,
-                 "LOAD_BOUNDS_REASON": LOAD_BOUNDS_REASON,
-                 "STORE_BOUNDS_REASON": STORE_BOUNDS_REASON}
-        exec(compile(_block_source(shape), "<hot block>", "exec"), scope)
-        factory = self[shape] = scope["factory"]
+        scope: dict = {}
+        exec(compile(self.source(key), "<hot block>", "exec"), globals(),
+             scope)
+        factory = self[key] = scope["factory"]
         return factory
 
 
-BLOCK_FACTORIES = _BlockFactories()
+# block factories by shape, the tuple of the records' specs, and one-record
+# factories, the cold path, by (spec, forward)
+BLOCK_FACTORIES = _Factories(_block_source)
+RECORD_FACTORIES = _Factories(lambda key: _block_source(key[:1], key[1]))
 
 
 class _Blocks:
@@ -504,18 +425,16 @@ class _Blocks:
     into it.  The list starts as the per-record closures, the first one
     behind a counter of activations; `heat(leader)` replaces the closure
     at `leader` with the block that starts there, run as one generated
-    function.  `limits` holds the index limit of each load and store, by
-    record offset, as decoding worked it out."""
+    function.  `args` holds each record's arguments, as decoding worked
+    them out."""
 
-    __slots__ = ("vfn", "records", "ctx", "limits", "code", "first", "flat",
-                 "hot")
+    __slots__ = ("records", "args", "ctx", "code", "first", "flat", "hot")
 
-    def __init__(self, vfn: VirtFunction, records: list[ThreadedRecord],
+    def __init__(self, records: list[ThreadedRecord], args: list,
                  ctx: ExecContext) -> None:
-        self.vfn = vfn
         self.records = records
+        self.args = args
         self.ctx = ctx
-        self.limits: dict[int, int] = {}
         self.flat = None            # the closures, from the first heat on
 
     def dispatch_list(self, code: list) -> list:
@@ -546,17 +465,12 @@ class _Blocks:
         elif leader in self.hot:
             return
         self.hot.add(leader)
-        vfn, flat, limits = self.vfn, self.flat, self.limits
         specs, args = [], []
-        for o, rec in enumerate(self.records[leader:], leader):
-            spec = rec.spec
-            specs.append(spec)
-            if spec.kind in VALUE_KINDS:
-                args += rec.operands
-            else:
-                args += _block_args(vfn, rec, flat[o], limits)
-                if spec.kind in _TERMINATORS:
-                    break
+        for rec, rec_args in zip(self.records[leader:], self.args[leader:]):
+            specs.append(rec.spec)
+            args += rec_args
+            if rec.spec.kind in _TERMINATORS:
+                break
         ctx = self.ctx
         self.code[leader] = BLOCK_FACTORIES[tuple(specs)](
             ctx, ctx.step_limit, self.heat, self.cold, leader, *args)
@@ -578,20 +492,34 @@ class _Blocks:
 
 def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     """Dispatch list, register-file template, (cell, mask) per parameter
-    and the return cell of `vfn`."""
+    and the return cell of `vfn`.  A value record's closure comes from
+    `arith.value_closure`, any other's from its one-record factory; a
+    branch back to its own or an earlier record, a loop's back edge,
+    counts the entries over its edges."""
     cells = _Cells(vfn)
     records = pre_decode(vfn)
-    blocks = _Blocks(vfn, records, ctx)
-    code = blocks.dispatch_list([
-        _compile_record(bundle, vfn, rec, ctx, run_threaded, cells, blocks)
-        for rec in records])
+    args = [_record_args(bundle, vfn, rec, cells) for rec in records]
+    blocks = _Blocks(records, args, ctx)
+    limit, heat, cold = ctx.step_limit, blocks.heat, blocks.cold
+    code = []
+    for o, (rec, rec_args) in enumerate(zip(records, args)):
+        spec = rec.spec
+        if spec.kind in VALUE_KINDS:
+            code.append(value_closure(spec.kind, spec.operand_types,
+                                      spec.result_type, rec_args,
+                                      rec.successor))
+        else:
+            forward = bool(spec.targets) and min(
+                rec.operands[p] for p in spec.targets) > rec.offset
+            code.append(RECORD_FACTORIES[spec, forward](
+                ctx, limit, heat, cold, o, *rec_args))
     params = [(cells.cell(off, tag.width, "a parameter"),
                (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
     ret = None
     if vfn.ret_slot is not None:
         off, tag = vfn.ret_slot
         ret = cells.cell(off, tag.width, "the return cell")
-    return code, cells.template(), params, ret
+    return blocks.dispatch_list(code), cells.template(), params, ret
 
 
 def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):

@@ -113,11 +113,12 @@ def test_module_without_extern_calls_gets_no_intrinsic_entries():
 
 
 def test_entry_is_main_when_present_else_first_function():
-    assert protect_text(corpus_text("fib"), seed=1).entry_name == "main"
+    bundle = protect_text(corpus_text("fib"), seed=1)
+    assert bundle.functions[bundle.entry_index].name == "main"
     no_main = CHECKED_HELPER.replace("@main", "@start")
     bundle = protect_text(no_main, seed=1)
     assert bundle.entry_index == 0
-    assert bundle.entry_name == "start"
+    assert bundle.functions[bundle.entry_index].name == "start"
 
 
 def test_opcode_tables_differ_across_seeds_and_functions():

@@ -1,4 +1,7 @@
+import builtins
+import dis
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -614,15 +617,58 @@ def test_callee_trips_the_limit_when_called_from_a_hot_block(heated):
 
 def test_block_factories_stay_bounded(corpus_flat, manifest, monkeypatch):
     monkeypatch.setattr(threaded, "MAX_BLOCK_SHAPES", 3)
-    factories = threaded._BlockFactories()
-    monkeypatch.setattr(threaded, "BLOCK_FACTORIES", factories)
+    caches = []
+    for name in ("BLOCK_FACTORIES", "RECORD_FACTORIES"):
+        cache = threaded._Factories(getattr(threaded, name).source)
+        monkeypatch.setattr(threaded, name, cache)
+        caches.append(cache)
     for entry in manifest["programs"]:
         inputs = entry["inputs"]["check"]
         bundle = virtualize_module(corpus_flat[entry["name"]],
                                    ProtectionConfig(seed=2, level=100))
         _same_run(execute_secure(bundle, inputs),
                   execute_optimized(bundle, inputs))
-        assert 0 < len(factories) <= 3
+        assert all(0 < len(cache) <= 3 for cache in caches)
+
+
+def _wrapped_counts(module, execute, bundle, inputs, monkeypatch):
+    """Calls through `module`'s call bridge and hash, each wrapped in a
+    counter, during one run."""
+    counts = Counter()
+
+    def counting(name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in ("call_function", "compute_vpa_hash"):
+            m.setattr(module, name, counting(name))
+        assert execute(bundle, inputs).status == "normal"
+    return counts
+
+
+@pytest.mark.parametrize("program", ["fib", "loop_sum"])
+def test_wrappers_on_the_bridge_and_the_hash_see_every_call(
+        corpus_flat, manifest, monkeypatch, heated, program):
+    """A tracer counts calls by wrapping the module attributes; factories
+    cached before the wrappers went in still call through them."""
+    entry = next(p for p in manifest["programs"] if p["name"] == program)
+    inputs = entry["inputs"]["check"]
+    bundle = virtualize_module(corpus_flat[program],
+                               ProtectionConfig(seed=1, level=100))
+    execute_optimized(bundle, inputs)
+    heated.clear()
+    optimized = _wrapped_counts(threaded, execute_optimized, bundle, inputs,
+                                monkeypatch)
+    assert heated
+    secure = _wrapped_counts(runtime, execute_secure, bundle, inputs,
+                             monkeypatch)
+    assert optimized == secure
+    assert secure["call_function"] > 0 and secure["compute_vpa_hash"] > 0
 
 
 def _fitting_spec(kind):
@@ -637,8 +683,23 @@ def _fitting_spec(kind):
     raise AssertionError(f"no signature of {kind!r} has a layout")
 
 
+def _globals_read(factory) -> set[str]:
+    """The global names a factory's block reads."""
+    block = next(c for c in factory.__code__.co_consts
+                 if hasattr(c, "co_code"))
+    return {i.argval for i in dis.get_instructions(block)
+            if i.opname == "LOAD_GLOBAL"}
+
+
 @pytest.mark.parametrize("kind", KIND_NAMES)
 def test_every_kind_has_a_block_statement(kind):
     spec = _fitting_spec(kind)
     shape = (spec,) if spec.kind == "ret" else (spec, handler_spec("ret"))
-    compile(threaded._block_source(shape), "<hot block>", "exec")
+    factories = [threaded._Factories(threaded._block_source)[shape]]
+    # alone, as a cold record, a branch both counted and forward
+    records = threaded._Factories(threaded.RECORD_FACTORIES.source)
+    factories += [records[spec, forward]
+                  for forward in ((False, True) if spec.targets else (False,))]
+    defined = vars(threaded).keys() | vars(builtins).keys()
+    for factory in factories:
+        assert _globals_read(factory) <= defined
