@@ -9,12 +9,14 @@ with a hole for that expression: it compiles one closure factory per
 signature, on first use, so building a closure is one lookup and one
 call, and the closure runs the same operations a hand-written one
 would.  `value_closure` builds the register-list closures of the
-optimized engine and the reference interpreter; the checked engine
-keeps its live-stream templates in `runtime`.
+optimized engine's cold records; the checked engine keeps its
+live-stream templates in `runtime`.  Generated basic blocks write a value
+kind as `value_source` and keep their factories in `Factories` caches.
 """
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:       # importing vmguard.ir at run time would be circular
@@ -153,6 +155,20 @@ def value_expr(kind: str, operand_types, result: TypeTag):
     raise ValueError(f"not a value kind: {kind!r}")
 
 
+def value_source(kind: str, operand_types, result: TypeTag,
+                 operands) -> str:
+    """`kind`'s `value_expr` over the expressions `operands`, its constants
+    written as literals and a trapping operator as its function's name."""
+    expr, consts = value_expr(kind, operand_types, result)
+    if consts:
+        literal = {name: getattr(c, "__name__", repr(c))
+                   for name, c in consts.items()}
+        expr = re.sub(r"\b(%s)\b" % "|".join(consts),
+                      lambda m: literal[m[1]], expr)
+    return expr.format(**dict(zip(PLACEHOLDERS[len(operand_types)],
+                                  operands)))
+
+
 class Template(dict):
     """The closure factories of one closure shape, compiled on first use
     and kept by signature: (kind, operand types as a tuple, result type).
@@ -202,3 +218,28 @@ def value_closure(kind: str, operand_types: tuple, result: TypeTag | None,
     canonical ints: `kind` is a binary kind, `icmp.<pred>`, `select` or a
     cast, and `cells` holds the operand indices followed by the result's."""
     return REGISTERS[kind, operand_types, result](*cells, s)
+
+
+# factories kept, process-wide, in each `Factories` cache
+MAX_BLOCK_SHAPES = 1024
+
+
+class Factories(dict):
+    """Factories by key, compiled from `source(key)` on first use, the
+    oldest dropped once `MAX_BLOCK_SHAPES` are kept.  The code runs in
+    `namespace`, a module's globals, where the names it reads are looked
+    up at each call.  The source comes only from an executor's statement
+    table and `value_expr`, so nothing of a run or a stream is cached."""
+
+    def __init__(self, source, namespace: dict) -> None:
+        super().__init__()
+        self.source, self.namespace = source, namespace
+
+    def __missing__(self, key):
+        if len(self) >= MAX_BLOCK_SHAPES:
+            del self[next(iter(self))]
+        scope: dict = {}
+        exec(compile(self.source(key), "<generated block>", "exec"),
+             self.namespace, scope)
+        factory = self[key] = scope["factory"]
+        return factory

@@ -1,154 +1,222 @@
 """Reference interpreter: the semantic oracle every protected run is
 compared against.
 
-On its first activation in a run, a function is compiled into one
-closure per instruction, in block order, over a register list: every
-value id gets a slot, and each closure computes its instruction and
-returns the index of the next one, or -1 to return.  Value closures come
-from `arith.value_closure`, the register-list template the optimized
-engine uses too, filled with the one expression `arith.value_expr`
-states for each kind.  The compiled form lives in the run's
-`ExecContext`, so nothing outlives the run.  Each executed instruction
-still costs one step from the shared budget, counted before it runs,
-and traps keep their reasons.  Calls resolve through a pluggable hook so
-the bytecode runtime can reuse this evaluator for functions left in
-plain form inside a bundle.
+On its first activation in a run, a function is compiled over a register
+list, one slot per value id, into one generated function per basic
+block, which returns the index of the next block, or -1 to return.  A
+block's source strings together the statement of each instruction's kind
+from `_STATEMENTS` (a value kind's is its `arith.value_expr` expression)
+and is compiled once per block shape into a factory kept in a bounded
+process-wide cache; slots, constants and successors are factory
+arguments, and the built blocks live in the run's `ExecContext`.  A
+block counts steps per segment, ending at each call: a trap takes back
+the steps of the instructions after it, and a segment the step limit
+falls inside runs one instruction at a time, so steps and traps are
+those of counting each instruction before it runs.  Calls resolve
+through a pluggable hook so the bytecode runtime can reuse this
+evaluator for plain functions inside a bundle.  The statements are the
+interpreter's own, so its runs stay an independent check on the engines.
 """
 
 from __future__ import annotations
 
-from ..arith import TrapError, index_limit, to_signed, value_closure
+import re
+
+from ..arith import (TRAPPING, VALUE_KINDS, Factories, TrapError,
+                     index_limit, to_signed, value_source)
+# the trapping kinds' functions, which generated statements name
+from ..arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from ..execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                          STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
-from .core import ExecutionResult, IrFunction, IrModule, TypeTag
+from .core import (TERMINATOR_KINDS, ExecutionResult, IrFunction, IrModule,
+                   TypeTag)
 
-# register slots of the activation's call hook and its return value
-_HOOK, _RET = 0, 1
+# The Python statement(s) each IR kind runs as, over the register list
+# `regs`, whose slot 0 holds the activation's call hook and slot 1 its
+# return value.  `{aN}` is the instruction's N-th argument, as
+# `_instruction` gives them, and `{back}` is how many instructions of its
+# segment follow it, which a trap takes back off `ctx.steps`.  A value
+# kind's statement is `_VALUE` or `_TRAPPING` around its expression; a
+# call passes its argument slots' values as `{args}` and stores its
+# result as returned, unmasked.
+_VALUE = "regs[{r}] = {value}"
+_TRAPPING = """\
+try:
+    regs[{r}] = {value}
+except TrapError:
+    ctx.steps -= {back}
+    raise"""
+_STATEMENTS = {
+    **dict.fromkeys(VALUE_KINDS, _VALUE),
+    **dict.fromkeys(TRAPPING, _TRAPPING),
+    "const": "regs[{a0}] = {a1}",
+    "alloca": "regs[{a0}] = [0] * {a1}",
+    "load": """\
+i = regs[{a0}]
+if i >= {a1}:
+    ctx.steps -= {back}
+    raise TrapError(LOAD_BOUNDS_REASON)
+regs[{a3}] = regs[{a2}][i]""",
+    "store": """\
+i = regs[{a0}]
+if i >= {a1}:
+    ctx.steps -= {back}
+    raise TrapError(STORE_BOUNDS_REASON)
+regs[{a2}][i] = regs[{a3}]""",
+    "call": "regs[0]({a0}, [{args}])",
+    "phi": """\
+ctx.steps -= {back}
+raise TrapError("phi reached at run time")""",
+    "br": "return {a0}",
+    "brcond": "return {a1} if regs[{a0}] else {a2}",
+    "ret": "regs[1] = regs[{a0}]\nreturn -1",
+}
+
+
+def _instruction(ins, slots, tags, starts, counts) -> tuple:
+    """`ins`'s shape, what its statement depends on besides its arguments,
+    and those arguments, numbered as its `_STATEMENTS` entry names them.
+    A value kind's shape holds its operand and result types, and its
+    arguments are its operands' slots, then its result's; a call's shape
+    holds its arity and whether it keeps its result."""
+    k = ins.kind
+    ops = tuple(map(slots.__getitem__, ins.operands))
+    if k in ("const", "alloca"):
+        return (k,), (slots[ins.result],
+                      ins.value if k == "const" else ins.count)
+    if k in ("load", "store"):
+        *_, base, ix = ins.operands
+        limit = index_limit(counts[base], tags[ix])
+        last = slots[ins.result] if k == "load" else ops[0]
+        return (k,), (ops[-1], limit, ops[-2], last)
+    if k == "call":
+        args = (ins.callee, *ops)
+        if ins.result is not None:
+            args += (slots[ins.result],)
+        return (k, len(ops), ins.result is not None), args
+    if k in ("br", "brcond"):
+        return (k,), (*ops, *(starts[label] for label in ins.labels))
+    if k == "phi":
+        return (k,), ()
+    if k == "ret":
+        return (k, bool(ops)), ops[:1]
+    if k == "icmp":
+        k = f"icmp.{ins.predicate}"
+    return ((k, tuple(map(tags.__getitem__, ins.operands)), tags[ins.result]),
+            (*ops, slots[ins.result]))
+
+
+def _statement(shape: tuple) -> str:
+    """`shape`'s statement template, with a value kind's expression or a
+    call's arguments filled in."""
+    k = shape[0]
+    if k == "call":
+        _, n, kept = shape
+        call = _STATEMENTS[k].replace("{args}", ", ".join(
+            f"regs[{{a{i}}}]" for i in range(1, n + 1)))
+        return f"regs[{{a{n + 1}}}] = {call}" if kept else call
+    if k == "ret" and not shape[1]:
+        return "return -1"
+    if len(shape) < 3:
+        return _STATEMENTS[k]
+    _, operand_types, result = shape
+    n = len(operand_types)
+    value = value_source(k, operand_types, result,
+                         [f"regs[{{a{i}}}]" for i in range(n)])
+    return _STATEMENTS[k].replace("{value}", value).replace(
+        "{r}", f"{{a{n}}}")
+
+
+def _block_source(key: tuple) -> str:
+    """The source of the factory of one block shape: its instructions'
+    shapes, whether it adds its (function, label) pair to the run's trace,
+    and whether its first step is counted before it runs, as the hand-over
+    counts each instruction.  The factory takes the context, the step
+    limit, the hand-over, the block's first position `o` and the block
+    `nxt` it falls through to; then the trace and the pair, if traced, and
+    each instruction's arguments."""
+    shapes, traced, counted = key
+    params = ["ctx", "limit", "hand", "o", "nxt"]
+    body = []
+    if traced:
+        params += ["trace", "pair"]
+        body.append("trace.add(pair)")
+    start = 0
+    for j, shape in enumerate(shapes):
+        if j == start:
+            # count the segment ahead
+            end = next((e + 1 for e in range(j, len(shapes))
+                        if shapes[e][0] == "call"), len(shapes))
+            count = end - start - (counted and start == 0)
+            if count:
+                body += [f"st = ctx.steps + {count}",
+                         "if st > limit:",
+                         f"    return hand(regs, o + {start})",
+                         "ctx.steps = st"]
+        template = _statement(shape)
+        names = {f"a{p}": f"a{p}_{j}"
+                 for p in range(len(set(re.findall(r"\{a\d+\}", template))))}
+        params += names.values()
+        body += template.format(back=end - 1 - j, **names).splitlines()
+        if shape[0] == "call":
+            start = j + 1
+    if not shapes or shapes[-1][0] not in TERMINATOR_KINDS:
+        body.append("return nxt")
+    # what the block reads binds as defaults, fast locals
+    text = "\n".join(body)
+    bound = [f"{p}={p}" for p in params if re.search(rf"\b{p}\b", text)]
+    return (f"def factory({', '.join(params)}):\n"
+            f"    def block({', '.join(['regs', *bound])}):\n"
+            + "".join(f"        {line}\n" for line in body)
+            + "    return block\n")
+
+
+# block factories by (instruction shapes, traced, first step counted)
+BLOCK_FACTORIES = Factories(_block_source, globals())
 
 
 def _compile(fn: IrFunction, ctx: ExecContext):
-    """`fn`'s closures, its register-list template and the (slot, mask)
-    of each parameter."""
+    """`fn`'s blocks, built for this run, its register-list template and
+    the (slot, mask) of each parameter.  A block ends at its first
+    terminator; a branch to a duplicated label goes to the first block
+    that has it."""
     tags = value_tags(fn)
     slots = {name: n for n, name in enumerate(tags, 2)}
     params = [(slots[name], (1 << tag.bits) - 1) for name, tag in fn.params]
-    starts: dict[str, int] = {}         # the first of duplicate labels wins
-    n = 0
-    for block in fn.blocks:
-        starts.setdefault(block.label, n)
-        n += len(block.instructions)
+    starts: dict[str, int] = {}
+    for b, block in enumerate(fn.blocks):
+        starts.setdefault(block.label, b)
     counts = {ins.result: ins.count for ins in fn.instructions()
               if ins.kind == "alloca"}
-    code = [_compile_instruction(ins, s, slots, tags, starts, counts)
-            for s, ins in enumerate(fn.instructions(), 1)]
-    trace = ctx.trace_blocks
-    if trace is not None:
-        # only a terminator moves to a block start
-        label_at = {i: label for label, i in starts.items()}
-        code = [_recording(run, fn.name, label_at, trace)
-                if ins.is_terminator else run
-                for run, ins in zip(code, fn.instructions())]
-    return code, [None, None] + [0] * len(slots), params
+    code = [_instruction(ins, slots, tags, starts, counts)
+            for ins in fn.instructions()]
+    limit, trace = ctx.step_limit, ctx.trace_blocks
 
+    def hand(regs, o):
+        # the step limit falls inside the segment that starts at `o`, so
+        # this ends in a trap before the segment does
+        while True:
+            ctx.steps += 1
+            if ctx.steps > limit:
+                raise TrapError(STEP_LIMIT_REASON)
+            shape, args = code[o]
+            BLOCK_FACTORIES[(shape,), False, True](
+                ctx, limit, None, o, None, *args)(regs)
+            o += 1
 
-def _recording(run, fn_name: str, label_at: dict, trace: set):
-    """`run`, adding the (function, label) pair of each block it enters to
-    `trace`."""
-    def recorded(regs):
-        i = run(regs)
-        if i in label_at:
-            trace.add((fn_name, label_at[i]))
-        return i
-    return recorded
-
-
-def _compile_instruction(ins, s, slots, tags, starts, counts):
-    k = ins.kind
-    if k == "const":
-        r, v = slots[ins.result], ins.value
-
-        def run(regs):
-            regs[r] = v
-            return s
-        return run
-
-    if k == "br":
-        t = starts[ins.labels[0]]
-        return lambda regs: t
-
-    if k == "brcond":
-        c = slots[ins.operands[0]]
-        t, f = starts[ins.labels[0]], starts[ins.labels[1]]
-        return lambda regs: t if regs[c] else f
-
-    if k == "ret":
-        if not ins.operands:
-            return lambda regs: -1
-        src = slots[ins.operands[0]]
-
-        def run(regs):
-            regs[_RET] = regs[src]
-            return -1
-        return run
-
-    if k == "alloca":
-        r, count = slots[ins.result], ins.count
-
-        def run(regs):
-            regs[r] = [0] * count
-            return s
-        return run
-
-    if k in ("load", "store"):
-        ops = [slots[o] for o in ins.operands]
-        base, ix = ops[-2], ops[-1]
-        limit = index_limit(counts[ins.operands[-2]], tags[ins.operands[-1]])
-        if k == "load":
-            r = slots[ins.result]
-
-            def run(regs):
-                i = regs[ix]
-                if i >= limit:
-                    raise TrapError(LOAD_BOUNDS_REASON)
-                regs[r] = regs[base][i]
-                return s
-            return run
-        v = ops[0]
-
-        def run(regs):
-            i = regs[ix]
-            if i >= limit:
-                raise TrapError(STORE_BOUNDS_REASON)
-            regs[base][i] = regs[v]
-            return s
-        return run
-
-    if k == "call":
-        callee = ins.callee
-        args = [slots[o] for o in ins.operands]
-        if ins.result is None:
-            def run(regs):
-                regs[_HOOK](callee, [regs[a] for a in args])
-                return s
-            return run
-        # stored as returned, unmasked
-        r = slots[ins.result]
-
-        def run(regs):
-            regs[r] = regs[_HOOK](callee, [regs[a] for a in args])
-            return s
-        return run
-
-    if k == "phi":
-        def run(regs):
-            raise TrapError("phi reached at run time")
-        return run
-
-    return value_closure("icmp." + ins.predicate if k == "icmp" else k,
-                         tuple(tags[o] for o in ins.operands),
-                         tags[ins.result],
-                         [slots[o] for o in ins.operands]
-                         + [slots[ins.result]], s)
+    blocks, o = [], 0
+    for b, block in enumerate(fn.blocks):
+        shapes, args = [], []
+        for shape, ins_args in code[o:o + len(block.instructions)]:
+            shapes.append(shape)
+            args += ins_args
+            if shape[0] in TERMINATOR_KINDS:
+                break
+        traced = (trace, (fn.name, block.label)) if trace is not None else ()
+        blocks.append(BLOCK_FACTORIES[tuple(shapes), bool(traced), False](
+            ctx, limit, hand, o, b + 1, *traced, *args))
+        o += len(block.instructions)
+    return blocks, [None, None] + [0] * len(slots), params
 
 
 def evaluate_function(fn: IrFunction, args, call_hook, ctx: ExecContext):
@@ -158,22 +226,15 @@ def evaluate_function(fn: IrFunction, args, call_hook, ctx: ExecContext):
     compiled = ctx.decoded.get(key)
     if compiled is None:
         compiled = ctx.decoded[key] = _compile(fn, ctx)
-    code, template, params = compiled
+    blocks, template, params = compiled
     regs = template.copy()
-    regs[_HOOK] = call_hook
+    regs[0] = call_hook
     for (r, m), raw in zip(params, args):
         regs[r] = raw & m
-    if ctx.trace_blocks is not None:
-        ctx.trace_blocks.add((fn.name, fn.blocks[0].label))
-
-    i = 0
-    limit = ctx.step_limit
-    while i != -1:
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise TrapError(STEP_LIMIT_REASON)
-        i = code[i](regs)
-    return regs[_RET]
+    b = 0
+    while b != -1:
+        b = blocks[b](regs)
+    return regs[1]
 
 
 def value_tags(fn: IrFunction) -> dict:
@@ -203,6 +264,7 @@ def reference_interpret(module: IrModule, entry: str, inputs=(),
 
     ctx = ExecContext(inputs, step_limit)
     ctx.trace_blocks = trace_blocks
+    key = ("plain_hook", id(module))
 
     def call_hook(name: str, args):
         if name == "read_i64":
@@ -212,16 +274,21 @@ def reference_interpret(module: IrModule, entry: str, inputs=(),
             return None
         ctx.enter_call()
         try:
-            return evaluate_function(functions[name], args, call_hook, ctx)
+            return evaluate_function(functions[name], args, ctx.decoded[key],
+                                     ctx)
         finally:
             ctx.leave_call()
 
+    ctx.decoded[key] = call_hook
     entry_fn = functions[entry]
     try:
         args = [ctx.read_input() for _ in entry_fn.params]
         raw = evaluate_function(entry_fn, args, call_hook, ctx)
     except TrapError as trap:
         return ExecutionResult.of(ctx, "trap", trap_reason=trap.reason)
+    finally:
+        # every cycle of the run's compiled code runs through the context
+        ctx.decoded.clear()
     value = None
     if entry_fn.ret is not None:
         value = to_signed(raw, entry_fn.ret.bits)

@@ -397,6 +397,8 @@ def execute_with_engine(bundle: ProtectedBundle, engine, inputs=(),
         return ExecutionResult.of(ctx, "tamper", tamper_cause=signal)
     finally:
         sys.setrecursionlimit(caller_limit)
+        # every cycle of the run's compiled code runs through the context
+        ctx.decoded.clear()
 
     value = None if ret_tag is None else to_signed(raw, ret_tag.bits)
     return ExecutionResult.of(ctx, "normal", value=value)

@@ -8,8 +8,8 @@ which every cell and region element the records reference holds its
 value as one canonical unsigned int, so a handler is a few list
 operations (`vm[r] = (vm[a] + vm[b]) & m`) instead of byte slices.  A
 value record's closure comes from `arith.value_closure`, the
-register-list template the reference interpreter uses too, filled with
-the expression `arith.value_expr` states for its kind; any other
+register-list template filled with the expression `arith.value_expr`
+states for its kind; any other
 record's runs its kind's statement from `_STATEMENTS`, compiled once per
 spec, and for a branch per direction, into a one-record factory.  The
 arguments of each record's statement are worked out once, at decode, by
@@ -63,9 +63,10 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from functools import partial
 
-from .arith import (PLACEHOLDERS, TRAPPING, VALUE_KINDS, TrapError,
-                    index_limit, value_closure, value_expr)
+from .arith import (TRAPPING, VALUE_KINDS, Factories, TrapError,
+                    index_limit, value_closure, value_source)
 # the trapping kinds' functions, which generated statements name
 from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ProtectedBundle, VirtFunction
@@ -233,8 +234,6 @@ def _record_args(bundle: ProtectedBundle, vfn: VirtFunction,
 # back edge or from a hot block, after which it runs as one generated
 # function
 HOT = 32
-# factories kept, process-wide, in each cache
-MAX_BLOCK_SHAPES = 1024
 
 # The Python statement(s) each record kind runs as, alone as a cold record
 # or inside a hot block.  `{aN}` is the record's N-th argument, as
@@ -316,18 +315,10 @@ def _statement(spec: HandlerSpec, forward: bool = False) -> str:
         return _FORWARD[k]
     template = _STATEMENTS[k]
     if k in VALUE_KINDS:
-        expr, consts = value_expr(k, spec.operand_types, spec.result_type)
-        names = PLACEHOLDERS[len(spec.operand_types)]
-        value = expr.format(**{p: f"vm[{{a{i}}}]"
-                               for i, p in enumerate(names)})
-        if consts:
-            # constants become literals, an operator its `arith` function
-            literal = {name: getattr(c, "__name__", repr(c))
-                       for name, c in consts.items()}
-            value = re.sub(r"\b(%s)\b" % "|".join(consts),
-                           lambda m: literal[m[1]], value)
-        return template.replace("{value}", value).replace(
-            "{r}", f"{{a{len(names)}}}")
+        n = len(spec.operand_types)
+        value = value_source(k, spec.operand_types, spec.result_type,
+                             [f"vm[{{a{i}}}]" for i in range(n)])
+        return template.replace("{value}", value).replace("{r}", f"{{a{n}}}")
     if k in ("load", "store"):
         width = (spec.result_type if k == "load"
                  else spec.operand_types[0]).width
@@ -393,56 +384,41 @@ def _block_source(specs: tuple[HandlerSpec, ...],
     return "\n".join(lines) + "\n"
 
 
-class _Factories(dict):
-    """Factories by key, compiled from `source(key)` on first use; the
-    oldest is dropped once `MAX_BLOCK_SHAPES` are kept.  The source comes
-    only from `_STATEMENTS` and `value_expr`'s fixed table, so nothing of a
-    run or of a stream is cached.  The code runs in this module's
-    namespace: `call_function` and `compute_vpa_hash` are looked up at
-    each call, and a wrapper installed on either sees every call."""
-
-    def __init__(self, source) -> None:
-        self.source = source
-
-    def __missing__(self, key):
-        if len(self) >= MAX_BLOCK_SHAPES:
-            del self[next(iter(self))]
-        scope: dict = {}
-        exec(compile(self.source(key), "<hot block>", "exec"), globals(),
-             scope)
-        factory = self[key] = scope["factory"]
-        return factory
-
-
 # block factories by shape, the tuple of the records' specs, and one-record
 # factories, the cold path, by (spec, forward)
-BLOCK_FACTORIES = _Factories(_block_source)
-RECORD_FACTORIES = _Factories(lambda key: _block_source(key[:1], key[1]))
+BLOCK_FACTORIES = Factories(_block_source, globals())
+RECORD_FACTORIES = Factories(lambda key: _block_source(key[:1], key[1]),
+                             globals())
 
 
 class _Blocks:
-    """One function's dispatch list in one run, and the hot blocks patched
-    into it.  The list starts as the per-record closures, the first one
+    """One function's dispatch list in one run, the hot blocks patched
+    into it, its register-file template, (cell, mask) per parameter and
+    return cell.  The list starts as the per-record closures, the first
     behind a counter of activations; `heat(leader)` replaces the closure
     at `leader` with the block that starts there, run as one generated
     function.  `args` holds each record's arguments, as decoding worked
-    them out."""
+    them out.  The closures reach `heat` and `cold` through `ctx.decoded`,
+    so clearing it when the run ends frees them."""
 
-    __slots__ = ("records", "args", "ctx", "code", "first", "flat", "hot")
+    __slots__ = ("records", "args", "ctx", "links", "code", "first",
+                 "flat", "hot", "template", "params", "ret")
 
     def __init__(self, records: list[ThreadedRecord], args: list,
-                 ctx: ExecContext) -> None:
+                 ctx: ExecContext, key: tuple[str, int]) -> None:
         self.records = records
         self.args = args
         self.ctx = ctx
+        # (heat, cold) as the closures call them
+        self.links = partial(_heat, ctx, key), partial(_cold, ctx, key)
         self.flat = None            # the closures, from the first heat on
 
-    def dispatch_list(self, code: list) -> list:
-        """`code`, the records' closures, with the first behind a counter
-        of activations."""
+    def dispatch_list(self, code: list) -> None:
+        """Keep `code`, the records' closures, as the dispatch list, with
+        the first behind a counter of activations."""
         self.code = code
         first = self.first = code[0]
-        heat = self.heat
+        heat = self.links[0]
         n = HOT
 
         def enter(vm):
@@ -452,7 +428,6 @@ class _Blocks:
                 heat(0)
             return first(vm)
         code[0] = enter
-        return code
 
     def heat(self, leader: int) -> None:
         """Patch the block at `leader` into the dispatch list, unless it is
@@ -473,7 +448,7 @@ class _Blocks:
                 break
         ctx = self.ctx
         self.code[leader] = BLOCK_FACTORIES[tuple(specs)](
-            ctx, ctx.step_limit, self.heat, self.cold, leader, *args)
+            ctx, ctx.step_limit, *self.links, leader, *args)
 
     def cold(self, vm, ordinal: int, counted: int) -> int:
         """Run the per-record closures from `ordinal` to the activation's
@@ -490,17 +465,27 @@ class _Blocks:
         return -1
 
 
-def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
-    """Dispatch list, register-file template, (cell, mask) per parameter
-    and the return cell of `vfn`.  A value record's closure comes from
-    `arith.value_closure`, any other's from its one-record factory; a
+def _heat(ctx: ExecContext, key: tuple[str, int], leader: int) -> None:
+    ctx.decoded[key].heat(leader)
+
+
+def _cold(ctx: ExecContext, key: tuple[str, int], vm, ordinal: int,
+          counted: int) -> int:
+    return ctx.decoded[key].cold(vm, ordinal, counted)
+
+
+def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext,
+            key: tuple[str, int]) -> _Blocks:
+    """The dispatch list, register-file template, (cell, mask) per
+    parameter and return cell of `vfn`.  A value record's closure comes
+    from `arith.value_closure`, any other's from its one-record factory; a
     branch back to its own or an earlier record, a loop's back edge,
     counts the entries over its edges."""
     cells = _Cells(vfn)
     records = pre_decode(vfn)
     args = [_record_args(bundle, vfn, rec, cells) for rec in records]
-    blocks = _Blocks(records, args, ctx)
-    limit, heat, cold = ctx.step_limit, blocks.heat, blocks.cold
+    blocks = _Blocks(records, args, ctx, key)
+    limit = ctx.step_limit
     code = []
     for o, (rec, rec_args) in enumerate(zip(records, args)):
         spec = rec.spec
@@ -512,24 +497,27 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
             forward = bool(spec.targets) and min(
                 rec.operands[p] for p in spec.targets) > rec.offset
             code.append(RECORD_FACTORIES[spec, forward](
-                ctx, limit, heat, cold, o, *rec_args))
-    params = [(cells.cell(off, tag.width, "a parameter"),
-               (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
-    ret = None
+                ctx, limit, *blocks.links, o, *rec_args))
+    blocks.params = [(cells.cell(off, tag.width, "a parameter"),
+                      (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
+    blocks.ret = None
     if vfn.ret_slot is not None:
         off, tag = vfn.ret_slot
-        ret = cells.cell(off, tag.width, "the return cell")
-    return blocks.dispatch_list(code), cells.template(), params, ret
+        blocks.ret = cells.cell(off, tag.width, "the return cell")
+    blocks.dispatch_list(code)
+    blocks.template = cells.template()
+    return blocks
 
 
-def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
+def _compiled(bundle: ProtectedBundle, vfn: VirtFunction,
+              ctx: ExecContext) -> _Blocks:
     """`_decode` of `vfn`, built once per run.  A refusal while decoding
     is marked `at_decode` on its tamper signal."""
     key = ("optimized", id(vfn))
     compiled = ctx.decoded.get(key)
     if compiled is None:
         try:
-            compiled = _decode(bundle, vfn, ctx)
+            compiled = _decode(bundle, vfn, ctx, key)
         except TamperSignal as signal:
             signal.at_decode = True
             raise
@@ -541,9 +529,10 @@ def run_threaded(bundle: ProtectedBundle, vfn: VirtFunction, args,
                  ctx: ExecContext) -> int | None:
     """One activation of a transformed function under the pre-decoding
     engine."""
-    code, template, params, ret = _compiled(bundle, vfn, ctx)
-    vm = template.copy()
-    for (off, m), raw in zip(params, args):
+    blocks = _compiled(bundle, vfn, ctx)
+    code, ret = blocks.code, blocks.ret
+    vm = blocks.template.copy()
+    for (off, m), raw in zip(blocks.params, args):
         vm[off] = raw & m
 
     ordinal = 0

@@ -4,9 +4,9 @@ an engine may hold (an i1 cell is a byte), not only canonical values.
 
 Each operation runs in both shapes an executor builds from
 `arith.value_expr`: the register-list closure `arith.value_closure`
-builds for the optimized engine and the reference interpreter, and the
-checked engine's handler, which reads its record from a stream and its
-cells from a byte image."""
+builds for the optimized engine's cold records, and the checked
+engine's handler, which reads its record from a stream and its cells
+from a byte image."""
 
 from itertools import product
 from types import SimpleNamespace

@@ -24,3 +24,17 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_reference_interpreter_imports_no_engine():
+    # C1 compares the engines with `ir.interp`, so it must not run their code
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    engines = ["vmguard.threaded", "vmguard.runtime", "vmguard.bundle",
+               "vmguard.risa"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vmguard.ir.interp; "
+         f"print([m for m in {engines!r} if m in sys.modules])"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,11 +6,16 @@ from hypothesis import strategies as st
 
 from oracles import (M64, PROGRAM_MODELS, binary_model, cast_model,
                      icmp_model, signed64)
+from vmguard import arith
 from vmguard.arith import DIV_BY_ZERO, TrapError
-from vmguard.execstate import ExecContext
+from vmguard.bundle import PlainFunction
+from vmguard.execstate import CALL_DEPTH_REASON, MAX_CALL_DEPTH, ExecContext
 from vmguard.ir import (TypeTag, evaluate_function, interp, parse_module,
                         reference_interpret)
 from vmguard.ir.core import BINARY_KINDS, CAST_KINDS, ICMP_PREDICATES
+from vmguard.protect import ProtectionConfig, virtualize_module
+from vmguard.runtime import execute_secure
+from vmguard.threaded import execute_optimized
 
 
 def run(text, inputs=(), step_limit=10_000_000):
@@ -466,3 +471,231 @@ entry:
     # nothing outlives a run's context: a second run compiles afresh
     assert reference_interpret(module, "main").value == 4
     assert sorted(compiled) == ["f", "f", "main", "main"]
+
+
+# ---- one generated function per basic block --------------------------------
+
+# steps of the tiny-input reference runs, as counted one instruction at a
+# time before each one runs
+TINY_STEPS = {"fib": 570, "loop_sum": 689, "sieve": 4176}
+
+
+def print_steps(module, inputs, monkeypatch):
+    """The step count at each print of one run."""
+    steps = []
+    print_value = ExecContext.print_value
+
+    def recording(ctx, value):
+        steps.append(ctx.steps)
+        print_value(ctx, value)
+    with monkeypatch.context() as m:
+        m.setattr(ExecContext, "print_value", recording)
+        reference_interpret(module, "main", inputs)
+    return steps
+
+
+@pytest.mark.parametrize("name", sorted(TINY_STEPS))
+def test_every_step_limit_traps_on_the_step_after_it(corpus_flat, manifest,
+                                                     name, monkeypatch):
+    # every limit falls in some segment of some block, at every position
+    module = corpus_flat[name]
+    inputs = next(e for e in manifest["programs"]
+                  if e["name"] == name)["inputs"]["tiny"]
+    full = reference_interpret(module, "main", inputs)
+    assert full.status == "normal" and full.steps == TINY_STEPS[name]
+    printed = print_steps(module, inputs, monkeypatch)
+    assert len(printed) == len(full.output)
+    for limit in range(full.steps):
+        res = reference_interpret(module, "main", inputs, step_limit=limit)
+        assert res.status == "trap", limit
+        assert res.trap_reason == "step limit exceeded", limit
+        assert res.steps == limit + 1, limit
+        assert res.output == full.output[:sum(s <= limit for s in printed)]
+    assert reference_interpret(module, "main", inputs,
+                               step_limit=full.steps) == full
+
+
+LOOP_INTO_BOUNDS = """\
+func @main() -> i64 {
+entry:
+  %buf = alloca i64 x 4
+  %ctr = alloca i64 x 1
+  %zero = const i64 0
+  %one = const i64 1
+  store i64 %zero, %ctr, %zero
+  br %loop
+loop:
+  %i = load i64 %ctr, %zero
+  call void @print_i64(%i)
+  store i64 %i, %buf, %i
+  %n = add i64 %i, %one
+  store i64 %n, %ctr, %zero
+  br %loop
+}
+"""
+
+
+@pytest.mark.parametrize("text, reason, steps", [
+    ("func @main() -> i64 {\nentry:\n  %a = const i64 7\n"
+     "  %z = const i64 0\n  %r = srem i64 %a, %z\n  %s = add i64 %r, %r\n"
+     "  ret i64 %s\n}\n", "division by zero", 3),
+    ("func @main() -> i64 {\nentry:\n  %buf = alloca i64 x 4\n"
+     "  %r = const i64 4\n  store i64 %r, %buf, %r\n  %s = add i64 %r, %r\n"
+     "  ret i64 %s\n}\n", "store index out of bounds", 3),
+    ("func @main() -> i64 {\nentry:\n  %buf = alloca i64 x 4\n"
+     "  %i = const i64 4\n  %r = load i64 %buf, %i\n  %s = add i64 %r, %r\n"
+     "  ret i64 %s\n}\n", "load index out of bounds", 3),
+    ("func @main() -> i64 {\nentry:\n  %a = const i64 1\n  br %next\n"
+     "next:\n  %b = const i64 2\n  %r = phi i64 [%a, %entry]\n"
+     "  %s = add i64 %r, %b\n  ret i64 %s\n}\n",
+     "phi reached at run time", 4),
+    # the second segment of a block, after a call
+    ("func @main() -> i64 {\nentry:\n  %a = const i64 7\n"
+     "  call void @print_i64(%a)\n  %z = const i64 0\n"
+     "  %r = sdiv i64 %a, %z\n  %s = add i64 %r, %r\n  ret i64 %s\n}\n",
+     "division by zero", 4),
+    # the fifth entry into a block: 6 steps, 4 whole turns of 6, then 3
+    (LOOP_INTO_BOUNDS, "store index out of bounds", 33),
+], ids=["srem-by-zero", "store-past-the-end", "load-past-the-end", "phi",
+        "after-a-call", "in-a-loop"])
+def test_trap_inside_a_block_reports_the_trapping_step(text, reason, steps):
+    res = run(text)
+    assert res.status == "trap"
+    assert res.trap_reason == reason
+    assert res.steps == steps
+    # a step limit in the trapping segment runs up to the trap or the limit
+    for limit in range(steps + 2):
+        res = run(text, step_limit=limit)
+        assert (res.trap_reason, res.steps) == (
+            (reason, steps) if limit >= steps
+            else ("step limit exceeded", limit + 1)), limit
+
+
+def test_trace_ends_with_the_block_a_trap_stops_in():
+    module = parse_module("""\
+func @main() -> i64 {
+entry:
+  %zero = const i64 0
+  %four = const i64 4
+  br %fill
+fill:
+  %buf = alloca i64 x 4
+  store i64 %four, %buf, %zero
+  store i64 %four, %buf, %four
+  br %done
+done:
+  ret i64 %four
+}
+""")
+    trace = set()
+    res = reference_interpret(module, "main", trace_blocks=trace)
+    assert (res.trap_reason, res.steps) == ("store index out of bounds", 6)
+    assert trace == {("main", "entry"), ("main", "fill")}
+    # a block counts as entered once the branch into it has run
+    for limit, blocks in [(2, {"entry"}), (3, {"entry", "fill"}),
+                          (5, {"entry", "fill"})]:
+        trace = set()
+        reference_interpret(module, "main", step_limit=limit,
+                            trace_blocks=trace)
+        assert trace == {("main", label) for label in blocks}, limit
+
+
+CALLS_A_LOOP = """\
+func @count(i64 %n) -> i64 {
+entry:
+  %zero = const i64 0
+  %one = const i64 1
+  %ctr = alloca i64 x 1
+  store i64 %n, %ctr, %zero
+  br %loop
+loop:
+  %i = load i64 %ctr, %zero
+  %j = sub i64 %i, %one
+  store i64 %j, %ctr, %zero
+  %more = icmp sgt i64 %j, %zero
+  brcond %more, %loop, %done
+done:
+  ret i64 %j
+}
+
+func @main() -> i64 {
+entry:
+  %a = const i64 5
+  call void @print_i64(%a)
+  %b = call i64 @count(%a)
+  call void @print_i64(%b)
+  %c = add i64 %a, %b
+  %d = call i64 @count(%c)
+  %e = add i64 %c, %d
+  %f = mul i64 %e, %a
+  %g = sub i64 %f, %c
+  %h = add i64 %g, %e
+  ret i64 %h
+}
+"""
+
+
+def test_a_callee_trips_the_step_limit_at_every_step(monkeypatch):
+    module = parse_module(CALLS_A_LOOP)
+    full = reference_interpret(module, "main")
+    assert (full.value, full.output, full.steps) == (25, [5, 0], 73)
+    printed = print_steps(module, (), monkeypatch)
+    for limit in range(full.steps):
+        res = reference_interpret(module, "main", step_limit=limit)
+        assert (res.trap_reason, res.steps) == ("step limit exceeded",
+                                                limit + 1)
+        assert res.output == full.output[:sum(s <= limit for s in printed)]
+
+
+DOWN = """\
+func @down(i64 %n) -> i64 {
+entry:
+  %zero = const i64 0
+  %one = const i64 1
+  %last = icmp eq i64 %n, %zero
+  brcond %last, %done, %more
+more:
+  %m = sub i64 %n, %one
+  %r = call i64 @down(%m)
+  %s = add i64 %r, %one
+  ret i64 %s
+done:
+  ret i64 %zero
+}
+
+func @main(i64 %n) -> i64 {
+entry:
+  %r = call i64 @down(%n)
+  ret i64 %r
+}
+"""
+
+
+def test_recursion_to_the_depth_limit_is_a_trap_not_a_python_error():
+    module = parse_module(DOWN)
+    # the deepest activation of @down runs at depth n + 1
+    deepest = reference_interpret(module, "main", [MAX_CALL_DEPTH - 1])
+    assert (deepest.status, deepest.value) == ("normal", MAX_CALL_DEPTH - 1)
+    over = reference_interpret(module, "main", [MAX_CALL_DEPTH])
+    assert (over.status, over.trap_reason) == ("trap", CALL_DEPTH_REASON)
+    # @down left plain inside a bundle
+    bundle = virtualize_module(module, ProtectionConfig(
+        seed=1, sensitive=("main",)))
+    assert isinstance(bundle.function("down"), PlainFunction)
+    for execute in (execute_secure, execute_optimized):
+        assert execute(bundle, [MAX_CALL_DEPTH - 1]).value == \
+            MAX_CALL_DEPTH - 1
+        res = execute(bundle, [MAX_CALL_DEPTH])
+        assert (res.status, res.trap_reason) == ("trap", CALL_DEPTH_REASON)
+
+
+def test_block_factories_stay_bounded(corpus_flat, manifest, monkeypatch):
+    monkeypatch.setattr(arith, "MAX_BLOCK_SHAPES", 3)
+    cache = arith.Factories(interp._block_source, vars(interp))
+    monkeypatch.setattr(interp, "BLOCK_FACTORIES", cache)
+    for entry in manifest["programs"]:
+        res = reference_interpret(corpus_flat[entry["name"]], "main",
+                                  entry["inputs"]["tiny"])
+        assert {"value": res.value, "output": res.output} == \
+            entry["expect"]["tiny"]
+        assert 0 < len(cache) <= 3

@@ -1,3 +1,4 @@
+import gc
 import sys
 
 import pytest
@@ -25,6 +26,28 @@ from vmguard.threaded import execute_optimized
 
 def protect_module(module, seed=1, **kw):
     return virtualize_module(module, ProtectionConfig(seed=seed, **kw))
+
+
+@pytest.mark.parametrize("level", [50, 100])
+@pytest.mark.parametrize("name", ["loop_sum", "sieve", "qsort"])
+def test_an_honest_run_leaves_no_cyclic_garbage(corpus_flat, manifest, name,
+                                                level):
+    module = corpus_flat[name]
+    inputs = next(e for e in manifest["programs"]
+                  if e["name"] == name)["inputs"]["tiny"]
+    bundle = protect_module(module, seed=3, level=level)
+    runs = [lambda: reference_interpret(module, "main", inputs),
+            lambda: execute_secure(bundle, inputs),
+            lambda: execute_optimized(bundle, inputs)]
+    for run in runs:
+        run()               # fills the process-wide factory caches
+        gc.collect()
+        gc.disable()
+        try:
+            assert run().status == "normal"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("seed", [1, 2])

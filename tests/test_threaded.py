@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from builders import CHECKED_HELPER, MIXED_CALLS, protect_text
-from vmguard import runtime, threaded
+from vmguard import arith, runtime, threaded
 from vmguard.arith import DIV_BY_ZERO
 from vmguard.bundle import (FlipRandomElement, SwapOpcodes, TamperError,
                             ZeroRange, copy_bundle, tamper_bundle)
@@ -616,10 +616,11 @@ def test_callee_trips_the_limit_when_called_from_a_hot_block(heated):
 
 
 def test_block_factories_stay_bounded(corpus_flat, manifest, monkeypatch):
-    monkeypatch.setattr(threaded, "MAX_BLOCK_SHAPES", 3)
+    monkeypatch.setattr(arith, "MAX_BLOCK_SHAPES", 3)
     caches = []
     for name in ("BLOCK_FACTORIES", "RECORD_FACTORIES"):
-        cache = threaded._Factories(getattr(threaded, name).source)
+        cache = arith.Factories(getattr(threaded, name).source,
+                                vars(threaded))
         monkeypatch.setattr(threaded, name, cache)
         caches.append(cache)
     for entry in manifest["programs"]:
@@ -695,9 +696,11 @@ def _globals_read(factory) -> set[str]:
 def test_every_kind_has_a_block_statement(kind):
     spec = _fitting_spec(kind)
     shape = (spec,) if spec.kind == "ret" else (spec, handler_spec("ret"))
-    factories = [threaded._Factories(threaded._block_source)[shape]]
+    factories = [arith.Factories(threaded._block_source,
+                                 vars(threaded))[shape]]
     # alone, as a cold record, a branch both counted and forward
-    records = threaded._Factories(threaded.RECORD_FACTORIES.source)
+    records = arith.Factories(threaded.RECORD_FACTORIES.source,
+                              vars(threaded))
     factories += [records[spec, forward]
                   for forward in ((False, True) if spec.targets else (False,))]
     defined = vars(threaded).keys() | vars(builtins).keys()
