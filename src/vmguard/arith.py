@@ -1,22 +1,17 @@
 """Fixed-width two's-complement arithmetic shared by every execution engine.
 
 Values are canonical unsigned ints in [0, 2**bits), or any value of an
-engine's cell (an i1 cell is a byte).  `value_expr` states what each
+engine's cell (an i1 cell is a byte).  `value_source` states what each
 value kind computes, with which masks and sign-bit flip, as one
-expression over operand placeholders; every executor takes its value
-code from it.  A `Template` is the shape of closure an executor runs,
-with a hole for that expression: it compiles one closure factory per
-signature, on first use, so building a closure is one lookup and one
-call, and the closure runs the same operations a hand-written one
-would.  `value_closure` builds the register-list closures of the
-optimized engine's cold records; the checked engine keeps its
-live-stream templates in `runtime`.  Generated basic blocks write a value
-kind as `value_source` and keep their factories in `Factories` caches.
+expression over its operands' expressions; every executor takes its
+value code from it.  Each executor keeps a table of the statements its
+records or instructions run as, around those expressions, and compiles
+its generated functions from it through a `Factories` cache, the one
+place in the package where source is compiled.
 """
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:       # importing vmguard.ir at run time would be circular
@@ -105,119 +100,51 @@ COMPARE = {
 }
 # these compare the low `bits` as two's complement, the others whole cells
 SIGNED = ("slt", "sle", "sgt", "sge")
-# the kinds `value_expr` states; a compare is spelled icmp.<pred>
+# the kinds `value_source` states; a compare is spelled icmp.<pred>
 VALUE_KINDS = frozenset([*WRAPPING, *BITWISE, *TRAPPING, "select", "zext",
                          "sext", "trunc", *(f"icmp.{p}" for p in COMPARE)])
-# the operand placeholders of a value kind, in operand order, by arity
-PLACEHOLDERS = {1: "x", 2: "xy", 3: "cxy"}
-
-
-def value_expr(kind: str, operand_types, result: TypeTag):
-    """One expression that computes `kind`, and the constants it names.
-    The expression reads its operands through the placeholders `{x}` and
-    `{y}` (a select's condition is `{c}`, its arms `{x}` and `{y}`; a cast
-    reads `{x}`).  The operator, masks and sign-bit flip of every value
-    kind are worked out here and nowhere else."""
-    if kind in WRAPPING:
-        return "({x} %s {y}) & m" % WRAPPING[kind], \
-            {"m": (1 << result.bits) - 1}
-    if kind in BITWISE:
-        # bitwise results keep whatever bits the cells hold
-        return "({x} %s {y}) & m" % BITWISE[kind], \
-            {"m": (1 << 8 * result.width) - 1}
-    if kind in TRAPPING:
-        return "op({x}, {y}, bits)", {"op": TRAPPING[kind],
-                                      "bits": result.bits}
-    if kind.startswith("icmp."):
-        pred = kind[len("icmp."):]
-        cmp = COMPARE.get(pred)
-        if cmp is None:
-            raise ValueError(f"unknown predicate {pred!r}")
-        if pred not in SIGNED:
-            return "1 if {x} %s {y} else 0" % cmp, {}
-        # flipping the sign bit maps two's complement onto unsigned order
-        operand = operand_types[0]
-        sb = 1 << (operand.bits - 1)
-        if operand.bits == 8 * operand.width:
-            return "1 if {x} ^ sb %s {y} ^ sb else 0" % cmp, {"sb": sb}
-        # an i1 cell is a whole byte, of which only the low bit counts
-        return "1 if ({x} & m) ^ sb %s ({y} & m) ^ sb else 0" % cmp, \
-            {"m": (1 << operand.bits) - 1, "sb": sb}
-    if kind == "select":
-        return "{x} if {c} else {y}", {}
-    if kind in ("zext", "sext", "trunc"):
-        bits = operand_types[0].bits
-        sm, dm = (1 << bits) - 1, (1 << result.bits) - 1
-        if kind == "sext":
-            return "((({x} & sm) ^ sb) - sb) & m", \
-                {"sm": sm, "sb": 1 << (bits - 1), "m": dm}
-        return "{x} & m", {"m": sm if kind == "zext" else dm}
-    raise ValueError(f"not a value kind: {kind!r}")
 
 
 def value_source(kind: str, operand_types, result: TypeTag,
                  operands) -> str:
-    """`kind`'s `value_expr` over the expressions `operands`, its constants
-    written as literals and a trapping operator as its function's name."""
-    expr, consts = value_expr(kind, operand_types, result)
-    if consts:
-        literal = {name: getattr(c, "__name__", repr(c))
-                   for name, c in consts.items()}
-        expr = re.sub(r"\b(%s)\b" % "|".join(consts),
-                      lambda m: literal[m[1]], expr)
-    return expr.format(**dict(zip(PLACEHOLDERS[len(operand_types)],
-                                  operands)))
-
-
-class Template(dict):
-    """The closure factories of one closure shape, compiled on first use
-    and kept by signature: (kind, operand types as a tuple, result type).
-
-    `body` defines `run`, which may name `TrapError`, with `{value}` for
-    the expression, and `{res}` and `{end}` for the positions of the
-    result and of the element after it, the operands counting from 1.
-    `read` reads one operand: `{p}` is its placeholder, `{i}` its
-    position.  A factory takes one argument per placeholder, named by it,
-    then `params`, and returns a new `run`; the constants are bound once
-    per signature, as closure cells.  The source comes only from the
-    template and `value_expr`'s fixed table."""
-
-    def __init__(self, body: str, read: str, params: str) -> None:
-        super().__init__()
-        self.body, self.read, self.params = body, read, params
-
-    def __missing__(self, key):
-        kind, operand_types, result = key
-        expr, consts = value_expr(kind, operand_types, result)
-        names = PLACEHOLDERS[len(operand_types)]
-        value = expr.format(**{p: self.read.format(p=p, i=i)
-                               for i, p in enumerate(names, 1)})
-        run = self.body.format(value=value, res=len(names) + 1,
-                               end=len(names) + 2)
-        source = (f"def bind({', '.join(consts)}):\n"
-                  f"    def factory({', '.join(names)}, {self.params}):\n"
-                  + "".join(f"        {line}\n" for line in run.splitlines())
-                  + "        return run\n"
-                  "    return factory\n")
-        scope = {"TrapError": TrapError}
-        exec(compile(source, f"<{kind} closure>", "exec"), scope)
-        factory = self[key] = scope["bind"](**consts)
-        return factory
-
-
-# a closure over a list of canonical ints, which returns its successor
-REGISTERS = Template("""\
-def run(regs):
-    regs[r] = {value}
-    return s""", read="regs[{p}]", params="r, s")
-
-
-def value_closure(kind: str, operand_types: tuple, result: TypeTag | None,
-                  cells, s: int):
-    """The closure `run(regs) -> s` that computes one value over a list of
-    canonical ints: `kind` is a binary kind, `icmp.<pred>`, `select` or a
-    cast, and `cells` holds the operand indices followed by the result's."""
-    return REGISTERS[kind, operand_types, result](*cells, s)
+    """One expression that computes `kind` over the expressions `operands`,
+    in operand order (a select's condition, then its arms).  The operator,
+    masks and sign-bit flip of every value kind are worked out here and
+    nowhere else, and written as literals; a trapping kind calls its
+    function by name, so the code that runs the expression must see it."""
+    if kind not in VALUE_KINDS:
+        raise ValueError(f"not a value kind: {kind!r}")
+    if kind == "select":
+        c, x, y = operands
+        return f"{x} if {c} else {y}"
+    if kind in ("zext", "sext", "trunc"):
+        (x,) = operands
+        bits = operand_types[0].bits
+        sm, dm = (1 << bits) - 1, (1 << result.bits) - 1
+        if kind == "sext":
+            sb = 1 << (bits - 1)
+            return f"((({x} & {sm}) ^ {sb}) - {sb}) & {dm}"
+        return f"{x} & {sm if kind == 'zext' else dm}"
+    x, y = operands
+    if kind in WRAPPING:
+        return f"({x} {WRAPPING[kind]} {y}) & {(1 << result.bits) - 1}"
+    if kind in BITWISE:
+        # bitwise results keep whatever bits the cells hold
+        return f"({x} {BITWISE[kind]} {y}) & {(1 << 8 * result.width) - 1}"
+    if kind in TRAPPING:
+        return f"{TRAPPING[kind].__name__}({x}, {y}, {result.bits})"
+    pred = kind[len("icmp."):]
+    cmp = COMPARE[pred]
+    if pred not in SIGNED:
+        return f"1 if {x} {cmp} {y} else 0"
+    # flipping the sign bit maps two's complement onto unsigned order
+    operand = operand_types[0]
+    sb = 1 << (operand.bits - 1)
+    if operand.bits == 8 * operand.width:
+        return f"1 if {x} ^ {sb} {cmp} {y} ^ {sb} else 0"
+    # an i1 cell is a whole byte, of which only the low bit counts
+    m = (1 << operand.bits) - 1
+    return f"1 if ({x} & {m}) ^ {sb} {cmp} ({y} & {m}) ^ {sb} else 0"
 
 
 # factories kept, process-wide, in each `Factories` cache
@@ -228,8 +155,8 @@ class Factories(dict):
     """Factories by key, compiled from `source(key)` on first use, the
     oldest dropped once `MAX_BLOCK_SHAPES` are kept.  The code runs in
     `namespace`, a module's globals, where the names it reads are looked
-    up at each call.  The source comes only from an executor's statement
-    table and `value_expr`, so nothing of a run or a stream is cached."""
+    up at each call.  The source comes only from the package's statement
+    tables and `value_source`, so nothing of a run or a stream is cached."""
 
     def __init__(self, source, namespace: dict) -> None:
         super().__init__()
@@ -239,7 +166,7 @@ class Factories(dict):
         if len(self) >= MAX_BLOCK_SHAPES:
             del self[next(iter(self))]
         scope: dict = {}
-        exec(compile(self.source(key), "<generated block>", "exec"),
+        exec(compile(self.source(key), "<generated>", "exec"),
              self.namespace, scope)
         factory = self[key] = scope["factory"]
         return factory

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..arith import to_signed
+from ..arith import Factories, to_signed
 
 
 class TypeTag(enum.IntEnum):
@@ -189,42 +189,37 @@ STATEMENT_FORMS = {
 }
 
 
-class _Printers(dict):
-    """One printer per form, by (kind, defines a value), compiled on first
-    use into a single f-string over the instruction's fields."""
+# the f-string text each field of a form prints; `{n}` is the number of
+# operands the fields before it consumed, `{m}` the number of labels
+_FIELD_TEXT = {
+    OPERAND: " %{{ins.operands[{n}]}}",
+    ",": ",",
+    TYPE: " {{ins.type.text}}",
+    LABEL: " %{{ins.labels[{m}]}}",
+    IMM: " {{to_signed(ins.value, ins.type.bits)}}",
+    COUNT: " {{ins.count}}",
+    PREDICATE: " {{ins.predicate}}",
+    CALL: " @{{ins.callee}}({{_names(ins.operands[{n}:])}})",
+    ARMS: " {{_arms(ins.phi_args)}}",
+    RET_VALUE: " {{_ret_value(ins)}}",
+}
 
-    # the f-string text each field of a form prints; `{n}` is the number
-    # of operands the fields before it consumed
-    FIELDS = {
-        OPERAND: " %{{ins.operands[{n}]}}",
-        ",": ",",
-        TYPE: " {{ins.type.text}}",
-        LABEL: " %{{ins.labels[{m}]}}",
-        IMM: " {{to_signed(ins.value, ins.type.bits)}}",
-        COUNT: " {{ins.count}}",
-        PREDICATE: " {{ins.predicate}}",
-        CALL: " @{{ins.callee}}({{_names(ins.operands[{n}:])}})",
-        ARMS: " {{_arms(ins.phi_args)}}",
-        RET_VALUE: " {{_ret_value(ins)}}",
-    }
 
-    def __missing__(self, key):
-        kind, has_result = key
-        form = (RESULT_FORMS if has_result else STATEMENT_FORMS).get(kind)
-        if form is None:
-            raise ValueError(f"unknown instruction kind {kind!r}")
-        text = "%{ins.result} = " + kind if has_result else kind
-        n = m = 0
-        for field in form:
-            text += self.FIELDS.get(field, " " + str(field)).format(n=n, m=m)
-            n += field == OPERAND
-            m += field == LABEL
-        scope = {"to_signed": to_signed, "_names": _names, "_arms": _arms,
-                 "_ret_value": _ret_value}
-        exec(compile(f"def printer(ins):\n    return f{text!r}\n",
-                     f"<{kind} printer>", "exec"), scope)
-        printer = self[key] = scope["printer"]
-        return printer
+def _printer_source(key) -> str:
+    """The source of the printer of one form, by (kind, defines a value):
+    a single f-string over the instruction's fields.  The printer is its
+    cache's factory: it takes the instruction and returns its text."""
+    kind, has_result = key
+    form = (RESULT_FORMS if has_result else STATEMENT_FORMS).get(kind)
+    if form is None:
+        raise ValueError(f"unknown instruction kind {kind!r}")
+    text = "%{ins.result} = " + kind if has_result else kind
+    n = m = 0
+    for field in form:
+        text += _FIELD_TEXT.get(field, " " + str(field)).format(n=n, m=m)
+        n += field == OPERAND
+        m += field == LABEL
+    return f"def factory(ins):\n    return f{text!r}\n"
 
 
 def _names(values) -> str:
@@ -239,7 +234,8 @@ def _ret_value(ins: Instruction) -> str:
     return f"{ins.type.text} %{ins.operands[0]}" if ins.operands else "void"
 
 
-_PRINTERS = _Printers()
+# one printer per form, compiled on first use
+_PRINTERS = Factories(_printer_source, globals())
 
 
 def format_instruction(ins: Instruction) -> str:

@@ -5,11 +5,11 @@ On its first activation in a run, a function is compiled over a register
 list, one slot per value id, into one generated function per basic
 block, which returns the index of the next block, or -1 to return.  A
 block's source strings together the statement of each instruction's kind
-from `_STATEMENTS` (a value kind's is its `arith.value_expr` expression)
-and is compiled once per block shape into a factory kept in a bounded
-process-wide cache; slots, constants and successors are factory
-arguments, and the built blocks live in the run's `ExecContext`.  A
-block counts steps per segment, ending at each call: a trap takes back
+from `_STATEMENTS` (a value kind's wraps its `arith.value_source`
+expression) and is compiled once per block shape into a factory kept in
+a bounded process-wide cache; slots, constants and successors are
+factory arguments, and the built blocks live in the run's `ExecContext`.
+A block counts steps per segment, ending at each call: a trap takes back
 the steps of the instructions after it, and a segment the step limit
 falls inside runs one instruction at a time, so steps and traps are
 those of counting each instruction before it runs.  Calls resolve
@@ -179,7 +179,8 @@ def _compile(fn: IrFunction, ctx: ExecContext):
     """`fn`'s blocks, built for this run, its register-list template and
     the (slot, mask) of each parameter.  A block ends at its first
     terminator; a branch to a duplicated label goes to the first block
-    that has it."""
+    that has it.  Raises ValueError when the last block has no
+    terminator, which only an unvalidated function can lack."""
     tags = value_tags(fn)
     slots = {name: n for n, name in enumerate(tags, 2)}
     params = [(slots[name], (1 << tag.bits) - 1) for name, tag in fn.params]
@@ -204,7 +205,7 @@ def _compile(fn: IrFunction, ctx: ExecContext):
                 ctx, limit, None, o, None, *args)(regs)
             o += 1
 
-    blocks, o = [], 0
+    blocks, o, shapes = [], 0, []
     for b, block in enumerate(fn.blocks):
         shapes, args = [], []
         for shape, ins_args in code[o:o + len(block.instructions)]:
@@ -216,6 +217,11 @@ def _compile(fn: IrFunction, ctx: ExecContext):
         blocks.append(BLOCK_FACTORIES[tuple(shapes), bool(traced), False](
             ctx, limit, hand, o, b + 1, *traced, *args))
         o += len(block.instructions)
+    if not shapes or shapes[-1][0] not in TERMINATOR_KINDS:
+        # the last block would fall through past the end of the function
+        raise ValueError(f"@{fn.name}: block %{fn.blocks[-1].label} ends "
+                         "without a terminator" if fn.blocks
+                         else f"@{fn.name} has no blocks")
     return blocks, [None, None] + [0] * len(slots), params
 
 

@@ -1,6 +1,6 @@
 """Checked execution engine and the shared run harness.
 
-This engine keeps nothing cached between steps but handler closures:
+This engine keeps nothing cached between steps but handler functions:
 every dispatch re-reads the opcode from the live stream and picks its
 handler by it, and every handler reads its operands from the stream by
 index (`vpa[vpc + i]`) each time it runs.  Cells are read and written
@@ -9,13 +9,14 @@ instead of growing it.  That makes it the natural place to observe
 corruption immediately, at the cost of per-step overhead the
 pre-decoding engine avoids.
 
-A value handler is built from one of two templates here, the plain one
-and the trapping one, filled with the expression `arith.value_expr`
-states for its kind, so every executor computes each value kind from
-one statement of its operator, masks and sign-bit flip.  The dispatch
-loop fetches through one `try`: a counter past the stream end or an
-opcode without a built handler falls to a cold path, which raises the
-tamper signal or builds the handler.
+Each record kind's handler is compiled from its entry in `_STATEMENTS`,
+the engine's one statement of what each kind does (a value kind's wraps
+the expression `arith.value_source` states for it), once per signature,
+through an `arith.Factories` cache; only a signature whose types do not
+fit its kind gets a hand-written handler, which raises the tamper signal.
+The dispatch loop fetches through one `try`: a counter past the stream
+end or an opcode without a built handler falls to a cold path, which
+raises the tamper signal or builds the handler.
 
 Corruption raises a TamperSignal, which unwinds the whole run; both
 engines judge guards through `check_guard`.  Traps (division by zero,
@@ -25,11 +26,14 @@ reference interpreter so outcomes stay comparable across all executors.
 
 from __future__ import annotations
 
+import re
 import struct
 import sys
 
-from .arith import (TRAPPING, VALUE_KINDS, Template, TrapError, index_limit,
-                    to_signed)
+from .arith import (TRAPPING, VALUE_KINDS, Factories, TrapError, index_limit,
+                    to_signed, value_source)
+# the trapping kinds' functions, which generated statements name
+from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         MAX_CALL_DEPTH, STEP_LIMIT_REASON,
@@ -37,7 +41,7 @@ from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
 from .guards import compute_vpa_hash
 from .ir.core import ExecutionResult
 from .ir.interp import evaluate_function
-from .risa import CALLEE, CHECKEE
+from .risa import CALLEE, CHECKEE, HandlerSpec
 
 INVALID_OPCODE = "invalid opcode"
 PC_ESCAPE = "program counter escape"
@@ -137,173 +141,162 @@ CELL_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # struct.error for a cell that does not lie wholly inside the image
 _CELL = {w: struct.Struct("<" + code) for w, code in CELL_CODE.items()}
 
-# value handlers: each operand placeholder is bound to its cell's reader,
-# and `get_r`/`put_r` to the result cell's reader and writer
-_OPERAND = "{p}(vm, vpa[vpc + {i}])[0]"
-_VALUE = Template("""\
-def run(vm, vpc):
-    put_r(vm, vpa[vpc + {res}], {value})
-    return vpc + {end}""", read=_OPERAND, params="vpa, get_r, put_r")
+# The Python statement(s) each record kind runs as, the body of a handler
+# `(vm, vpc) -> next vpc` over the byte image `vm`.  A handler reads the
+# N-th element after its opcode from the live stream as `vpa[vpc + N]`,
+# and the cell that element names through `getN` and `putN`, the `_CELL`
+# reader and writer of layout position N.  `{ln}` is the record length and
+# `{r}` its last element, a value kind's or a call's result; `{w}` is a
+# load or store's element width, `{cap}` the index limit of its index type,
+# `{args}` a call's argument values and `{mask}` its result's mask.  A
+# value kind's statement is `_VALUE` or `_TRAPPING` around its
+# `arith.value_source` expression.  Every element is read before a trap
+# can fire, so a record cut short by the stream end is an invalid
+# reference, never a trap.
+_VALUE = """\
+put{r}(vm, vpa[vpc + {r}], {value})
+return vpc + {ln}
+"""
 # a trapping operation reads the result cell before its trap propagates,
 # so a result cell outside the image is tamper, not a trap
-_TRAPPING = Template("""\
-def run(vm, vpc):
-    r = vpa[vpc + {res}]
-    try:
-        value = {value}
-    except TrapError:
-        get_r(vm, r)
-        raise
-    put_r(vm, r, value)
-    return vpc + {end}""", read=_OPERAND, params="vpa, get_r, put_r")
+_TRAPPING = """\
+r = vpa[vpc + {r}]
+try:
+    value = {value}
+except TrapError:
+    get{r}(vm, r)
+    raise
+put{r}(vm, r, value)
+return vpc + {ln}
+"""
+_STATEMENTS = {
+    **dict.fromkeys(VALUE_KINDS, _VALUE),
+    **dict.fromkeys(TRAPPING, _TRAPPING),
+    # constants sit in the image already; regions are static
+    "const": "return vpc + {ln}\n",
+    "alloca": "return vpc + {ln}\n",
+    # the count is re-read from the stream on every execution; as one
+    # 16-bit element, its `index_limit` is the smaller of it and `cap`
+    "load": """\
+base, count = vpa[vpc + 1], vpa[vpc + 2]
+i = get3(vm, vpa[vpc + 3])[0]
+r = vpa[vpc + 4]
+addr = base + i * {w}
+if i >= count or i >= {cap} or addr + {w} > size:
+    get4(vm, r)     # a result cell outside the image is tamper
+    raise TrapError(LOAD_BOUNDS_REASON)
+put4(vm, r, get4(vm, addr)[0])
+return vpc + 5
+""",
+    "store": """\
+value = get1(vm, vpa[vpc + 1])[0]
+base, count = vpa[vpc + 2], vpa[vpc + 3]
+i = get4(vm, vpa[vpc + 4])[0]
+addr = base + i * {w}
+if i >= count or i >= {cap} or addr + {w} > size:
+    raise TrapError(STORE_BOUNDS_REASON)
+put1(vm, addr, value)
+return vpc + 5
+""",
+    "br": "return vpa[vpc + 1]\n",
+    "brcond": """\
+f = vpa[vpc + 3]
+return vpa[vpc + 2] if get1(vm, vpa[vpc + 1])[0] else f
+""",
+    "ret": """\
+value = get1(vm, vpa[vpc + 1])[0]
+if ret_off is not None:
+    put1(vm, ret_off, value)
+return -1
+""",
+    # the result element is read before the call, so a record cut short
+    # by the stream end is tamper, not a trap of the callee's
+    "call": """\
+target = table_entry(bundle, vfn, CALLEE, vpa[vpc + 1])
+args = [{args}]
+r = vpa[vpc + {r}]
+value = call_function(bundle, target, args, ctx, run_virt)
+put{r}(vm, r, (value or 0) & {mask})
+return vpc + {ln}
+""",
+    "guard": """\
+idx, exp_off, run_off = vpa[vpc + 1], vpa[vpc + 2], vpa[vpc + 3]
+checkee = table_entry(bundle, vfn, CHECKEE, idx)
+# both cells must lie in the image before the hash is taken
+get2(vm, exp_off)
+get3(vm, run_off)
+h = compute_vpa_hash(checkee.vpa)
+put3(vm, run_off, h)
+# the checkee is re-read from the stream, so its edge is too
+check_guard(ctx, (vfn.name, checkee.name), h, get2(vm, exp_off)[0])
+return vpc + 4
+""",
+}
+# the forms of a call and a ret without a value
+_VOID = {
+    "call": """\
+target = table_entry(bundle, vfn, CALLEE, vpa[vpc + 1])
+call_function(bundle, target, [{args}], ctx, run_virt)
+return vpc + {ln}
+""",
+    "ret": "return -1\n",
+}
+# element N's value, read through the reader of its cell
+_READ = "get{0}(vm, vpa[vpc + {0}])[0]"
+# what a handler reads besides its cells' accessors, bound once per build
+_BOUND = {"vpa": "vfn.vpa", "size": "len(vfn.image)",
+          "ret_off": "vfn.ret_slot and vfn.ret_slot[0]",
+          "bundle": "bundle", "vfn": "vfn", "ctx": "ctx"}
+_ACCESSOR = {"get": "unpack_from", "put": "pack_into"}
 
 
-def _build_handler(bundle: ProtectedBundle, vfn: VirtFunction, spec,
-                   ctx: ExecContext, engine):
-    """Compile one handler closure.  Operands are read from the live stream
-    by index on every invocation, and cells are read and written through
-    the `_CELL` accessors; only type widths, masks and the operator are
-    baked in.  Every operand element is read before a trap can fire, so a
-    record cut short by the stream end is an invalid reference, never a
-    trap."""
-    vpa = vfn.vpa
-    k = spec.kind
-    layout = spec.layout
-
-    if layout is None:
-        def handler(vm, vpc):
-            raise TamperSignal(
-                INVALID_OPCODE, f"@{vfn.name}: element {vpc} names a {k} "
-                "handler whose types do not fit its kind")
-        return handler
-
-    ln = spec.record_len
-    if k in ("const", "alloca"):
-        # constants sit in the image already; regions are static
-        def handler(vm, vpc):
-            return vpc + ln
-        return handler
-
-    size = len(vfn.image)
-    # reader and writer of each operand element's cell, in layout order
-    get = [None if t is None else _CELL[t.width].unpack_from
-           for _, t in layout]
-    put = [None if t is None else _CELL[t.width].pack_into
-           for _, t in layout]
-
+def _handler_source(spec: HandlerSpec) -> str:
+    """The source of the handler factory of `spec`, whose types fit its
+    kind.  The factory takes the bundle, the function and the run's
+    context; the handler binds what it reads of them, and the accessors
+    of its cells, as defaults, which are fast locals, while the engine's
+    functions (`call_function`, `compute_vpa_hash`, `check_guard`,
+    `table_entry`, `run_virt`) are looked up in this module at each call.
+    Widths, index caps, record lengths and masks are literals."""
+    k, types, res, layout = (spec.kind, spec.operand_types,
+                             spec.result_type, spec.layout)
+    n = len(types)
+    void = (k == "ret" and not layout) or (k == "call" and res is None)
+    template = (_VOID if void else _STATEMENTS)[k]
+    fields = {"ln": spec.record_len, "r": spec.record_len - 1}
     if k in VALUE_KINDS:
-        # the layout holds the operand cells, then the result cell
-        template = _TRAPPING if k in TRAPPING else _VALUE
-        return template[k, spec.operand_types, spec.result_type](
-            *get[:-1], vpa, get[-1], put[-1])
+        template = template.replace("{value}", value_source(
+            k, types, res, [_READ.format(i) for i in range(1, n + 1)]))
+    elif k in ("load", "store"):
+        index, elem = (types[0], res) if k == "load" else types[::-1]
+        fields.update(w=elem.width, cap=index_limit(1 << 16, index))
+    elif k == "call":
+        fields["args"] = ", ".join(_READ.format(i) for i in range(2, n + 2))
+        if res is not None:
+            fields["mask"] = (1 << res.bits) - 1
+    body = template.format(**fields)
+    bound = [f"{name}={expr}" for name, expr in _BOUND.items()
+             if re.search(rf"\b{name}\b", body)]
+    bound += [f"{use}{i}=_CELL[{layout[int(i) - 1][1].width}]."
+              f"{_ACCESSOR[use]}"
+              for use, i in sorted(set(re.findall(r"\b(get|put)(\d+)\b",
+                                                  body)))]
+    return ("def factory(bundle, vfn, ctx):\n"
+            f"    def handler({', '.join(['vm', 'vpc', *bound])}):\n"
+            + "".join(f"        {line}\n" for line in body.splitlines())
+            + "    return handler\n")
 
-    if k in ("load", "store"):
-        if k == "load":
-            itag, w = spec.operand_types[0], spec.result_type.width
-        else:
-            itag, w = spec.operand_types[1], spec.operand_types[0].width
-        # the count is re-read from the stream on every execution; as one
-        # 16-bit element, its `index_limit` is the smaller of it and `cap`
-        cap = index_limit(1 << 16, itag)
 
-    if k == "load":
-        get_i, get_v, put_r = get[2], get[3], put[3]
-
-        def handler(vm, vpc):
-            base, count = vpa[vpc + 1], vpa[vpc + 2]
-            i = get_i(vm, vpa[vpc + 3])[0]
-            r = vpa[vpc + 4]
-            addr = base + i * w
-            if i >= count or i >= cap or addr + w > size:
-                get_v(vm, r)    # a result cell outside the image is tamper
-                raise TrapError(LOAD_BOUNDS_REASON)
-            put_r(vm, r, get_v(vm, addr)[0])
-            return vpc + 5
-        return handler
-
-    if k == "store":
-        get_v, put_v, get_i = get[0], put[0], get[3]
-
-        def handler(vm, vpc):
-            value = get_v(vm, vpa[vpc + 1])[0]
-            base, count = vpa[vpc + 2], vpa[vpc + 3]
-            i = get_i(vm, vpa[vpc + 4])[0]
-            addr = base + i * w
-            if i >= count or i >= cap or addr + w > size:
-                raise TrapError(STORE_BOUNDS_REASON)
-            put_v(vm, addr, value)
-            return vpc + 5
-        return handler
-
-    if k == "br":
-        def handler(vm, vpc):
-            return vpa[vpc + 1]
-        return handler
-
-    if k == "brcond":
-        get_c = get[0]
-
-        def handler(vm, vpc):
-            f = vpa[vpc + 3]
-            return vpa[vpc + 2] if get_c(vm, vpa[vpc + 1])[0] else f
-        return handler
-
-    if k == "ret":
-        if not layout:
-            def handler(vm, vpc):
-                return -1
-            return handler
-        get_v, put_v = get[0], put[0]
-        ret_off = None if vfn.ret_slot is None else vfn.ret_slot[0]
-
-        def handler(vm, vpc):
-            value = get_v(vm, vpa[vpc + 1])[0]
-            if ret_off is not None:
-                put_v(vm, ret_off, value)
-            return -1
-        return handler
-
-    if k == "call":
-        n_args = len(spec.operand_types)
-        # (reader, element position) of each argument cell
-        arg_at = tuple(zip(get[1:1 + n_args], range(2, 2 + n_args)))
-        put_r = put[-1] if spec.result_type is not None else None
-        mask = 0 if put_r is None else (1 << spec.result_type.bits) - 1
-
-        def handler(vm, vpc):
-            target = table_entry(bundle, vfn, CALLEE, vpa[vpc + 1])
-            args = [g(vm, vpa[vpc + p])[0] for g, p in arg_at]
-            value = call_function(bundle, target, args, ctx, engine)
-            if put_r is not None:
-                put_r(vm, vpa[vpc + ln - 1], (value or 0) & mask)
-            return vpc + ln
-        return handler
-
-    if k == "guard":
-        get_h, put_h = get[1], put[2]
-
-        def handler(vm, vpc):
-            idx, exp_off, run_off = vpa[vpc + 1], vpa[vpc + 2], vpa[vpc + 3]
-            checkee = table_entry(bundle, vfn, CHECKEE, idx)
-            # both cells must lie in the image before the hash is taken
-            get_h(vm, exp_off)
-            get_h(vm, run_off)
-            h = compute_vpa_hash(checkee.vpa)
-            put_h(vm, run_off, h)
-            # the checkee is re-read from the stream, so its edge is too
-            check_guard(ctx, (vfn.name, checkee.name), h,
-                        get_h(vm, exp_off)[0])
-            return vpc + 4
-        return handler
-    # `risa._layout` gives no other kind a layout
-    raise AssertionError(f"no handler for kind {k!r}")
+# handler factories by spec
+HANDLER_FACTORIES = Factories(_handler_source, globals())
 
 
 def _fetch_cold(bundle: ProtectedBundle, vfn: VirtFunction,
                 ctx: ExecContext, handlers: dict, vpc: int):
     """The handler for element `vpc` after the fast fetch missed: the
     counter left the stream, the element names no handler, or its handler
-    is not built yet."""
+    is not built yet.  A handler whose types do not fit its kind raises
+    the tamper signal when it runs, and is built from no statement."""
     vpa = vfn.vpa
     if vpc >= len(vpa):
         raise TamperSignal(
@@ -314,8 +307,14 @@ def _fetch_cold(bundle: ProtectedBundle, vfn: VirtFunction,
         raise TamperSignal(
             INVALID_OPCODE, f"@{vfn.name}: element {vpc} holds "
             f"{vpa[vpc]:#06x}, which names no handler")
-    handler = handlers[vpa[vpc]] = _build_handler(bundle, vfn, spec, ctx,
-                                                  run_virt)
+    if spec.layout is None:
+        def handler(vm, vpc):
+            raise TamperSignal(
+                INVALID_OPCODE, f"@{vfn.name}: element {vpc} names a "
+                f"{spec.kind} handler whose types do not fit its kind")
+    else:
+        handler = HANDLER_FACTORIES[spec](bundle, vfn, ctx)
+    handlers[vpa[vpc]] = handler
     return handler
 
 

@@ -6,33 +6,31 @@ into closures; the dispatch loop then just indexes a list.  Memory is a
 register file rather than a byte image: a list indexed by byte offset in
 which every cell and region element the records reference holds its
 value as one canonical unsigned int, so a handler is a few list
-operations (`vm[r] = (vm[a] + vm[b]) & m`) instead of byte slices.  A
-value record's closure comes from `arith.value_closure`, the
-register-list template filled with the expression `arith.value_expr`
-states for its kind; any other
-record's runs its kind's statement from `_STATEMENTS`, compiled once per
-spec, and for a branch per direction, into a one-record factory.  The
-arguments of each record's statement are worked out once, at decode, by
-`_record_args`.  The register list is built from the image once per
-run, at decode time, and each activation starts from a copy of it.
+operations (`vm[r] = (vm[a] + vm[b]) & m`) instead of byte slices.
+Every record's closure runs its kind's statement from `_STATEMENTS` (a
+value kind's wraps the expression `arith.value_source` states for it),
+compiled once per spec, and for a branch per direction, into a
+one-record factory.  The arguments of each record's statement are worked
+out once, at decode, by `_record_args`.  The register list is built from
+the image once per run, at decode time, and each activation starts from
+a copy of it.
 
 A basic block that gets hot runs as one generated function.  The first
 record counts activations, a loop's back edge counts the entries over
 its edges, and so does every edge out of a hot block; once a count
 reaches `HOT`, the block that starts at the edge's target is built and
 patched into the dispatch list in place of its first closure.  Its
-source strings together the same `_STATEMENTS`, one per record kind (a
-value kind's from `arith.value_expr`), and is compiled once per block
-shape, the records' specs.  Both kinds of factory are kept in bounded
-process-wide caches; cells, region limits, callees and successors are
-factory arguments, so no stream content or run state is cached.  Calls
-and guards run inline: the generated code looks `call_function` and
-`compute_vpa_hash` up in this module at each call, and every guard
-still hashes the live stream.  The block counts steps per segment,
-ending one at each call and guard: a trap takes back the steps of the
-records after it, and a segment the step limit falls inside runs record
-by record.  Steps, traps, outputs and guard counts stay those of the
-per-record run.
+source strings together the same `_STATEMENTS`, one per record kind, and
+is compiled once per block shape, the records' specs.  Both kinds of
+factory are kept in bounded process-wide caches; cells, region limits,
+callees and successors are factory arguments, so no stream content or
+run state is cached.  Calls and guards run inline: the generated code
+looks `call_function` and `compute_vpa_hash` up in this module at each
+call, and every guard still hashes the live stream.  The block counts
+steps per segment, ending one at each call and guard: a trap takes back
+the steps of the records after it, and a segment the step limit falls
+inside runs record by record.  Steps, traps, outputs and guard counts
+stay those of the per-record run.
 
 That removes the per-step opcode lookup, operand fetch, byte conversion
 and counter bounds check the checked engine pays for, at the cost of
@@ -66,7 +64,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .arith import (TRAPPING, VALUE_KINDS, Factories, TrapError,
-                    index_limit, value_closure, value_source)
+                    index_limit, value_source)
 # the trapping kinds' functions, which generated statements name
 from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ProtectedBundle, VirtFunction
@@ -242,7 +240,7 @@ HOT = 32
 # call's argument cells; `{back}` is how many records of its segment
 # follow the record, which a trap takes back off `ctx.steps` so it
 # reports the trapping record's step.  A value kind's statement is
-# `_VALUE` or `_TRAPPING` around its `arith.value_expr` expression, and a
+# `_VALUE` or `_TRAPPING` around its `arith.value_source` expression, and a
 # call with a result stores it masked to its type.
 _VALUE = "vm[{r}] = {value}\n"
 _TRAPPING = """\
@@ -477,10 +475,9 @@ def _cold(ctx: ExecContext, key: tuple[str, int], vm, ordinal: int,
 def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext,
             key: tuple[str, int]) -> _Blocks:
     """The dispatch list, register-file template, (cell, mask) per
-    parameter and return cell of `vfn`.  A value record's closure comes
-    from `arith.value_closure`, any other's from its one-record factory; a
-    branch back to its own or an earlier record, a loop's back edge,
-    counts the entries over its edges."""
+    parameter and return cell of `vfn`.  Each record's closure comes
+    from its one-record factory; a branch back to its own or an earlier
+    record, a loop's back edge, counts the entries over its edges."""
     cells = _Cells(vfn)
     records = pre_decode(vfn)
     args = [_record_args(bundle, vfn, rec, cells) for rec in records]
@@ -489,15 +486,10 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext,
     code = []
     for o, (rec, rec_args) in enumerate(zip(records, args)):
         spec = rec.spec
-        if spec.kind in VALUE_KINDS:
-            code.append(value_closure(spec.kind, spec.operand_types,
-                                      spec.result_type, rec_args,
-                                      rec.successor))
-        else:
-            forward = bool(spec.targets) and min(
-                rec.operands[p] for p in spec.targets) > rec.offset
-            code.append(RECORD_FACTORIES[spec, forward](
-                ctx, limit, *blocks.links, o, *rec_args))
+        forward = bool(spec.targets) and min(
+            rec.operands[p] for p in spec.targets) > rec.offset
+        code.append(RECORD_FACTORIES[spec, forward](
+            ctx, limit, *blocks.links, o, *rec_args))
     blocks.params = [(cells.cell(off, tag.width, "a parameter"),
                       (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
     blocks.ret = None

@@ -2,6 +2,7 @@
 modules with known shapes, a one-call protection helper, and a random
 bundle assembler for serialization round trips."""
 
+import itertools
 from array import array
 
 from vmguard.bundle import (ExternFunction, PlainFunction, ProtectedBundle,
@@ -9,7 +10,8 @@ from vmguard.bundle import (ExternFunction, PlainFunction, ProtectedBundle,
 from vmguard.guards import finalize_expected_hashes
 from vmguard.ir import parse_module
 from vmguard.protect import ProtectionConfig, virtualize_module
-from vmguard.risa import KIND_NAMES, OPCODE_SPACE, HandlerSpec, Risa
+from vmguard.risa import (KIND_NAMES, OPCODE_SPACE, HandlerSpec, Risa,
+                          handler_spec)
 from vmguard.ir.core import TypeTag
 
 # main multiplies its argument; @g exists only to be checked, it is never
@@ -126,6 +128,17 @@ def random_bundle(rng) -> ProtectedBundle:
     return ProtectedBundle(functions=functions, entry_index=entry,
                            edges=edges, seed=seed,
                            optimized_hint=bool(rng.randrange(2)))
+
+
+def fitting_spec(kind):
+    """A signature of `kind` that has a layout."""
+    for n in range(4):
+        for ops in itertools.product(_TAGS, repeat=n):
+            for res in (None, *_TAGS):
+                spec = handler_spec(kind, ops, res)
+                if spec.layout is not None:
+                    return spec
+    raise AssertionError(f"no signature of {kind!r} has a layout")
 
 
 def guard_edge_of(bundle):

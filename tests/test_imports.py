@@ -38,3 +38,12 @@ def test_the_reference_interpreter_imports_no_engine():
         text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_the_factories_cache_compiles_source():
+    # every generated function in the package comes from `arith.Factories`
+    package = pathlib.Path(vmguard.__file__).parent
+    compiling = sorted(str(path.relative_to(package))
+                       for path in package.rglob("*.py")
+                       if "exec(" in path.read_text())
+    assert compiling == ["arith.py"]

@@ -12,7 +12,8 @@ from vmguard.bundle import PlainFunction
 from vmguard.execstate import CALL_DEPTH_REASON, MAX_CALL_DEPTH, ExecContext
 from vmguard.ir import (TypeTag, evaluate_function, interp, parse_module,
                         reference_interpret)
-from vmguard.ir.core import BINARY_KINDS, CAST_KINDS, ICMP_PREDICATES
+from vmguard.ir.core import (BINARY_KINDS, CAST_KINDS, ICMP_PREDICATES, Block,
+                             Instruction, IrFunction, IrModule)
 from vmguard.protect import ProtectionConfig, virtualize_module
 from vmguard.runtime import execute_secure
 from vmguard.threaded import execute_optimized
@@ -699,3 +700,14 @@ def test_block_factories_stay_bounded(corpus_flat, manifest, monkeypatch):
         assert {"value": res.value, "output": res.output} == \
             entry["expect"]["tiny"]
         assert 0 < len(cache) <= 3
+
+
+def test_a_last_block_without_a_terminator_is_refused_by_name():
+    # a hand-built module, not validated: `main` ends in a call
+    main = IrFunction("main", (), TypeTag.I64, (Block("entry", (
+        Instruction("const", result="k", type=TypeTag.I64, value=3),
+        Instruction("call", operands=("k",), callee="print_i64"),
+    )),))
+    with pytest.raises(ValueError, match=r"@main: block %entry ends "
+                       "without a terminator"):
+        reference_interpret(IrModule((main,)), "main")

@@ -1,11 +1,13 @@
+import builtins
+import dis
 import gc
 import sys
 
 import pytest
 
-from builders import CHECKED_HELPER, MIXED_CALLS, protect_text
+from builders import CHECKED_HELPER, MIXED_CALLS, fitting_spec, protect_text
 from oracles import PROGRAM_MODELS
-from vmguard import runtime
+from vmguard import arith, runtime
 from vmguard.bundle import (FlipElement, PreserveChecksumPair, copy_bundle,
                             tamper_bundle, verify)
 from vmguard.execstate import (CALL_DEPTH_REASON, INPUT_EXHAUSTED_REASON,
@@ -16,7 +18,7 @@ from vmguard.guards import compute_vpa_hash
 from vmguard.ir import (TypeTag, eliminate_phis, parse_module,
                         reference_interpret)
 from vmguard.protect import ProtectionConfig, virtualize_module
-from vmguard.risa import HandlerSpec, walk_records
+from vmguard.risa import KIND_NAMES, HandlerSpec, handler_spec, walk_records
 from vmguard.rng import SplitMix64
 from vmguard.runtime import (HASH_MISMATCH, INVALID_OPCODE,
                              INVALID_REFERENCE, PC_ESCAPE, TamperSignal,
@@ -496,15 +498,45 @@ neg:
 """
 
 
+# main calls @boom, which prints its argument, then divides by zero; with
+# guards on, @boom checks main between the two
+TRAPPING_CALLEE = """\
+func @main(i64 %n) -> i64 {
+entry:
+  %k = const i64 7
+  %m = mul i64 %n, %k
+  %q = call i64 @boom(%n)
+  %s = add i64 %q, %m
+  ret i64 %s
+}
+
+func @boom(i64 %x) -> i64 {
+entry:
+  call void @print_i64(%x)
+  %z = const i64 0
+  %q = sdiv i64 %x, %z
+  ret i64 %q
+}
+"""
+
+
 @pytest.mark.parametrize("kind", ["add", "load", "store", "brcond",
-                                  "select", "trunc"])
+                                  "select", "trunc", "call", "guard"])
 def test_each_record_cut_short_by_the_stream_end_is_tamper(kind):
-    bundle, honest = run_text(STRAIGHT_LINE, [3], enable_guards=False)
-    assert (honest.status, honest.value) == ("normal", 6)
+    if kind in ("call", "guard"):
+        # the cut must be refused before the callee's trap can fire
+        bundle, honest = run_text(TRAPPING_CALLEE, [3],
+                                  enable_guards=kind == "guard")
+        assert (honest.status, honest.trap_reason, honest.output) == \
+            ("trap", DIV_BY_ZERO, [3])
+        assert honest.guard_execs == (kind == "guard")
+    else:
+        bundle, honest = run_text(STRAIGHT_LINE, [3], enable_guards=False)
+        assert (honest.status, honest.value) == ("normal", 6)
     broken = copy_bundle(bundle)
-    main = broken.function("main")
-    off, spec = _record_of_kind(main, kind)
-    main.vpa = main.vpa[:off + spec.record_len - 1]   # loses its last operand
+    vfn = broken.function("boom" if kind == "guard" else "main")
+    off, spec = _record_of_kind(vfn, kind)
+    vfn.vpa = vfn.vpa[:off + spec.record_len - 1]     # loses its last operand
     res = execute_secure(broken, [3])
     assert res.status == "tamper"
     assert res.tamper_cause.kind == INVALID_REFERENCE
@@ -580,3 +612,21 @@ def test_call_with_the_wrong_argument_count_is_tamper(corpus_flat, manifest,
     res = engine(broken, inputs)
     assert res.status == "tamper"
     assert res.tamper_cause.kind == INVALID_REFERENCE
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+def test_every_kind_has_a_checked_statement(kind):
+    specs = [fitting_spec(kind)]
+    if kind in ("call", "ret"):
+        # the forms with a value, besides the void ones
+        specs.append(handler_spec(kind, (TypeTag.I64,),
+                                  TypeTag.I8 if kind == "call" else None))
+    defined = vars(runtime).keys() | vars(builtins).keys()
+    for spec in specs:
+        factory = arith.Factories(runtime._handler_source,
+                                  vars(runtime))[spec]
+        handler = next(c for c in factory.__code__.co_consts
+                       if hasattr(c, "co_code"))
+        for code in (factory.__code__, handler):
+            assert {i.argval for i in dis.get_instructions(code)
+                    if i.opname == "LOAD_GLOBAL"} <= defined, spec

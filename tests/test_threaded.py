@@ -1,11 +1,10 @@
 import builtins
 import dis
-import itertools
 from collections import Counter
 
 import pytest
 
-from builders import CHECKED_HELPER, MIXED_CALLS, protect_text
+from builders import CHECKED_HELPER, MIXED_CALLS, fitting_spec, protect_text
 from vmguard import arith, runtime, threaded
 from vmguard.arith import DIV_BY_ZERO
 from vmguard.bundle import (FlipRandomElement, SwapOpcodes, TamperError,
@@ -672,18 +671,6 @@ def test_wrappers_on_the_bridge_and_the_hash_see_every_call(
     assert secure["call_function"] > 0 and secure["compute_vpa_hash"] > 0
 
 
-def _fitting_spec(kind):
-    """A signature of `kind` that has a layout."""
-    tags = list(TypeTag)
-    for n in range(4):
-        for ops in itertools.product(tags, repeat=n):
-            for res in (None, *tags):
-                spec = handler_spec(kind, ops, res)
-                if spec.layout is not None:
-                    return spec
-    raise AssertionError(f"no signature of {kind!r} has a layout")
-
-
 def _globals_read(factory) -> set[str]:
     """The global names a factory's block reads."""
     block = next(c for c in factory.__code__.co_consts
@@ -694,7 +681,7 @@ def _globals_read(factory) -> set[str]:
 
 @pytest.mark.parametrize("kind", KIND_NAMES)
 def test_every_kind_has_a_block_statement(kind):
-    spec = _fitting_spec(kind)
+    spec = fitting_spec(kind)
     shape = (spec,) if spec.kind == "ret" else (spec, handler_spec("ret"))
     factories = [arith.Factories(threaded._block_source,
                                  vars(threaded))[shape]]
