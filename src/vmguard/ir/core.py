@@ -94,10 +94,6 @@ class IrFunction:
                 return b
         raise KeyError(label)
 
-    @property
-    def entry(self) -> Block:
-        return self.blocks[0]
-
     def instructions(self):
         for b in self.blocks:
             yield from b.instructions

@@ -18,9 +18,6 @@ from .core import (BINARY_KINDS, CAST_KINDS, EXTERN_SIGS, ICMP_PREDICATES,
 
 MAX_ALLOCA_COUNT = 65534
 
-_RESULT_KINDS = set(BINARY_KINDS) | set(CAST_KINDS) | {
-    "const", "icmp", "select", "alloca", "load", "phi"}
-
 
 def _successors(block: Block) -> tuple[str, ...]:
     if not block.instructions:

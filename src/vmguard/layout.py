@@ -33,7 +33,6 @@ class VmLayout:
     param_slots: list[tuple[int, TypeTag]] = field(default_factory=list)
     ret_slot: tuple[int, TypeTag] | None = None
     consts: list[tuple[int, TypeTag, int]] = field(default_factory=list)
-    guard_pairs: list[tuple[int, int]] = field(default_factory=list)
     size: int = 0
 
     def place(self, width: int, what: str) -> int:
@@ -54,7 +53,6 @@ class VmLayout:
         guard; returns their offsets."""
         exp = self.place(2, "guard cell")
         run = self.place(2, "guard cell")
-        self.guard_pairs.append((exp, run))
         return exp, run
 
 

@@ -138,7 +138,7 @@ class HandlerSpec:
 
     @cached_property
     def _hash(self) -> int:
-        # specs key the opcode tables and, a tuple of them, each hot block
+        # specs key the opcode tables and, a tuple of them, each block
         # shape; the fields are frozen, so the hash is worked out once
         return hash((self.kind, self.operand_types, self.result_type))
 

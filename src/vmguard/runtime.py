@@ -209,12 +209,14 @@ if ret_off is not None:
     put1(vm, ret_off, value)
 return -1
 """,
-    # the result element is read before the call, so a record cut short
-    # by the stream end is tamper, not a trap of the callee's
+    # the result element and its cell are read before the call, so a
+    # record cut short by the stream end, or a result cell outside the
+    # image, is tamper, not a trap of the callee's
     "call": """\
 target = table_entry(bundle, vfn, CALLEE, vpa[vpc + 1])
 args = [{args}]
 r = vpa[vpc + {r}]
+get{r}(vm, r)
 value = call_function(bundle, target, args, ctx, run_virt)
 put{r}(vm, r, (value or 0) & {mask})
 return vpc + {ln}

@@ -1,36 +1,31 @@
 """Pre-decoding execution engine with a register file.
 
-Each function's encoded stream is decoded once per run into positional
-records whose operand cells, type masks and successor links are baked
-into closures; the dispatch loop then just indexes a list.  Memory is a
-register file rather than a byte image: a list indexed by byte offset in
-which every cell and region element the records reference holds its
-value as one canonical unsigned int, so a handler is a few list
-operations (`vm[r] = (vm[a] + vm[b]) & m`) instead of byte slices.
-Every record's closure runs its kind's statement from `_STATEMENTS` (a
-value kind's wraps the expression `arith.value_source` states for it),
-compiled once per spec, and for a branch per direction, into a
-one-record factory.  The arguments of each record's statement are worked
-out once, at decode, by `_record_args`.  The register list is built from
-the image once per run, at decode time, and each activation starts from
-a copy of it.
+Each function's encoded stream is decoded once per run into one
+generated function per basic block, with the records' operand cells,
+type masks and successors baked in; the dispatch loop then just indexes
+a list.  Memory is a register file rather than a byte image: a list
+indexed by byte offset in which every cell and region element the
+records reference holds its value as one canonical unsigned int, so a
+statement is a few list operations (`vm[r] = (vm[a] + vm[b]) & m`)
+instead of byte slices.  The register list is built from the image once
+per run, at decode time, and each activation starts from a copy of it.
 
-A basic block that gets hot runs as one generated function.  The first
-record counts activations, a loop's back edge counts the entries over
-its edges, and so does every edge out of a hot block; once a count
-reaches `HOT`, the block that starts at the edge's target is built and
-patched into the dispatch list in place of its first closure.  Its
-source strings together the same `_STATEMENTS`, one per record kind, and
-is compiled once per block shape, the records' specs.  Both kinds of
-factory are kept in bounded process-wide caches; cells, region limits,
-callees and successors are factory arguments, so no stream content or
-run state is cached.  Calls and guards run inline: the generated code
-looks `call_function` and `compute_vpa_hash` up in this module at each
-call, and every guard still hashes the live stream.  The block counts
-steps per segment, ending one at each call and guard: a trap takes back
-the steps of the records after it, and a segment the step limit falls
-inside runs record by record.  Steps, traps, outputs and guard counts
-stay those of the per-record run.
+A block starts at record 0 or at a branch target, runs through any
+branch target on its way and ends at the next terminator; the dispatch
+list holds it at its first record.  Its source strings together each
+record's statement from `_STATEMENTS` (a value kind's wraps the
+expression `arith.value_source` states for it) and is compiled once per
+block shape, the records' specs, into a factory kept in a bounded
+process-wide cache.  Cells, region limits, callees and successors are
+factory arguments, worked out once per record by `_record_args`, so no
+stream content or run state is cached.  Calls and guards run inline:
+the generated code looks `call_function` and `compute_vpa_hash` up in
+this module at each call, and every guard still hashes the live stream.
+A block counts steps per segment, ending one at each call and guard: a
+trap takes back the steps of the records after it, and a segment the
+step limit falls inside runs record by record, each as a one-record
+block.  Steps, traps, outputs and guard counts stay those of the
+per-record run.
 
 That removes the per-step opcode lookup, operand fetch, byte conversion
 and counter bounds check the checked engine pays for, at the cost of
@@ -61,7 +56,6 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from functools import partial
 
 from .arith import (TRAPPING, VALUE_KINDS, Factories, TrapError,
                     index_limit, value_source)
@@ -134,7 +128,7 @@ def pre_decode(vfn: VirtFunction) -> list[ThreadedRecord]:
 
 class _Cells:
     """The cells and regions one function references, collected while its
-    records compile, and the register-file template they imply."""
+    records decode, and the register-file template they imply."""
 
     def __init__(self, vfn: VirtFunction) -> None:
         self.vfn = vfn
@@ -228,20 +222,14 @@ def _record_args(bundle: ProtectedBundle, vfn: VirtFunction,
 
 # ------------------------------------------------------------ statements
 
-# entries into a block, as an activation's first block, over a loop's
-# back edge or from a hot block, after which it runs as one generated
-# function
-HOT = 32
-
-# The Python statement(s) each record kind runs as, alone as a cold record
-# or inside a hot block.  `{aN}` is the record's N-th argument, as
-# `_record_args` gives them, and `{eN}` counts the entries over the edge
-# to `{aN}`; `{w}` is a load or store's element width and `{args}` a
-# call's argument cells; `{back}` is how many records of its segment
-# follow the record, which a trap takes back off `ctx.steps` so it
-# reports the trapping record's step.  A value kind's statement is
-# `_VALUE` or `_TRAPPING` around its `arith.value_source` expression, and a
-# call with a result stores it masked to its type.
+# The Python statement(s) each record kind runs as, inside a block or
+# alone.  `{aN}` is the record's N-th argument, as `_record_args` gives
+# them; `{w}` is a load or store's element width and `{args}` a call's
+# argument cells; `{back}` is how many records of its segment follow the
+# record, which a trap takes back off `ctx.steps` so it reports the
+# trapping record's step.  A value kind's statement is `_VALUE` or
+# `_TRAPPING` around its `arith.value_source` expression, and a call with
+# a result stores it masked to its type.
 _VALUE = "vm[{r}] = {value}\n"
 _TRAPPING = """\
 try:
@@ -274,43 +262,22 @@ vm[{a2} + i * {w}] = vm[{a3}]
 h = vm[{a3}] = compute_vpa_hash({a0}.vpa)
 check_guard(ctx, {a1}, h, vm[{a2}])
 """,
-    "br": """\
-{e0} -= 1
-if not {e0}:
-    heat({a0})
-return {a0}
-""",
-    "brcond": """\
-if vm[{a0}]:
-    {e1} -= 1
-    if not {e1}:
-        heat({a1})
-    return {a1}
-{e2} -= 1
-if not {e2}:
-    heat({a2})
-return {a2}
-""",
+    "br": "return {a0}\n",
+    "brcond": "return {a1} if vm[{a0}] else {a2}\n",
     # a ret with a value copies it to the return cell
     "ret": "vm[{a0}] = vm[{a1}]\nreturn -1\n",
 }
-# a cold branch that is not a loop's back edge counts no entries
-_FORWARD = {"br": "return {a0}\n",
-            "brcond": "return {a1} if vm[{a0}] else {a2}\n"}
 # the kinds that end a block, and those that end a segment of it
 _TERMINATORS = ("br", "brcond", "ret")
 _SEGMENT_ENDS = ("call", "guard")
 
 
-def _statement(spec: HandlerSpec, forward: bool = False) -> str:
+def _statement(spec: HandlerSpec) -> str:
     """`spec`'s statement template, with its value expression, element
-    width or argument cells filled in; `forward` picks a branch's
-    uncounted form."""
+    width or argument cells filled in."""
     k = spec.kind
     if k == "ret" and not spec.layout:
         return "return -1\n"
-    if forward:
-        return _FORWARD[k]
     template = _STATEMENTS[k]
     if k in VALUE_KINDS:
         n = len(spec.operand_types)
@@ -331,14 +298,12 @@ def _statement(spec: HandlerSpec, forward: bool = False) -> str:
     return template
 
 
-def _block_source(specs: tuple[HandlerSpec, ...],
-                  forward: bool = False) -> str:
+def _block_source(specs: tuple[HandlerSpec, ...]) -> str:
     """The source of the factory of one block shape, the specs of its
-    records: a hot block, the last a terminator, or one cold record, with
-    `forward` for a branch in its uncounted form.  The factory takes the
-    run's context, step limit, `heat` and `cold`, the first record's
-    ordinal `o`, then each record's arguments."""
-    params, counters, body = ["ctx", "limit", "heat", "cold", "o"], [], []
+    records: a block, the last a terminator, or one record run alone.
+    The factory takes the run's context, step limit and `cold`, the first
+    record's ordinal `o`, then each record's arguments."""
+    params, body = ["ctx", "limit", "cold", "o"], []
     start = 0
     for j, spec in enumerate(specs):
         if j == start:
@@ -353,163 +318,85 @@ def _block_source(specs: tuple[HandlerSpec, ...],
                          f"    return cold(vm, o + {start}, "
                          f"{int(start == 0)})",
                          "ctx.steps = st"]
-        template = _statement(spec, forward)
-        fields = set(re.findall(r"\{(\w+)\}", template))
-        names = {f: f"{f}_{j}" for f in fields if f[0] in "ae"}
-        params += [f"a{p}_{j}" for p in range(
-            sum(f[0] == "a" for f in fields))]
-        counters += [n for f, n in names.items() if f[0] == "e"]
+        template = _statement(spec)
+        names = {f"a{p}": f"a{p}_{j}"
+                 for p in range(len(set(re.findall(r"\{a\d+\}", template))))}
+        params += names.values()
         body += template.format(back=end - 1 - j, **names).splitlines()
         if spec.kind in _SEGMENT_ENDS:
             start = j + 1
-    lines = [f"def factory({', '.join(params)}):"]
     if specs[-1].kind not in _TERMINATORS:
         # a record run alone goes on to the next one
-        lines += [f"    nxt = o + {len(specs)}"]
-        params += ["nxt"]
-        body += ["return nxt"]
-    if counters:
-        lines += [f"    {' = '.join(counters)} = {HOT}"]
-    # what the block reads binds as defaults, fast locals kept in one
-    # tuple, and only the entry counters as closure cells
+        body.append(f"return o + {len(specs)}")
+    # what the block reads binds as defaults, fast locals
     text = "\n".join(body)
     bound = [f"{p}={p}" for p in params if re.search(rf"\b{p}\b", text)]
-    lines += [f"    def block({', '.join(['vm', *bound])}):"]
-    if counters:
-        lines += [f"        nonlocal {', '.join(counters)}"]
-    lines += [f"        {line}" for line in body]
-    lines += ["    return block"]
-    return "\n".join(lines) + "\n"
+    return (f"def factory({', '.join(params)}):\n"
+            f"    def block({', '.join(['vm', *bound])}):\n"
+            + "".join(f"        {line}\n" for line in body)
+            + "    return block\n")
 
 
-# block factories by shape, the tuple of the records' specs, and one-record
-# factories, the cold path, by (spec, forward)
+# block factories by shape, the tuple of the records' specs
 BLOCK_FACTORIES = Factories(_block_source, globals())
-RECORD_FACTORIES = Factories(lambda key: _block_source(key[:1], key[1]),
-                             globals())
 
 
-class _Blocks:
-    """One function's dispatch list in one run, the hot blocks patched
-    into it, its register-file template, (cell, mask) per parameter and
-    return cell.  The list starts as the per-record closures, the first
-    behind a counter of activations; `heat(leader)` replaces the closure
-    at `leader` with the block that starts there, run as one generated
-    function.  `args` holds each record's arguments, as decoding worked
-    them out.  The closures reach `heat` and `cold` through `ctx.decoded`,
-    so clearing it when the run ends frees them."""
-
-    __slots__ = ("records", "args", "ctx", "links", "code", "first",
-                 "flat", "hot", "template", "params", "ret")
-
-    def __init__(self, records: list[ThreadedRecord], args: list,
-                 ctx: ExecContext, key: tuple[str, int]) -> None:
-        self.records = records
-        self.args = args
-        self.ctx = ctx
-        # (heat, cold) as the closures call them
-        self.links = partial(_heat, ctx, key), partial(_cold, ctx, key)
-        self.flat = None            # the closures, from the first heat on
-
-    def dispatch_list(self, code: list) -> None:
-        """Keep `code`, the records' closures, as the dispatch list, with
-        the first behind a counter of activations."""
-        self.code = code
-        first = self.first = code[0]
-        heat = self.links[0]
-        n = HOT
-
-        def enter(vm):
-            nonlocal n
-            n -= 1
-            if not n:
-                heat(0)
-            return first(vm)
-        code[0] = enter
-
-    def heat(self, leader: int) -> None:
-        """Patch the block at `leader` into the dispatch list, unless it is
-        there already.  A block runs to the next terminator, through any
-        branch target on the way, which may start a block of its own."""
-        if self.flat is None:
-            self.flat = self.code.copy()
-            self.flat[0] = self.first
-            self.hot = set()
-        elif leader in self.hot:
-            return
-        self.hot.add(leader)
-        specs, args = [], []
-        for rec, rec_args in zip(self.records[leader:], self.args[leader:]):
-            specs.append(rec.spec)
-            args += rec_args
-            if rec.spec.kind in _TERMINATORS:
-                break
-        ctx = self.ctx
-        self.code[leader] = BLOCK_FACTORIES[tuple(specs)](
-            ctx, ctx.step_limit, *self.links, leader, *args)
-
-    def cold(self, vm, ordinal: int, counted: int) -> int:
-        """Run the per-record closures from `ordinal` to the activation's
-        end, which a hot block hands over when the step limit falls inside
-        one of its segments; `counted` of its steps are counted already."""
-        ctx, flat = self.ctx, self.flat
-        ctx.steps -= counted
-        limit = ctx.step_limit
-        while ordinal != -1:
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise TrapError(STEP_LIMIT_REASON)
-            ordinal = flat[ordinal](vm)
-        return -1
-
-
-def _heat(ctx: ExecContext, key: tuple[str, int], leader: int) -> None:
-    ctx.decoded[key].heat(leader)
-
-
-def _cold(ctx: ExecContext, key: tuple[str, int], vm, ordinal: int,
-          counted: int) -> int:
-    return ctx.decoded[key].cold(vm, ordinal, counted)
-
-
-def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext,
-            key: tuple[str, int]) -> _Blocks:
+def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     """The dispatch list, register-file template, (cell, mask) per
-    parameter and return cell of `vfn`.  Each record's closure comes
-    from its one-record factory; a branch back to its own or an earlier
-    record, a loop's back edge, counts the entries over its edges."""
+    parameter and return cell of `vfn`.  The dispatch list holds, at
+    record 0 and at every branch target, the block that starts there and
+    runs to the next terminator, through any branch target on the way;
+    it holds None at every other record.  Every reference is checked
+    before any block is built."""
     cells = _Cells(vfn)
     records = pre_decode(vfn)
     args = [_record_args(bundle, vfn, rec, cells) for rec in records]
-    blocks = _Blocks(records, args, ctx, key)
-    limit = ctx.step_limit
-    code = []
-    for o, (rec, rec_args) in enumerate(zip(records, args)):
-        spec = rec.spec
-        forward = bool(spec.targets) and min(
-            rec.operands[p] for p in spec.targets) > rec.offset
-        code.append(RECORD_FACTORIES[spec, forward](
-            ctx, limit, *blocks.links, o, *rec_args))
-    blocks.params = [(cells.cell(off, tag.width, "a parameter"),
-                      (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
-    blocks.ret = None
+    params = [(cells.cell(off, tag.width, "a parameter"),
+               (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
+    ret = None
     if vfn.ret_slot is not None:
         off, tag = vfn.ret_slot
-        blocks.ret = cells.cell(off, tag.width, "the return cell")
-    blocks.dispatch_list(code)
-    blocks.template = cells.template()
-    return blocks
+        ret = cells.cell(off, tag.width, "the return cell")
+    template = cells.template()
+    specs = [rec.spec for rec in records]
+    limit = ctx.step_limit
+
+    def cold(vm, o, counted):
+        # the step limit falls inside the segment that starts at `o`, of
+        # which `counted` steps are counted already, so this ends in a
+        # trap before the segment does
+        ctx.steps -= counted
+        while True:
+            ctx.steps += 1
+            if ctx.steps > limit:
+                raise TrapError(STEP_LIMIT_REASON)
+            o = BLOCK_FACTORIES[specs[o],](ctx, limit, None, o, *args[o])(vm)
+
+    leaders = {0}
+    for rec in records:
+        if rec.kind == "br":
+            leaders.add(rec.successor)
+        elif rec.kind == "brcond":
+            leaders.update(rec.successor)
+    code = [None] * len(records)
+    for leader in leaders:
+        end = leader
+        while specs[end].kind not in _TERMINATORS:
+            end += 1
+        code[leader] = BLOCK_FACTORIES[tuple(specs[leader:end + 1])](
+            ctx, limit, cold, leader,
+            *[a for rec_args in args[leader:end + 1] for a in rec_args])
+    return code, template, params, ret
 
 
-def _compiled(bundle: ProtectedBundle, vfn: VirtFunction,
-              ctx: ExecContext) -> _Blocks:
+def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     """`_decode` of `vfn`, built once per run.  A refusal while decoding
     is marked `at_decode` on its tamper signal."""
     key = ("optimized", id(vfn))
     compiled = ctx.decoded.get(key)
     if compiled is None:
         try:
-            compiled = _decode(bundle, vfn, ctx, key)
+            compiled = _decode(bundle, vfn, ctx)
         except TamperSignal as signal:
             signal.at_decode = True
             raise
@@ -521,10 +408,9 @@ def run_threaded(bundle: ProtectedBundle, vfn: VirtFunction, args,
                  ctx: ExecContext) -> int | None:
     """One activation of a transformed function under the pre-decoding
     engine."""
-    blocks = _compiled(bundle, vfn, ctx)
-    code, ret = blocks.code, blocks.ret
-    vm = blocks.template.copy()
-    for (off, m), raw in zip(blocks.params, args):
+    code, template, params, ret = _compiled(bundle, vfn, ctx)
+    vm = template.copy()
+    for (off, m), raw in zip(params, args):
         vm[off] = raw & m
 
     ordinal = 0

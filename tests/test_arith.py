@@ -5,7 +5,7 @@ an engine may hold (an i1 cell is a byte), not only canonical values.
 Each operation runs in every shape an executor builds from
 `arith.value_source`: the checked engine's handler, which reads its
 record from a stream and its cells from a byte image; the optimized
-engine's one-record factory from `threaded.RECORD_FACTORIES`, over a
+engine's one-record block from `threaded.BLOCK_FACTORIES`, over a
 register list; and the reference interpreter's one-instruction factory,
 whose registers only ever hold canonical values."""
 
@@ -33,12 +33,13 @@ CAST_PAIRS = [(kind, src, dst) for kind in CAST_KINDS for src in TAGS
 
 
 def recorded(kind, operand_types, result, *operands):
-    """The result the optimized engine's cold record for `kind` writes
-    over `operands`, each in its own register, the result in the next."""
+    """The result the optimized engine's one-record block for `kind`
+    writes over `operands`, each in its own register, the result in the
+    next."""
     regs = [*operands, None]
-    factory = threaded.RECORD_FACTORIES[
-        handler_spec(kind, tuple(operand_types), result), False]
-    run = factory(ExecContext(), 0, None, None, 6, *range(len(regs)))
+    factory = threaded.BLOCK_FACTORIES[
+        handler_spec(kind, tuple(operand_types), result),]
+    run = factory(ExecContext(), 0, None, 6, *range(len(regs)))
     assert run(regs) == 7
     return regs[-1]
 
@@ -159,8 +160,8 @@ def test_unknown_kind_or_predicate_is_refused(kind):
 
 
 def test_misfit_signature_is_refused_before_anything_is_built():
-    caches = (runtime.HANDLER_FACTORIES, threaded.RECORD_FACTORIES,
-              threaded.BLOCK_FACTORIES, interp.BLOCK_FACTORIES)
+    caches = (runtime.HANDLER_FACTORIES, threaded.BLOCK_FACTORIES,
+              interp.BLOCK_FACTORIES)
     compiled = [len(c) for c in caches]
     handler, vm, _ = checked_handler("add", [TypeTag.I8, TypeTag.I16],
                                      TypeTag.I8, (1, 2))

@@ -78,7 +78,6 @@ def test_guard_pair_appends_two_adjacent_cells():
     exp, run = lay.add_guard_pair()
     assert (exp, run) == (before, before + 2)
     assert lay.size == before + 4
-    assert lay.guard_pairs == [(exp, run)]
     exp2, run2 = lay.add_guard_pair()
     assert exp2 == before + 4 and run2 == before + 6
 

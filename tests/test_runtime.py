@@ -575,6 +575,20 @@ entry:
     assert res.tamper_cause.kind == INVALID_REFERENCE
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_call_result_cell_past_the_image_is_refused_before_the_call(engine):
+    bundle, honest = run_text(TRAPPING_CALLEE, [3], enable_guards=False)
+    assert (honest.trap_reason, honest.output) == (DIV_BY_ZERO, [3])
+    broken = copy_bundle(bundle)
+    main = broken.function("main")
+    off, spec = _record_of_kind(main, "call")
+    main.vpa[off + spec.record_len - 1] = len(main.image)
+    res = engine(broken, [3])
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == INVALID_REFERENCE
+    assert res.output == []
+
+
 @pytest.mark.parametrize("element", [2, 3])
 def test_guard_cell_past_the_image_is_refused_before_hashing(monkeypatch,
                                                               element):

@@ -10,7 +10,7 @@ from vmguard.arith import DIV_BY_ZERO
 from vmguard.bundle import (FlipRandomElement, SwapOpcodes, TamperError,
                             ZeroRange, copy_bundle, tamper_bundle)
 from vmguard.execstate import (LOAD_BOUNDS_REASON, STEP_LIMIT_REASON,
-                               STORE_BOUNDS_REASON)
+                               STORE_BOUNDS_REASON, ExecContext)
 from vmguard.guards import compute_vpa_hash
 from vmguard.ir import ExecutionResult, TypeTag, reference_interpret
 from vmguard.protect import ProtectionConfig, virtualize_module
@@ -439,11 +439,11 @@ def test_engines_agree_on_tampered_corpus_bundles_unless_refused_at_decode(
     assert agreed > 0       # some damage must get past decoding
 
 
-# ---- hot blocks -------------------------------------------------------------
+# ---- blocks ----------------------------------------------------------------
 
 # `n` turns of a loop whose body divides by `stop - i`, stores at index
 # `i + soff` and loads at `i + loff` of a 64-element region, so each trap
-# fires in the middle of the body once it runs as a hot block
+# fires in the middle of the body's block
 TRAPPING_LOOP = """\
 func @main(i64 %n, i64 %stop, i64 %soff, i64 %loff) -> i64 {
 entry:
@@ -513,35 +513,20 @@ exit:
 """
 
 
-@pytest.fixture()
-def heated(monkeypatch):
-    """The ctx.steps of every block patched in, in order."""
-    steps = []
-    heat = threaded._Blocks.heat
-
-    def spy(self, leader):
-        before = self.code[leader]
-        heat(self, leader)
-        if self.code[leader] is not before:
-            steps.append(self.ctx.steps)
-    monkeypatch.setattr(threaded._Blocks, "heat", spy)
-    return steps
-
-
 def _same_run(a, b):
     assert _fingerprint(a) == _fingerprint(b)
 
 
-def test_step_limit_sweep_across_the_hot_transition(corpus_flat, manifest,
-                                                    heated):
+def test_step_limit_sweep_across_the_hot_transition(corpus_flat, manifest):
+    """Limits that fall in every segment of the first blocks and the
+    first turns of the loop."""
     entry = next(p for p in manifest["programs"] if p["name"] == "loop_sum")
     inputs = entry["inputs"]["check"]
     bundle = virtualize_module(corpus_flat["loop_sum"],
                                ProtectionConfig(seed=3, level=100))
     honest = execute_optimized(bundle, inputs)
-    assert honest.status == "normal" and heated
-    first = heated[0]
-    for limit in range(first - 40, first + 400):
+    assert honest.status == "normal" and honest.steps > 440
+    for limit in range(440):
         a = execute_secure(bundle, inputs, step_limit=limit)
         b = execute_optimized(bundle, inputs, step_limit=limit)
         assert a.status == b.status == "trap", limit
@@ -555,11 +540,10 @@ def test_step_limit_sweep_across_the_hot_transition(corpus_flat, manifest,
     ([100, 1000, 14, 0], STORE_BOUNDS_REASON),
     ([100, 1000, 0, 14], LOAD_BOUNDS_REASON),
 ])
-def test_trap_inside_a_hot_block_reports_its_own_step(inputs, reason, heated):
+def test_trap_inside_a_hot_block_reports_its_own_step(inputs, reason):
     bundle = protect_text(TRAPPING_LOOP, seed=6, enable_guards=False)
     a = execute_secure(bundle, inputs)
     b = execute_optimized(bundle, inputs)
-    assert heated and heated[0] < b.steps
     assert a.status == b.status == "trap"
     assert a.trap_reason == b.trap_reason == reason
     _same_run(a, b)
@@ -570,7 +554,7 @@ def test_trap_inside_a_hot_block_reports_its_own_step(inputs, reason, heated):
 
 
 def test_guard_mismatch_inside_a_hot_block(corpus_flat, manifest,
-                                           monkeypatch, heated):
+                                           monkeypatch):
     entry = next(p for p in manifest["programs"] if p["name"] == "loop_sum")
     inputs = entry["inputs"]["check"]
     # a draw that puts a guard in the loop
@@ -587,27 +571,23 @@ def test_guard_mismatch_inside_a_hot_block(corpus_flat, manifest,
             return compute_vpa_hash(vpa) ^ (calls[0] > n)
         return forged
 
-    heated.clear()
     monkeypatch.setattr(runtime, "compute_vpa_hash", forged_after(150))
     a = execute_secure(bundle, inputs)
     monkeypatch.setattr(threaded, "compute_vpa_hash", forged_after(150))
     b = execute_optimized(bundle, inputs)
-    assert heated and heated[0] < b.steps
     assert a.status == b.status == "tamper"
     assert a.tamper_cause.kind == b.tamper_cause.kind == HASH_MISMATCH
     assert a.guard_execs == b.guard_execs == 151
     _same_run(a, b)
 
 
-def test_callee_trips_the_limit_when_called_from_a_hot_block(heated):
+def test_callee_trips_the_limit_when_called_from_a_hot_block():
     bundle = protect_text(CALLING_LOOP, seed=8, level=100)
     honest = execute_optimized(bundle, [60])
     assert honest.status == "normal"
-    # from the last block to get hot, the caller's, sweep the limit
-    # through a few of its turns
-    last = heated[-1]
-    assert last + 1200 < honest.steps
-    for limit in range(last, last + 1200, 3):
+    # sweep the limit through the caller's first turns
+    assert 1200 < honest.steps
+    for limit in range(0, 1200, 3):
         a = execute_secure(bundle, [60], step_limit=limit)
         b = execute_optimized(bundle, [60], step_limit=limit)
         assert b.status == "trap" and b.steps == limit + 1, limit
@@ -616,19 +596,95 @@ def test_callee_trips_the_limit_when_called_from_a_hot_block(heated):
 
 def test_block_factories_stay_bounded(corpus_flat, manifest, monkeypatch):
     monkeypatch.setattr(arith, "MAX_BLOCK_SHAPES", 3)
-    caches = []
-    for name in ("BLOCK_FACTORIES", "RECORD_FACTORIES"):
-        cache = arith.Factories(getattr(threaded, name).source,
-                                vars(threaded))
-        monkeypatch.setattr(threaded, name, cache)
-        caches.append(cache)
+    cache = arith.Factories(threaded.BLOCK_FACTORIES.source, vars(threaded))
+    monkeypatch.setattr(threaded, "BLOCK_FACTORIES", cache)
     for entry in manifest["programs"]:
         inputs = entry["inputs"]["check"]
         bundle = virtualize_module(corpus_flat[entry["name"]],
                                    ProtectionConfig(seed=2, level=100))
         _same_run(execute_secure(bundle, inputs),
                   execute_optimized(bundle, inputs))
-        assert all(0 < len(cache) <= 3 for cache in caches)
+        # and a limit that hands a segment over to the one-record blocks
+        limit = execute_secure(bundle, inputs).steps // 2
+        _same_run(execute_secure(bundle, inputs, step_limit=limit),
+                  execute_optimized(bundle, inputs, step_limit=limit))
+        assert 0 < len(cache) <= 3
+
+
+class _Shapes(dict):
+    """A stand-in for `BLOCK_FACTORIES` that keeps the shapes decoding
+    asks for and builds nothing."""
+
+    def __missing__(self, shape):
+        self[shape] = factory = (lambda *args: shape)
+        return factory
+
+
+def _decoded(bundle, vfn, monkeypatch):
+    """`vfn`'s dispatch list, each block replaced by its shape."""
+    with monkeypatch.context() as m:
+        m.setattr(threaded, "BLOCK_FACTORIES", _Shapes())
+        return threaded._decode(bundle, vfn, ExecContext())[0]
+
+
+@pytest.mark.parametrize("program", ["sieve", "qsort"])
+def test_blocks_start_at_record_zero_and_every_branch_target(
+        corpus_flat, program, monkeypatch):
+    bundle = virtualize_module(corpus_flat[program],
+                               ProtectionConfig(seed=5, level=100))
+    for vfn in bundle.virt_functions():
+        records = pre_decode(vfn)
+        targets = {0}
+        for rec in records:
+            if rec.spec.targets:
+                targets.update(rec.successor if rec.kind == "brcond"
+                               else [rec.successor])
+        code = _decoded(bundle, vfn, monkeypatch)
+        assert [o for o, block in enumerate(code) if block] == \
+            sorted(targets)
+        for o in targets:
+            # each block runs to the first terminator from its leader
+            end = next(e for e in range(o, len(records))
+                       if records[e].kind in ("br", "brcond", "ret"))
+            assert code[o] == tuple(r.spec for r in records[o:end + 1])
+
+
+def test_branch_retargeted_inside_a_block_gets_an_overlapping_block(
+        monkeypatch):
+    bundle = protect_text(TRAPPING_LOOP, seed=6, enable_guards=False)
+    main = bundle.function("main")
+    records = pre_decode(main)
+    into_loop = next(o for o, rec in enumerate(records) if rec.kind == "br")
+    body = next(rec.successor[0] for rec in records if rec.kind == "brcond")
+    inside = body + 3
+    assert _decoded(bundle, main, monkeypatch)[inside] is None
+    broken = copy_bundle(bundle)
+    # the entry now jumps into the loop body, past its first records
+    broken.function("main").vpa[records[into_loop].offset + 1] = \
+        records[inside].offset
+    code = _decoded(broken, broken.function("main"), monkeypatch)
+    assert code[inside] and code[body][3:] == code[inside]
+    for inputs in ([100, 50, 0, 0], [3, 1000, 0, 0], [100, 1000, 14, 0]):
+        for limit in (40, 5000):
+            _same_run(execute_secure(broken, inputs, step_limit=limit),
+                      execute_optimized(broken, inputs, step_limit=limit))
+
+
+def test_block_shapes_stay_well_inside_the_cache(corpus_flat, monkeypatch):
+    """The call-guard programs at full coverage and three guards per
+    checkee, under 64 seeds in both arms, decode into fewer than half the
+    shapes the factory cache keeps, so a run never thrashes it."""
+    shapes = _Shapes()
+    monkeypatch.setattr(threaded, "BLOCK_FACTORIES", shapes)
+    for name in ("fib", "qsort", "crc32", "strsearch"):
+        for seed in range(64):
+            for guards in (True, False):
+                bundle = virtualize_module(corpus_flat[name], ProtectionConfig(
+                    seed=seed, level=100, guards_per_checkee=3,
+                    enable_guards=guards))
+                for vfn in bundle.virt_functions():
+                    threaded._decode(bundle, vfn, ExecContext())
+    assert len(shapes) < arith.MAX_BLOCK_SHAPES // 2
 
 
 def _wrapped_counts(module, execute, bundle, inputs, monkeypatch):
@@ -653,7 +709,7 @@ def _wrapped_counts(module, execute, bundle, inputs, monkeypatch):
 
 @pytest.mark.parametrize("program", ["fib", "loop_sum"])
 def test_wrappers_on_the_bridge_and_the_hash_see_every_call(
-        corpus_flat, manifest, monkeypatch, heated, program):
+        corpus_flat, manifest, monkeypatch, program):
     """A tracer counts calls by wrapping the module attributes; factories
     cached before the wrappers went in still call through them."""
     entry = next(p for p in manifest["programs"] if p["name"] == program)
@@ -661,10 +717,8 @@ def test_wrappers_on_the_bridge_and_the_hash_see_every_call(
     bundle = virtualize_module(corpus_flat[program],
                                ProtectionConfig(seed=1, level=100))
     execute_optimized(bundle, inputs)
-    heated.clear()
     optimized = _wrapped_counts(threaded, execute_optimized, bundle, inputs,
                                 monkeypatch)
-    assert heated
     secure = _wrapped_counts(runtime, execute_secure, bundle, inputs,
                              monkeypatch)
     assert optimized == secure
@@ -682,14 +736,10 @@ def _globals_read(factory) -> set[str]:
 @pytest.mark.parametrize("kind", KIND_NAMES)
 def test_every_kind_has_a_block_statement(kind):
     spec = fitting_spec(kind)
-    shape = (spec,) if spec.kind == "ret" else (spec, handler_spec("ret"))
-    factories = [arith.Factories(threaded._block_source,
-                                 vars(threaded))[shape]]
-    # alone, as a cold record, a branch both counted and forward
-    records = arith.Factories(threaded.RECORD_FACTORIES.source,
-                              vars(threaded))
-    factories += [records[spec, forward]
-                  for forward in ((False, True) if spec.targets else (False,))]
+    factories = arith.Factories(threaded._block_source, vars(threaded))
+    # inside a block, ended by a ret unless it ends it, and alone
+    shapes = [(spec,) if spec.kind == "ret" else (spec, handler_spec("ret")),
+              (spec,)]
     defined = vars(threaded).keys() | vars(builtins).keys()
-    for factory in factories:
-        assert _globals_read(factory) <= defined
+    for shape in shapes:
+        assert _globals_read(factories[shape]) <= defined
