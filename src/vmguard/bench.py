@@ -5,12 +5,12 @@ timed executions per network, after one untimed execution that pays the
 first-call costs.  That execution is gated on correctness: it must match
 the reference interpreter's outcome exactly, otherwise the cell is
 recorded as failed and skipped.  Timing wraps only the execution call;
-parsing and protection happen outside the clock.  The timed reps of a
-program's arms and modes are interleaved, one run per network in turn,
-so that slow stretches of a shared host fall on every cell rather than
-on whichever ran then.  Rows report the median rather than the mean, so
-one noisy rep cannot skew a row, and give the minimum and interquartile
-range beside it.
+parsing and protection happen outside the clock.  The timed reps of the
+plain reference and of a program's arms and modes are interleaved, one
+run per network in turn, so that slow stretches of a shared host fall on
+every cell, the reference too, rather than on whichever ran then.  Rows
+report the median rather than the mean, so one noisy rep cannot skew a
+row, and give the minimum and interquartile range beside it.
 """
 
 from __future__ import annotations
@@ -146,25 +146,6 @@ class BenchmarkReport:
         return "\n".join(lines)
 
 
-def _sample(thunk, reps: int):
-    """Raw wall times of `reps` invocations plus the last result.  One
-    untimed invocation comes first, so first-call costs stay out of the
-    times."""
-    times = []
-    result = thunk()
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        result = thunk()
-        times.append(time.perf_counter() - t0)
-    return times, result
-
-
-def measure(thunk, reps: int):
-    """Median wall time of `reps` invocations plus the last result."""
-    times, result = _sample(thunk, reps)
-    return statistics.median(times), result
-
-
 def _iqr(times: list[float]) -> float:
     if len(times) < 2:
         return 0.0
@@ -189,13 +170,15 @@ def _validate_plan(cfg: BenchmarkConfig) -> None:
 
 
 def _time_level(report: BenchmarkReport, cfg: BenchmarkConfig, name: str,
-                level: int, module, inputs, ref, t_ref: float,
+                level: int, module, inputs, ref, reference,
                 limit: dict) -> None:
     """Rows of one program at one level.  Every arm's draws are built
     first, and each draw of each (arm, mode) cell runs once, untimed,
-    where its outcome is checked.  The timed reps then rotate through
-    the draws of the cells that passed, one run each, in reverse order
-    on odd reps, so a drift in host speed falls on every cell alike."""
+    where its outcome is checked against `ref`, the outcome of the plain
+    `reference` run.  The timed reps then rotate through that reference
+    and the draws of the cells that passed, one run each, in reverse
+    order on odd reps, so a drift in host speed falls on every cell and
+    on the reference alike."""
     cells = []
     for arm in cfg.arms:
         bundles = [virtualize_module(module, ProtectionConfig(
@@ -216,13 +199,16 @@ def _time_level(report: BenchmarkReport, cfg: BenchmarkConfig, name: str,
                 continue
             cells.append((arm, mode, results, runs, []))
 
-    order = [(run, times) for _, _, _, runs, times in cells for run in runs]
+    ref_times: list[float] = []
+    order = [(reference, ref_times)] + [
+        (run, times) for _, _, _, runs, times in cells for run in runs]
     for rep in range(cfg.reps):
         for run, times in (reversed(order) if rep % 2 else order):
             t0 = time.perf_counter()
             run()
             times.append(time.perf_counter() - t0)
 
+    t_ref = statistics.median(ref_times)
     for arm, mode, results, _, times in cells:
         report.rows.append(BenchmarkRow(
             program=name, level=level, arm=arm, mode=mode,
@@ -248,9 +234,9 @@ def run_benchmarks(cfg: BenchmarkConfig) -> BenchmarkReport:
         module = parse_module(load_program_text(prog["file"]))
         flat = eliminate_phis(module)
         inputs = prog["inputs"][cfg.tier]
-        t_ref, ref = measure(
-            lambda: reference_interpret(flat, "main", inputs, **limit),
-            cfg.reps)
+        reference = partial(reference_interpret, flat, "main", inputs,
+                            **limit)
+        ref = reference()           # untimed: the rows' outcome check
         if ref.status != "normal":
             report.failures.append(CellFailure(
                 name, 0, "", "", f"reference run ended in {ref.status}"))
@@ -263,7 +249,7 @@ def run_benchmarks(cfg: BenchmarkConfig) -> BenchmarkReport:
 
         for level in cfg.levels:
             _time_level(report, cfg, name, level, module, inputs, ref,
-                        t_ref, limit)
+                        reference, limit)
     return report
 
 

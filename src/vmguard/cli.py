@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="check bundle structure before running; detection "
                         "normally happens during execution")
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn=cmd_run, run_parser=p)
 
     p = sub.add_parser("tamper", help="write a corrupted copy of a bundle, "
                                       "or run repeated-tamper detection "
@@ -369,7 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if rest and args.command == "run":
+        # a subparser takes its positionals in one go, leaving inputs given
+        # after an option over; the run arguments parse again, intermixed
+        args = args.run_parser.parse_intermixed_args(argv[1:])
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.fn(args)
 
 

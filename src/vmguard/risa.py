@@ -138,9 +138,19 @@ class HandlerSpec:
 
     @cached_property
     def _hash(self) -> int:
-        # specs key the opcode tables and, a tuple of them, each block
-        # shape; the fields are frozen, so the hash is worked out once
+        # specs key the opcode tables; the fields are frozen, so the hash
+        # is worked out once
         return hash((self.kind, self.operand_types, self.result_type))
+
+    @cached_property
+    def number(self) -> int:
+        """The signature as one int: its wire encoding, behind a leading 1,
+        read as a number.  Equal signatures share it and an int hashes in
+        C, so a tuple of numbers keys a block shape."""
+        res = self.result_type
+        ops = (TAG_CODE[t] for t in self.operand_types)
+        return int.from_bytes(bytes((1, KIND_CODE[self.kind], *ops, 0xFF if
+                                     res is None else TAG_CODE[res])), "big")
 
     @cached_property
     def layout(self) -> tuple[tuple[str, TypeTag | None], ...] | None:
@@ -156,6 +166,13 @@ class HandlerSpec:
         return 1 + len(self.layout)
 
     @cached_property
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        """(operand position, byte width) of each element naming a value
+        cell, in stream order; only defined when `layout` is not None."""
+        return tuple((i, tag.width) for i, (role, tag) in
+                     enumerate(self.layout) if role in CELL_ROLES)
+
+    @cached_property
     def targets(self) -> tuple[int, ...]:
         """Operand positions (0 is the element after the opcode) that hold
         branch targets."""
@@ -164,6 +181,14 @@ class HandlerSpec:
 
 
 handler_spec = lru_cache(maxsize=4096)(HandlerSpec)
+
+
+def numbered_spec(number: int) -> HandlerSpec:
+    """The signature whose `number` is `number`."""
+    code = number.to_bytes((number.bit_length() + 7) // 8, "big")
+    return handler_spec(KIND_NAMES[code[1]],
+                        tuple(TAG_FROM_CODE[c] for c in code[2:-1]),
+                        TAG_FROM_CODE.get(code[-1]))
 
 
 def spec_for_instruction(ins, value_tag) -> HandlerSpec:

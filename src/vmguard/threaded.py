@@ -1,24 +1,27 @@
 """Pre-decoding execution engine with a register file.
 
-Each function's encoded stream is decoded once per run into one
-generated function per basic block, with the records' operand cells,
-type masks and successors baked in; the dispatch loop then just indexes
-a list.  Memory is a register file rather than a byte image: a list
-indexed by byte offset in which every cell and region element the
-records reference holds its value as one canonical unsigned int, so a
-statement is a few list operations (`vm[r] = (vm[a] + vm[b]) & m`)
-instead of byte slices.  The register list is built from the image once
-per run, at decode time, and each activation starts from a copy of it.
+Each function's encoded stream is decoded once per run, in one pass over
+its records, into one generated function per basic block, with the
+records' operand cells, type masks and successors baked in; the dispatch
+loop then just indexes a list.  Memory is a register file rather than a
+byte image: a list indexed by byte offset in which every cell and region
+element the records reference holds its value as one canonical unsigned
+int, so a statement is a few list operations
+(`vm[r] = (vm[a] + vm[b]) & m`) instead of byte slices.  The register
+list is built from the image once per run, at decode time, and each
+activation starts from a copy of it.
 
 A block starts at record 0 or at a branch target, runs through any
 branch target on its way and ends at the next terminator; the dispatch
 list holds it at its first record.  Its source strings together each
 record's statement from `_STATEMENTS` (a value kind's wraps the
 expression `arith.value_source` states for it) and is compiled once per
-block shape, the records' specs, into a factory kept in a bounded
-process-wide cache.  Cells, region limits, callees and successors are
-factory arguments, worked out once per record by `_record_args`, so no
-stream content or run state is cached.  Calls and guards run inline:
+block shape, the records' spec numbers (one int per signature, so a
+shape hashes in C), into a factory kept in a bounded process-wide cache.
+Cells, region limits, callees and successors are factory arguments,
+gathered into one flat list by a single pass over the records that
+checks every cell as it goes, so no stream content or run state is
+cached.  Calls and guards run inline:
 the generated code looks `call_function` and `compute_vpa_hash` up in
 this module at each call, and every guard still hashes the live stream.
 A block counts steps per segment, ending one at each call and guard: a
@@ -54,8 +57,7 @@ observing corruption lazily:
 from __future__ import annotations
 
 import re
-import struct
-from dataclasses import dataclass
+from bisect import bisect_left
 
 from .arith import (TRAPPING, VALUE_KINDS, Factories, TrapError,
                     index_limit, value_source)
@@ -65,33 +67,19 @@ from .bundle import ProtectedBundle, VirtFunction
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
 from .guards import compute_vpa_hash
-from .risa import (CALLEE, CELL_ROLES, CHECKEE, HandlerSpec,
-                   MalformedStream, walk_records)
-from .runtime import (CELL_CODE, INVALID_OPCODE, INVALID_REFERENCE,
-                      PC_ESCAPE, TamperSignal, call_function, check_guard,
+from .risa import (CALLEE, CHECKEE, HandlerSpec, MalformedStream,
+                   numbered_spec, walk_records)
+from .runtime import (_CELL, INVALID_OPCODE, INVALID_REFERENCE, PC_ESCAPE,
+                      TamperSignal, call_function, check_guard,
                       execute_with_engine, table_entry)
 
 
-@dataclass
-class ThreadedRecord:
-    """One decoded record: where it sits, what it does, which cells it
-    touches, and where control continues (ordinal, (true, false) pair for
-    conditional branches, None for returns)."""
-
-    offset: int
-    spec: HandlerSpec
-    operands: tuple[int, ...]
-    successor: int | tuple[int, int] | None
-
-    @property
-    def kind(self) -> str:
-        return self.spec.kind
-
-
-def pre_decode(vfn: VirtFunction) -> list[ThreadedRecord]:
-    """Split a stream into records and resolve every control edge to a
-    record ordinal.  Raises TamperSignal if the stream does not decode as
-    a branch-consistent record sequence."""
+def pre_decode(vfn: VirtFunction) -> list[tuple]:
+    """Split a stream into records, (element index, handler spec,
+    successor) each, and resolve every control edge to a record ordinal:
+    the successor is the next ordinal, the (true, false) pair of a
+    conditional branch, or None for a return.  Raises TamperSignal if the
+    stream does not decode as a branch-consistent record sequence."""
     vpa = vfn.vpa
     try:
         walked = walk_records(vfn.risa, vpa)
@@ -101,129 +89,35 @@ def pre_decode(vfn: VirtFunction) -> list[ThreadedRecord]:
     if not walked:
         raise TamperSignal(PC_ESCAPE, f"@{vfn.name}: stream is empty")
     ordinal_at = {start: i for i, (start, _) in enumerate(walked)}
+    last = len(walked) - 1
 
     records = []
     for ordinal, (start, spec) in enumerate(walked):
-        ops = tuple(vpa[start + 1:start + spec.record_len])
-        succ: int | tuple[int, int] | None
+        targets = spec.targets
         if spec.kind == "ret":
             succ = None
-        elif spec.targets:
-            succ = tuple(ordinal_at.get(ops[p]) for p in spec.targets)
+        elif targets:
+            succ = tuple(ordinal_at.get(vpa[start + 1 + p]) for p in targets)
             if None in succ:
                 raise TamperSignal(
                     PC_ESCAPE, f"@{vfn.name}: branch at {start} targets an "
                     "element that is not a record boundary")
             if len(succ) == 1:
                 succ = succ[0]
+        elif ordinal == last:
+            raise TamperSignal(
+                PC_ESCAPE, f"@{vfn.name}: stream ends in a "
+                "non-terminating record")
         else:
             succ = ordinal + 1
-            if succ == len(walked):
-                raise TamperSignal(
-                    PC_ESCAPE, f"@{vfn.name}: stream ends in a "
-                    "non-terminating record")
-        records.append(ThreadedRecord(start, spec, ops, succ))
+        records.append((start, spec, succ))
     return records
-
-
-class _Cells:
-    """The cells and regions one function references, collected while its
-    records decode, and the register-file template they imply."""
-
-    def __init__(self, vfn: VirtFunction) -> None:
-        self.vfn = vfn
-        self.size = len(vfn.image)
-        self.spans: set[tuple[int, int, int]] = set()  # (start, end, width)
-
-    def cell(self, off: int, width: int, where: str | int) -> int:
-        """Validate one baked cell reference, made by the record at offset
-        `where` or by what `where` names; corrupt offsets are refused here
-        so the hot loop never bounds-checks them."""
-        if off + width > self.size:
-            if isinstance(where, int):
-                where = f"record at {where}"
-            raise TamperSignal(
-                INVALID_REFERENCE, f"@{self.vfn.name}: {where} references "
-                "a cell outside the image")
-        self.spans.add((off, off + width, width))
-        return off
-
-    def region(self, base: int, count: int, width: int) -> int:
-        """Note the elements of a load/store region that lie inside the
-        image; returns how many leading elements an index may reach."""
-        n = min(count, max(0, (self.size - base) // width))
-        if n:
-            self.spans.add((base, base + n * width, width))
-        return n
-
-    def template(self) -> list[int]:
-        """Each referenced cell's little-endian value at its offset.  Two
-        spans sharing a byte must cut it into the same cells: same width,
-        element boundaries aligned."""
-        image = self.vfn.image
-        vm = list(image)            # width-1 cells hold their byte already
-        group_start, group_end, group_width = 0, 0, 0
-        for start, end, width in sorted(self.spans):
-            if start < group_end:
-                if width != group_width or (start - group_start) % width:
-                    raise TamperSignal(
-                        INVALID_REFERENCE, f"@{self.vfn.name}: cells at "
-                        f"{group_start} and {start} overlap")
-                group_end = max(group_end, end)
-            else:
-                group_start, group_end, group_width = start, end, width
-            if width > 1:
-                n = (end - start) // width
-                vm[start:end:width] = struct.unpack_from(
-                    f"<{n}{CELL_CODE[width]}", image, start)
-        return vm
-
-
-def _record_args(bundle: ProtectedBundle, vfn: VirtFunction,
-                 rec: ThreadedRecord, cells: _Cells):
-    """The arguments of `rec`'s statement, numbered as its `_STATEMENTS`
-    entry names them, worked out once when the record is decoded: every
-    cell the record names is validated here, a load or store's index limit
-    computed and a call's callee or a guard's checkee resolved.  A value
-    record's arguments are its operand cells, then its result cell."""
-    spec = rec.spec
-    k = spec.kind
-    if k in ("const", "alloca"):
-        # no engine reads these operands: constants sit in the template
-        return ()
-    if k == "br":
-        return (rec.successor,)
-    ops = [cells.cell(v, tag.width, rec.offset) if role in CELL_ROLES else v
-           for (role, tag), v in zip(spec.layout, rec.operands)]
-    if k in VALUE_KINDS:
-        return ops
-    if k == "load":
-        base, count, ix, r = ops
-        n = cells.region(base, count, spec.result_type.width)
-        return ix, index_limit(n, spec.operand_types[0]), base, r
-    if k == "store":
-        v, base, count, ix = ops
-        n = cells.region(base, count, spec.operand_types[0].width)
-        return ix, index_limit(n, spec.operand_types[1]), base, v
-    if k == "brcond":
-        return (ops[0], *rec.successor)
-    if k == "ret":
-        # a value goes to the return cell, or with none onto itself
-        return ops and (ops[0] if vfn.ret_slot is None
-                        else vfn.ret_slot[0], ops[0])
-    if k == "call":
-        return (bundle, table_entry(bundle, vfn, CALLEE, ops[0]), *ops[1:])
-    if k == "guard":
-        checkee = table_entry(bundle, vfn, CHECKEE, ops[0])
-        return (checkee, (vfn.name, checkee.name), *ops[1:])
-    # `risa._layout` gives no other kind a layout
-    raise AssertionError(f"no handler for kind {k!r}")
 
 
 # ------------------------------------------------------------ statements
 
 # The Python statement(s) each record kind runs as, inside a block or
-# alone.  `{aN}` is the record's N-th argument, as `_record_args` gives
+# alone.  `{aN}` is the record's N-th argument, as `_decode` gathers
 # them; `{w}` is a load or store's element width and `{args}` a call's
 # argument cells; `{back}` is how many records of its segment follow the
 # record, which a trap takes back off `ctx.steps` so it reports the
@@ -298,11 +192,12 @@ def _statement(spec: HandlerSpec) -> str:
     return template
 
 
-def _block_source(specs: tuple[HandlerSpec, ...]) -> str:
-    """The source of the factory of one block shape, the specs of its
-    records: a block, the last a terminator, or one record run alone.
-    The factory takes the run's context, step limit and `cold`, the first
-    record's ordinal `o`, then each record's arguments."""
+def _block_source(numbers: tuple[int, ...]) -> str:
+    """The source of the factory of one block shape, the `number`s of its
+    records' specs: a block, the last a terminator, or one record run
+    alone.  The factory takes the run's context, step limit and `cold`,
+    the first record's ordinal `o`, then each record's arguments."""
+    specs = [numbered_spec(n) for n in numbers]
     params, body = ["ctx", "limit", "cold", "o"], []
     start = 0
     for j, spec in enumerate(specs):
@@ -337,7 +232,7 @@ def _block_source(specs: tuple[HandlerSpec, ...]) -> str:
             + "    return block\n")
 
 
-# block factories by shape, the tuple of the records' specs
+# block factories by shape, the tuple of the records' spec numbers
 BLOCK_FACTORIES = Factories(_block_source, globals())
 
 
@@ -346,19 +241,88 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     parameter and return cell of `vfn`.  The dispatch list holds, at
     record 0 and at every branch target, the block that starts there and
     runs to the next terminator, through any branch target on the way;
-    it holds None at every other record.  Every reference is checked
-    before any block is built."""
-    cells = _Cells(vfn)
+    it holds None at every other record.
+
+    One pass over the records gathers each record's statement arguments,
+    numbered as its `_STATEMENTS` entry names them, into `flat`: every
+    cell it names is checked against the image, a load or store's index
+    limit worked out and a call's callee or a guard's checkee resolved, so
+    a corrupt reference is refused here, in record order, and the blocks
+    never bounds-check one.  A value record's arguments are its operand
+    cells, then its result cell.  The parameter and return cells and the
+    overlap check follow, all before any block is built."""
     records = pre_decode(vfn)
-    args = [_record_args(bundle, vfn, rec, cells) for rec in records]
-    params = [(cells.cell(off, tag.width, "a parameter"),
-               (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
-    ret = None
+    vpa, size, name = vfn.vpa.tolist(), len(vfn.image), vfn.name
+    spans = set()               # (start, end, width) of each cell and region
+    flat: list = []
+    first = []                  # where each record's arguments start in flat
+    leaders, ends = {0}, []     # block starts, terminator ordinals
+    for o, (start, spec, succ) in enumerate(records):
+        first.append(len(flat))
+        k = spec.kind
+        if k in _TERMINATORS:
+            ends.append(o)
+        if k in ("const", "alloca"):
+            # no engine reads these operands: constants sit in the template
+            continue
+        if k == "br":
+            flat.append(succ)
+            leaders.add(succ)
+            continue
+        ops = vpa[start + 1:start + spec.record_len]
+        for p, w in spec.cells:
+            off = ops[p]
+            if off + w > size:
+                raise TamperSignal(INVALID_REFERENCE, f"@{name}: record at "
+                                   f"{start} references a cell outside the "
+                                   "image")
+            spans.add((off, off + w, w))
+        if k in VALUE_KINDS:
+            flat += ops
+        elif k in ("load", "store"):
+            if k == "load":
+                base, count, ix, r = ops
+                tag, index = spec.result_type, spec.operand_types[0]
+            else:
+                r, base, count, ix = ops
+                tag, index = spec.operand_types
+            # the region's leading elements inside the image
+            w = tag.width
+            n = min(count, max(0, (size - base) // w))
+            if n:
+                spans.add((base, base + n * w, w))
+            flat += (ix, index_limit(n, index), base, r)
+        elif k == "brcond":
+            flat += (ops[0], *succ)
+            leaders.update(succ)
+        elif k == "ret":
+            # a value goes to the return cell, or with none onto itself
+            if ops:
+                flat += (ops[0] if vfn.ret_slot is None
+                         else vfn.ret_slot[0], ops[0])
+        elif k == "call":
+            flat += (bundle, table_entry(bundle, vfn, CALLEE, ops[0]),
+                     *ops[1:])
+        elif k == "guard":
+            checkee = table_entry(bundle, vfn, CHECKEE, ops[0])
+            flat += (checkee, (name, checkee.name), *ops[1:])
+        else:
+            # `risa._layout` gives no other kind a layout
+            raise AssertionError(f"no handler for kind {k!r}")
+    first.append(len(flat))
+
+    slots = [(*slot, "a parameter") for slot in vfn.param_slots]
     if vfn.ret_slot is not None:
-        off, tag = vfn.ret_slot
-        ret = cells.cell(off, tag.width, "the return cell")
-    template = cells.template()
-    specs = [rec.spec for rec in records]
+        slots.append((*vfn.ret_slot, "the return cell"))
+    for off, tag, where in slots:
+        if off + tag.width > size:
+            raise TamperSignal(INVALID_REFERENCE, f"@{name}: {where} "
+                               "references a cell outside the image")
+        spans.add((off, off + tag.width, tag.width))
+    params = [(off, (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
+    ret = None if vfn.ret_slot is None else vfn.ret_slot[0]
+    template = _template(name, vfn.image, spans)
+    numbers = [spec.number for _, spec, _ in records]
     limit = ctx.step_limit
 
     def cold(vm, o, counted):
@@ -370,23 +334,38 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
             ctx.steps += 1
             if ctx.steps > limit:
                 raise TrapError(STEP_LIMIT_REASON)
-            o = BLOCK_FACTORIES[specs[o],](ctx, limit, None, o, *args[o])(vm)
+            o = BLOCK_FACTORIES[numbers[o],](
+                ctx, limit, None, o, *flat[first[o]:first[o + 1]])(vm)
 
-    leaders = {0}
-    for rec in records:
-        if rec.kind == "br":
-            leaders.add(rec.successor)
-        elif rec.kind == "brcond":
-            leaders.update(rec.successor)
     code = [None] * len(records)
     for leader in leaders:
-        end = leader
-        while specs[end].kind not in _TERMINATORS:
-            end += 1
-        code[leader] = BLOCK_FACTORIES[tuple(specs[leader:end + 1])](
-            ctx, limit, cold, leader,
-            *[a for rec_args in args[leader:end + 1] for a in rec_args])
+        end = ends[bisect_left(ends, leader)]
+        code[leader] = BLOCK_FACTORIES[tuple(numbers[leader:end + 1])](
+            ctx, limit, cold, leader, *flat[first[leader]:first[end + 1]])
     return code, template, params, ret
+
+
+def _template(name: str, image: bytearray, spans) -> list[int]:
+    """The register-file template: each referenced cell's little-endian
+    value at its offset.  Two spans sharing a byte must cut it into the
+    same cells: same width, element boundaries aligned."""
+    vm = list(image)            # width-1 cells hold their byte already
+    group_start, group_end, group_width = 0, 0, 0
+    for start, end, width in sorted(spans):
+        if start < group_end:
+            if width != group_width or (start - group_start) % width:
+                raise TamperSignal(
+                    INVALID_REFERENCE, f"@{name}: cells at "
+                    f"{group_start} and {start} overlap")
+            group_end = max(group_end, end)
+        else:
+            group_start, group_end, group_width = start, end, width
+        if width > 1:
+            cell = _CELL[width]
+            vm[start:end:width] = (
+                cell.unpack_from(image, start) if end - start == width
+                else [v for v, in cell.iter_unpack(image[start:end])])
+    return vm
 
 
 def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):

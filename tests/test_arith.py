@@ -38,7 +38,7 @@ def recorded(kind, operand_types, result, *operands):
     next."""
     regs = [*operands, None]
     factory = threaded.BLOCK_FACTORIES[
-        handler_spec(kind, tuple(operand_types), result),]
+        handler_spec(kind, tuple(operand_types), result).number,]
     run = factory(ExecContext(), 0, None, 6, *range(len(regs)))
     assert run(regs) == 7
     return regs[-1]

@@ -6,9 +6,9 @@ import pytest
 
 from vmguard import bench
 from vmguard.bench import (ARMS, MODES, TIERS, BenchError, BenchmarkConfig,
-                           BenchmarkRow, _sample, coverage_table,
+                           BenchmarkRow, coverage_table,
                            format_coverage_table, load_manifest,
-                           load_program_text, measure, run_benchmarks)
+                           load_program_text, run_benchmarks)
 from vmguard.ir import parse_module
 from vmguard.ir.interp import reference_interpret
 from vmguard.ir.phi import eliminate_phis
@@ -27,32 +27,50 @@ def test_corpus_files_load_through_package_data():
             "func @main" in text
 
 
-def test_measure_returns_median_and_last_result():
+def test_reference_is_timed_in_every_levels_rotation(monkeypatch):
+    """The plain reference runs once untimed, then once per lap of each
+    level's timed reps, as the first cell of the rotation: a lap that
+    runs forwards starts with it and one that runs backwards ends with
+    it.  Its first run is slow, as a first call filling caches would be,
+    and stays out of every row."""
     calls = []
 
-    def thunk():
-        calls.append(1)
-        return len(calls)
+    def recording(label, fn):
+        def run(*args, **kw):
+            calls.append(label)
+            if label == "reference" and calls.count(label) == 1:
+                time.sleep(0.05)
+            return fn(*args, **kw)
+        return run
 
-    median, result = measure(thunk, reps=5)
-    assert len(calls) == 6          # one untimed warm-up, five timed
-    assert result == 6
-    assert median >= 0.0
-
-
-def test_sample_warms_up_once_untimed():
-    calls = []
-
-    def thunk():
-        calls.append(1)
-        # the first call is slow, as a first call filling caches would be
-        time.sleep(0.05 if len(calls) == 1 else 0.0)
-        return len(calls)
-
-    times, result = _sample(thunk, reps=3)
-    assert len(calls) == 4 and result == 4
-    assert len(times) == 3
-    assert max(times) < 0.05
+    monkeypatch.setattr(bench, "reference_interpret",
+                        recording("reference", reference_interpret))
+    for mode, executor in zip(MODES, (execute_secure, execute_optimized)):
+        monkeypatch.setattr(bench, f"execute_{mode}",
+                            recording(mode, executor))
+    reps, levels = 3, (50, 100)
+    report = run_benchmarks(BenchmarkConfig(
+        programs=("fib",), levels=levels, reps=reps, seeds=1, tier="tiny",
+        seed=3))
+    cells = len(ARMS) * len(MODES)
+    assert calls[0] == "reference"
+    assert calls.count("reference") == 1 + reps * len(levels)
+    per_level = len(calls[1:]) // len(levels)
+    for lv in range(len(levels)):
+        level_calls = calls[1 + lv * per_level:1 + (lv + 1) * per_level]
+        # the untimed outcome checks, then the laps of the timed reps
+        timed = level_calls[cells:]
+        laps = [timed[i:i + cells + 1] for i in range(0, len(timed),
+                                                      cells + 1)]
+        assert len(laps) == reps
+        for i, lap in enumerate(laps):
+            assert lap.count("reference") == 1
+            assert lap[-1 if i % 2 else 0] == "reference"
+    for level in levels:
+        for arm in ARMS:
+            for mode in MODES:
+                ref_s = report.row("fib", arm, mode, level).reference_seconds
+                assert 0 < ref_s < 0.05
 
 
 def test_timed_reps_rotate_through_every_cell(monkeypatch):

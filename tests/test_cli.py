@@ -246,6 +246,30 @@ def test_run_accepts_input_flags(fib_vir, tmp_path, capsys):
     assert capsys.readouterr().out == flagged
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mode", "optimized", "8", "--step-limit", "100000"],
+    ["8", "--mode", "optimized", "--step-limit", "100000"],
+    ["--mode", "optimized", "--step-limit", "100000", "8"],
+], ids=["between-options", "before-options", "after-options"])
+def test_run_takes_inputs_before_or_after_options(fib_vir, tmp_path, capsys,
+                                                  argv):
+    out = tmp_path / "fib.vsc"
+    protect(fib_vir, out)
+    capsys.readouterr()
+    assert main(["run", str(out), *argv]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["21", "21", "ret=0"]
+
+
+@pytest.mark.parametrize("argv", [["run", "x.vsc", "--mode", "optimized",
+                                   "--bogus"],
+                                  ["coverage", "x.vir", "7"]])
+def test_leftover_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_tamper_without_output_or_trials_fails(helper_vir, tmp_path,
                                                capsys):
     clean = tmp_path / "h.vsc"

@@ -19,7 +19,7 @@ from vmguard.rng import SplitMix64
 from vmguard.runtime import (HASH_MISMATCH, INVALID_OPCODE,
                              INVALID_REFERENCE, PC_ESCAPE, TamperSignal,
                              execute_secure)
-from vmguard.threaded import ThreadedRecord, execute_optimized, pre_decode
+from vmguard.threaded import execute_optimized, pre_decode
 
 BRANCHY = """\
 func @main(i64 %n) -> i64 {
@@ -41,24 +41,21 @@ def test_pre_decode_resolves_every_successor_shape():
     bundle = protect_text(BRANCHY, seed=12, enable_guards=False)
     main = bundle.function("main")
     records = pre_decode(main)
-    assert all(isinstance(r, ThreadedRecord) for r in records)
-    walked = walk_records(main.risa, main.vpa)
-    assert [r.offset for r in records] == [off for off, _ in walked]
+    assert all(type(r) is tuple and len(r) == 3 for r in records)
+    # (element index, spec) as the stream walks, then the successor
+    assert [(start, spec) for start, spec, _ in records] == \
+        walk_records(main.risa, main.vpa)
     by_kind = {}
-    for i, rec in enumerate(records):
-        by_kind.setdefault(rec.kind, (i, rec))
+    for i, (start, spec, succ) in enumerate(records):
+        by_kind.setdefault(spec.kind, (i, start, succ))
     # straight-line records step to the next ordinal
-    i, const = by_kind["const"]
-    assert const.successor == i + 1
+    i, _, succ = by_kind["const"]
+    assert succ == i + 1
     # two-way branches carry an ordinal pair, returns carry nothing
-    _, brc = by_kind["brcond"]
-    t, f = brc.successor
-    assert records[t].offset == brc.operands[1]
-    assert records[f].offset == brc.operands[2]
-    _, ret = by_kind["ret"]
-    assert ret.successor is None
-    # operands are the record body without the opcode
-    assert len(const.operands) == const.spec.record_len - 1
+    _, start, (t, f) = by_kind["brcond"]
+    assert records[t][0] == main.vpa[start + 2]
+    assert records[f][0] == main.vpa[start + 3]
+    assert by_kind["ret"][2] is None
 
 
 def test_pre_decode_flags_unknown_opcodes():
@@ -84,9 +81,9 @@ def test_pre_decode_flags_branches_into_record_bodies():
     bundle = protect_text(BRANCHY, seed=12, enable_guards=False)
     main = bundle.function("main")
     records = pre_decode(main)
-    brc = next(r for r in records if r.kind == "brcond")
+    brc = next(start for start, spec, _ in records if spec.kind == "brcond")
     broken = copy_bundle(bundle).function("main")
-    broken.vpa[brc.offset + 2] = brc.offset + 1   # inside its own record
+    broken.vpa[brc + 2] = brc + 1           # inside its own record
     with pytest.raises(TamperSignal) as exc:
         pre_decode(broken)
     assert exc.value.kind == PC_ESCAPE
@@ -96,10 +93,10 @@ def test_pre_decode_flags_streams_without_a_final_terminator():
     bundle = protect_text(CHECKED_HELPER, seed=12, enable_guards=False)
     g = bundle.function("g")               # single ret record
     records = pre_decode(g)
-    assert [r.kind for r in records] == ["ret"]
+    assert [spec.kind for _, spec, _ in records] == ["ret"]
     broken = copy_bundle(bundle).function("main")
     # keep only the first record of main: a non-terminator at stream end
-    first_len = pre_decode(broken)[0].spec.record_len
+    first_len = pre_decode(broken)[0][1].record_len
     broken.vpa = broken.vpa[:first_len]
     with pytest.raises(TamperSignal) as exc:
         pre_decode(broken)
@@ -113,6 +110,66 @@ def test_pre_decode_flags_empty_streams():
     with pytest.raises(TamperSignal) as exc:
         pre_decode(broken)
     assert exc.value.kind == PC_ESCAPE
+
+
+def test_structural_refusal_outranks_an_earlier_bad_cell():
+    bundle = protect_text(BRANCHY, seed=12, enable_guards=False)
+    records = pre_decode(bundle.function("main"))
+    icmp = next(start for start, spec, _ in records
+                if spec.kind == "icmp.slt")
+    brc = next(start for start, spec, _ in records if spec.kind == "brcond")
+    assert icmp < brc
+    broken = copy_bundle(bundle)
+    vpa = broken.function("main").vpa
+    vpa[icmp + 1] = 0xFFF0                  # a cell past the image
+    vpa[brc + 2] = brc + 1                  # a branch into its own record
+    res = execute_optimized(broken, [5])
+    assert res.status == "tamper" and res.tamper_cause.at_decode
+    assert res.tamper_cause.kind == PC_ESCAPE
+    assert f"branch at {brc} targets" in str(res.tamper_cause)
+
+
+@pytest.mark.parametrize("first", ["callee", "cell"])
+def test_reference_refusals_come_in_record_order(first):
+    bundle = protect_text(MIXED_CALLS, seed=3, level=100,
+                          enable_guards=False)
+    records = pre_decode(bundle.function("main"))
+    add, call, ret = (next(start for start, spec, _ in records
+                           if spec.kind == kind)
+                      for kind in ("add", "call", "ret"))
+    broken = copy_bundle(bundle)
+    vpa = broken.function("main").vpa
+    vpa[call + 1] = 0xFFF0                  # a callee index past the table
+    # a cell past the image, in the record before the call or after it
+    bad_cell = add if first == "cell" else ret
+    vpa[bad_cell + 1] = 0xFFF0
+    res = execute_optimized(broken, [4])
+    assert res.status == "tamper" and res.tamper_cause.at_decode
+    assert res.tamper_cause.kind == INVALID_REFERENCE
+    assert str(res.tamper_cause).endswith(
+        "@main: callee index 65520 names no function" if first == "callee"
+        else f"@main: record at {add} references a cell outside the image")
+
+
+def test_decoding_with_warm_caches_hashes_no_spec(corpus_flat, monkeypatch):
+    """Block shapes are keyed by spec numbers, so decoding a function whose
+    shapes are compiled hashes no `HandlerSpec`."""
+    bundle = virtualize_module(corpus_flat["qsort"],
+                               ProtectionConfig(seed=4, level=100))
+    vfn = bundle.virt_functions()[0]
+    threaded._decode(bundle, vfn, ExecContext())
+    hashes = [0]
+    spec_hash = HandlerSpec.__hash__
+
+    def counting(spec):
+        hashes[0] += 1
+        return spec_hash(spec)
+
+    monkeypatch.setattr(HandlerSpec, "__hash__", counting)
+    code, _, _, _ = threaded._decode(bundle, vfn, ExecContext())
+    assert code[0] is not None and hashes[0] == 0
+    hash(vfn.risa.spec_of[vfn.vpa[0]])      # the counter does see a hash
+    assert hashes[0] == 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -635,18 +692,18 @@ def test_blocks_start_at_record_zero_and_every_branch_target(
     for vfn in bundle.virt_functions():
         records = pre_decode(vfn)
         targets = {0}
-        for rec in records:
-            if rec.spec.targets:
-                targets.update(rec.successor if rec.kind == "brcond"
-                               else [rec.successor])
+        for _, spec, succ in records:
+            if spec.targets:
+                targets.update(succ if spec.kind == "brcond" else [succ])
         code = _decoded(bundle, vfn, monkeypatch)
         assert [o for o, block in enumerate(code) if block] == \
             sorted(targets)
         for o in targets:
             # each block runs to the first terminator from its leader
             end = next(e for e in range(o, len(records))
-                       if records[e].kind in ("br", "brcond", "ret"))
-            assert code[o] == tuple(r.spec for r in records[o:end + 1])
+                       if records[e][1].kind in ("br", "brcond", "ret"))
+            assert code[o] == tuple(spec.number
+                                    for _, spec, _ in records[o:end + 1])
 
 
 def test_branch_retargeted_inside_a_block_gets_an_overlapping_block(
@@ -654,14 +711,16 @@ def test_branch_retargeted_inside_a_block_gets_an_overlapping_block(
     bundle = protect_text(TRAPPING_LOOP, seed=6, enable_guards=False)
     main = bundle.function("main")
     records = pre_decode(main)
-    into_loop = next(o for o, rec in enumerate(records) if rec.kind == "br")
-    body = next(rec.successor[0] for rec in records if rec.kind == "brcond")
+    into_loop = next(o for o, (_, spec, _) in enumerate(records)
+                     if spec.kind == "br")
+    body = next(succ[0] for _, spec, succ in records
+                if spec.kind == "brcond")
     inside = body + 3
     assert _decoded(bundle, main, monkeypatch)[inside] is None
     broken = copy_bundle(bundle)
     # the entry now jumps into the loop body, past its first records
-    broken.function("main").vpa[records[into_loop].offset + 1] = \
-        records[inside].offset
+    broken.function("main").vpa[records[into_loop][0] + 1] = \
+        records[inside][0]
     code = _decoded(broken, broken.function("main"), monkeypatch)
     assert code[inside] and code[body][3:] == code[inside]
     for inputs in ([100, 50, 0, 0], [3, 1000, 0, 0], [100, 1000, 14, 0]):
@@ -738,8 +797,9 @@ def test_every_kind_has_a_block_statement(kind):
     spec = fitting_spec(kind)
     factories = arith.Factories(threaded._block_source, vars(threaded))
     # inside a block, ended by a ret unless it ends it, and alone
-    shapes = [(spec,) if spec.kind == "ret" else (spec, handler_spec("ret")),
-              (spec,)]
+    ret = handler_spec("ret").number
+    shapes = [(spec.number,) if spec.kind == "ret" else (spec.number, ret),
+              (spec.number,)]
     defined = vars(threaded).keys() | vars(builtins).keys()
     for shape in shapes:
         assert _globals_read(factories[shape]) <= defined
