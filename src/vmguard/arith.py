@@ -4,20 +4,24 @@ Values are canonical unsigned ints in [0, 2**bits), or any value of an
 engine's cell (an i1 cell is a byte).  `value_source` states what each
 value kind computes, with which masks and sign-bit flip, as one
 expression over its operands' expressions; every executor takes its
-value code from it.  Each executor keeps a table of the statements its
-records or instructions run as, around those expressions, and compiles
-its generated functions from it through a `Factories` cache, the one
-place in the package where source is compiled.
+value code from it.  Each executor keeps its own table of the statements
+its records or instructions run as, around those expressions;
+`block_source` assembles the optimized engine's and the reference
+interpreter's blocks from them, and `factory_source` wraps every block
+and checked handler in its factory, compiled through a `Factories`
+cache, the one place in the package where source is compiled.
 """
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:       # importing vmguard.ir at run time would be circular
     from .ir.core import TypeTag
 
 DIV_BY_ZERO = "division by zero"
+STEP_LIMIT_REASON = "step limit exceeded"
 
 
 class TrapError(Exception):
@@ -152,11 +156,12 @@ MAX_BLOCK_SHAPES = 1024
 
 
 class Factories(dict):
-    """Factories by key, compiled from `source(key)` on first use, the
-    oldest dropped once `MAX_BLOCK_SHAPES` are kept.  The code runs in
-    `namespace`, a module's globals, where the names it reads are looked
-    up at each call.  The source comes only from the package's statement
-    tables and `value_source`, so nothing of a run or a stream is cached."""
+    """Factories by key, each the one function `source(key)` defines,
+    compiled on first use, the oldest dropped once `MAX_BLOCK_SHAPES` are
+    kept.  The code runs in `namespace`, a module's globals, where the
+    names it reads are looked up at each call.  The source comes only
+    from the package's statement tables and `value_source`, so nothing of
+    a run or a stream is cached."""
 
     def __init__(self, source, namespace: dict) -> None:
         super().__init__()
@@ -168,5 +173,78 @@ class Factories(dict):
         scope: dict = {}
         exec(compile(self.source(key), "<generated>", "exec"),
              self.namespace, scope)
-        factory = self[key] = scope["factory"]
+        (factory,) = scope.values()
+        self[key] = factory
         return factory
+
+
+# the kinds that end a block, and those that end a segment of it
+TERMINATORS = ("br", "brcond", "ret")
+SEGMENT_ENDS = ("call", "guard")
+
+
+def factory_source(params, args, bound: dict, body: str) -> str:
+    """The source of `factory(*params)`, which returns a function of
+    `args` that runs `body`.  Each name of `bound` that the body reads
+    binds as a default, a fast local, to its expression over `params`."""
+    defaults = [f"{name}={expr}" for name, expr in bound.items()
+                if re.search(rf"\b{name}\b", body)]
+    return (f"def factory({', '.join(params)}):\n"
+            f"    def run({', '.join([*args, *defaults])}):\n"
+            + "".join(f"        {line}\n" for line in body.splitlines())
+            + "    return run\n")
+
+
+def block_source(statements, counted: bool) -> str:
+    """The source of the factory of one block over the register list `vm`:
+    `statements` holds a (kind, template) pair per record or instruction,
+    in order, only the last of which may be a terminator.  `{aN}` is a
+    template's N-th argument and `{back}` how many statements of its
+    segment follow it, which a trap takes back off `ctx.steps`.  The
+    factory takes the run's context, step limit and hand-over, the
+    block's first position `o`, then each statement's arguments in turn.
+
+    Steps are counted per segment, ending one at each call and guard,
+    before the segment runs; the leader's is left out when `counted` says
+    the dispatch loop has counted it.  A segment the step limit falls
+    inside returns `hand(vm, o + start, lead)` instead, with its start and
+    how many of its steps are counted already.  A block that does not end
+    in a terminator returns `o + len(statements)`."""
+    params, body, start = ["ctx", "limit", "hand", "o"], [], 0
+    for j, (kind, template) in enumerate(statements):
+        if j == start:
+            end = next((e + 1 for e in range(j, len(statements))
+                        if statements[e][0] in SEGMENT_ENDS), len(statements))
+            lead = int(counted and start == 0)
+            if end - start - lead:
+                body += [f"st = ctx.steps + {end - start - lead}",
+                         "if st > limit:",
+                         f"    return hand(vm, o + {start}, {lead})",
+                         "ctx.steps = st"]
+        names = {f"a{p}": f"a{p}_{j}" for p in
+                 range(len(set(re.findall(r"\{a\d+\}", template))))}
+        params += names.values()
+        body += template.format(back=end - 1 - j, **names).splitlines()
+        if kind in SEGMENT_ENDS:
+            start = j + 1
+    if statements[-1][0] not in TERMINATORS:
+        body.append(f"return o + {len(statements)}")
+    return factory_source(params, ["vm"], {p: p for p in params},
+                          "\n".join(body))
+
+
+def hand_over(ctx, single):
+    """The hand-over of a run's blocks, `hand(vm, o, counted)`: the step
+    limit falls inside the segment at `o`, of which `counted` steps are
+    counted already, so it runs the segment one statement at a time, as
+    the block `single(o)`, and ends in a trap before the segment does."""
+    limit = ctx.step_limit
+
+    def hand(vm, o, counted):
+        ctx.steps -= counted
+        while True:
+            ctx.steps += 1
+            if ctx.steps > limit:
+                raise TrapError(STEP_LIMIT_REASON)
+            o = single(o)(vm)
+    return hand

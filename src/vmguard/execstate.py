@@ -7,12 +7,11 @@ from identical budgets and intrinsic behaviour.
 
 from __future__ import annotations
 
-from .arith import TrapError, to_signed
+from .arith import STEP_LIMIT_REASON, TrapError, to_signed  # noqa: F401
 
 DEFAULT_STEP_LIMIT = 100_000_000
 MAX_CALL_DEPTH = 200
 
-STEP_LIMIT_REASON = "step limit exceeded"
 INPUT_EXHAUSTED_REASON = "input exhausted"
 CALL_DEPTH_REASON = "call depth exceeded"
 LOAD_BOUNDS_REASON = "load index out of bounds"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..arith import Factories, to_signed
+from ..arith import TERMINATORS, Factories, to_signed
 
 
 class TypeTag(enum.IntEnum):
@@ -44,7 +44,6 @@ BINARY_KINDS = ("add", "sub", "mul", "sdiv", "srem", "and", "or", "xor",
 ICMP_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge",
                    "ult", "ule", "ugt", "uge")
 CAST_KINDS = ("zext", "sext", "trunc")
-TERMINATOR_KINDS = ("br", "brcond", "ret")
 
 # Intrinsics available to every module: (param types, return type).
 EXTERN_SIGS = {
@@ -68,7 +67,7 @@ class Instruction:
 
     @property
     def is_terminator(self) -> bool:
-        return self.kind in TERMINATOR_KINDS
+        return self.kind in TERMINATORS
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ def _printer_source(key) -> str:
         text += _FIELD_TEXT.get(field, " " + str(field)).format(n=n, m=m)
         n += field == OPERAND
         m += field == LABEL
-    return f"def factory(ins):\n    return f{text!r}\n"
+    return f"def printer(ins):\n    return f{text!r}\n"
 
 
 def _names(values) -> str:

@@ -2,74 +2,72 @@
 compared against.
 
 On its first activation in a run, a function is compiled over a register
-list, one slot per value id, into one generated function per basic
-block, which returns the index of the next block, or -1 to return.  A
-block's source strings together the statement of each instruction's kind
-from `_STATEMENTS` (a value kind's wraps its `arith.value_source`
-expression) and is compiled once per block shape into a factory kept in
-a bounded process-wide cache; slots, constants and successors are
-factory arguments, and the built blocks live in the run's `ExecContext`.
-A block counts steps per segment, ending at each call: a trap takes back
-the steps of the instructions after it, and a segment the step limit
-falls inside runs one instruction at a time, so steps and traps are
-those of counting each instruction before it runs.  Calls resolve
-through a pluggable hook so the bytecode runtime can reuse this
-evaluator for plain functions inside a bundle.  The statements are the
-interpreter's own, so its runs stay an independent check on the engines.
+list `vm`, one slot per value id, into one generated function per basic
+block, held in the dispatch list at its first instruction's position;
+it returns the next block's position, or -1 to return.  The one block
+assembler, `arith.block_source`, strings together the statement of each
+instruction's kind from `_STATEMENTS` (a value kind's wraps its
+`arith.value_source` expression), compiled once per block shape into a
+factory kept in a bounded process-wide cache; slots, constants and
+successors are factory arguments, and the built blocks live in the
+run's `ExecContext`.  Steps are counted per segment, ending at each
+call, as the optimized engine counts them, so steps and traps are those
+of counting each instruction before it runs.  Calls resolve through a
+pluggable hook so the bytecode runtime can reuse this evaluator for
+plain functions inside a bundle.  The statements are the interpreter's
+own, so its runs stay an independent check on the engines.
 """
 
 from __future__ import annotations
 
-import re
-
-from ..arith import (TRAPPING, VALUE_KINDS, Factories, TrapError,
-                     index_limit, to_signed, value_source)
+from ..arith import (TERMINATORS, TRAPPING, VALUE_KINDS, Factories,
+                     TrapError, block_source, hand_over, index_limit,
+                     to_signed, value_source)
 # the trapping kinds' functions, which generated statements name
 from ..arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from ..execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
-                         STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
-from .core import (TERMINATOR_KINDS, ExecutionResult, IrFunction, IrModule,
-                   TypeTag)
+                         STORE_BOUNDS_REASON, ExecContext)
+from .core import ExecutionResult, IrFunction, IrModule, TypeTag
 
 # The Python statement(s) each IR kind runs as, over the register list
-# `regs`, whose slot 0 holds the activation's call hook and slot 1 its
+# `vm`, whose slot 0 holds the activation's call hook and slot 1 its
 # return value.  `{aN}` is the instruction's N-th argument, as
 # `_instruction` gives them, and `{back}` is how many instructions of its
 # segment follow it, which a trap takes back off `ctx.steps`.  A value
 # kind's statement is `_VALUE` or `_TRAPPING` around its expression; a
 # call passes its argument slots' values as `{args}` and stores its
 # result as returned, unmasked.
-_VALUE = "regs[{r}] = {value}"
+_VALUE = "vm[{r}] = {value}"
 _TRAPPING = """\
 try:
-    regs[{r}] = {value}
+    vm[{r}] = {value}
 except TrapError:
     ctx.steps -= {back}
     raise"""
 _STATEMENTS = {
     **dict.fromkeys(VALUE_KINDS, _VALUE),
     **dict.fromkeys(TRAPPING, _TRAPPING),
-    "const": "regs[{a0}] = {a1}",
-    "alloca": "regs[{a0}] = [0] * {a1}",
+    "const": "vm[{a0}] = {a1}",
+    "alloca": "vm[{a0}] = [0] * {a1}",
     "load": """\
-i = regs[{a0}]
+i = vm[{a0}]
 if i >= {a1}:
     ctx.steps -= {back}
     raise TrapError(LOAD_BOUNDS_REASON)
-regs[{a3}] = regs[{a2}][i]""",
+vm[{a3}] = vm[{a2}][i]""",
     "store": """\
-i = regs[{a0}]
+i = vm[{a0}]
 if i >= {a1}:
     ctx.steps -= {back}
     raise TrapError(STORE_BOUNDS_REASON)
-regs[{a2}][i] = regs[{a3}]""",
-    "call": "regs[0]({a0}, [{args}])",
+vm[{a2}][i] = vm[{a3}]""",
+    "call": "vm[0]({a0}, [{args}])",
     "phi": """\
 ctx.steps -= {back}
 raise TrapError("phi reached at run time")""",
     "br": "return {a0}",
-    "brcond": "return {a1} if regs[{a0}] else {a2}",
-    "ret": "regs[1] = regs[{a0}]\nreturn -1",
+    "brcond": "return {a1} if vm[{a0}] else {a2}",
+    "ret": "vm[1] = vm[{a0}]\nreturn -1",
 }
 
 
@@ -113,8 +111,8 @@ def _statement(shape: tuple) -> str:
     if k == "call":
         _, n, kept = shape
         call = _STATEMENTS[k].replace("{args}", ", ".join(
-            f"regs[{{a{i}}}]" for i in range(1, n + 1)))
-        return f"regs[{{a{n + 1}}}] = {call}" if kept else call
+            f"vm[{{a{i}}}]" for i in range(1, n + 1)))
+        return f"vm[{{a{n + 1}}}] = {call}" if kept else call
     if k == "ret" and not shape[1]:
         return "return -1"
     if len(shape) < 3:
@@ -122,102 +120,75 @@ def _statement(shape: tuple) -> str:
     _, operand_types, result = shape
     n = len(operand_types)
     value = value_source(k, operand_types, result,
-                         [f"regs[{{a{i}}}]" for i in range(n)])
+                         [f"vm[{{a{i}}}]" for i in range(n)])
     return _STATEMENTS[k].replace("{value}", value).replace(
         "{r}", f"{{a{n}}}")
 
 
 def _block_source(key: tuple) -> str:
-    """The source of the factory of one block shape: its instructions'
-    shapes, whether it adds its (function, label) pair to the run's trace,
-    and whether its first step is counted before it runs, as the hand-over
-    counts each instruction.  The factory takes the context, the step
-    limit, the hand-over, the block's first position `o` and the block
-    `nxt` it falls through to; then the trace and the pair, if traced, and
-    each instruction's arguments."""
-    shapes, traced, counted = key
-    params = ["ctx", "limit", "hand", "o", "nxt"]
-    body = []
-    if traced:
-        params += ["trace", "pair"]
-        body.append("trace.add(pair)")
-    start = 0
-    for j, shape in enumerate(shapes):
-        if j == start:
-            # count the segment ahead
-            end = next((e + 1 for e in range(j, len(shapes))
-                        if shapes[e][0] == "call"), len(shapes))
-            count = end - start - (counted and start == 0)
-            if count:
-                body += [f"st = ctx.steps + {count}",
-                         "if st > limit:",
-                         f"    return hand(regs, o + {start})",
-                         "ctx.steps = st"]
-        template = _statement(shape)
-        names = {f"a{p}": f"a{p}_{j}"
-                 for p in range(len(set(re.findall(r"\{a\d+\}", template))))}
-        params += names.values()
-        body += template.format(back=end - 1 - j, **names).splitlines()
-        if shape[0] == "call":
-            start = j + 1
-    if not shapes or shapes[-1][0] not in TERMINATOR_KINDS:
-        body.append("return nxt")
-    # what the block reads binds as defaults, fast locals
-    text = "\n".join(body)
-    bound = [f"{p}={p}" for p in params if re.search(rf"\b{p}\b", text)]
-    return (f"def factory({', '.join(params)}):\n"
-            f"    def block({', '.join(['regs', *bound])}):\n"
-            + "".join(f"        {line}\n" for line in body)
-            + "    return block\n")
+    """The `arith.block_source` of one block shape: its instructions'
+    shapes, and whether its first step is counted before it runs, as the
+    hand-over counts each instruction."""
+    shapes, counted = key
+    return block_source([(shape[0], _statement(shape)) for shape in shapes],
+                        counted)
 
 
-# block factories by (instruction shapes, traced, first step counted)
+# block factories by (instruction shapes, first step counted)
 BLOCK_FACTORIES = Factories(_block_source, globals())
 
 
+def _traced(block, trace: set, pairs: list):
+    """`block`, adding `pairs` to the run's trace before it runs."""
+    def traced(vm):
+        trace.update(pairs)
+        return block(vm)
+    return traced
+
+
 def _compile(fn: IrFunction, ctx: ExecContext):
-    """`fn`'s blocks, built for this run, its register-list template and
-    the (slot, mask) of each parameter.  A block ends at its first
-    terminator; a branch to a duplicated label goes to the first block
-    that has it.  Raises ValueError when the last block has no
-    terminator, which only an unvalidated function can lack."""
+    """`fn`'s dispatch list, built for this run, its register-list
+    template and the (slot, mask) of each parameter.  The dispatch list
+    holds each block at its first instruction's position and None at
+    every other; a block ends at its first terminator, and a branch to a
+    duplicated label goes to the first block that has it.  An empty
+    block shares its position with the next block that has instructions;
+    when the run traces, that block adds the (function, label) pair of
+    every block at its position.  Raises ValueError when the last block
+    has no terminator, which only an unvalidated function can lack."""
     tags = value_tags(fn)
     slots = {name: n for n, name in enumerate(tags, 2)}
     params = [(slots[name], (1 << tag.bits) - 1) for name, tag in fn.params]
     starts: dict[str, int] = {}
-    for b, block in enumerate(fn.blocks):
-        starts.setdefault(block.label, b)
+    o = 0
+    for block in fn.blocks:
+        starts.setdefault(block.label, o)
+        o += len(block.instructions)
     counts = {ins.result: ins.count for ins in fn.instructions()
               if ins.kind == "alloca"}
     code = [_instruction(ins, slots, tags, starts, counts)
             for ins in fn.instructions()]
     limit, trace = ctx.step_limit, ctx.trace_blocks
+    hand = hand_over(ctx, lambda o: BLOCK_FACTORIES[(code[o][0],), True](
+        ctx, limit, None, o, *code[o][1]))
 
-    def hand(regs, o):
-        # the step limit falls inside the segment that starts at `o`, so
-        # this ends in a trap before the segment does
-        while True:
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise TrapError(STEP_LIMIT_REASON)
-            shape, args = code[o]
-            BLOCK_FACTORIES[(shape,), False, True](
-                ctx, limit, None, o, None, *args)(regs)
-            o += 1
-
-    blocks, o, shapes = [], 0, []
+    blocks, o, shapes, first = [None] * len(code), 0, [], 0
     for b, block in enumerate(fn.blocks):
         shapes, args = [], []
         for shape, ins_args in code[o:o + len(block.instructions)]:
             shapes.append(shape)
             args += ins_args
-            if shape[0] in TERMINATOR_KINDS:
+            if shape[0] in TERMINATORS:
                 break
-        traced = (trace, (fn.name, block.label)) if trace is not None else ()
-        blocks.append(BLOCK_FACTORIES[tuple(shapes), bool(traced), False](
-            ctx, limit, hand, o, b + 1, *traced, *args))
+        if shapes:
+            built = BLOCK_FACTORIES[tuple(shapes), False](
+                ctx, limit, hand, o, *args)
+            blocks[o] = built if trace is None else _traced(
+                built, trace, [(fn.name, x.label)
+                               for x in fn.blocks[first:b + 1]])
+            first = b + 1
         o += len(block.instructions)
-    if not shapes or shapes[-1][0] not in TERMINATOR_KINDS:
+    if not shapes or shapes[-1][0] not in TERMINATORS:
         # the last block would fall through past the end of the function
         raise ValueError(f"@{fn.name}: block %{fn.blocks[-1].label} ends "
                          "without a terminator" if fn.blocks
@@ -233,14 +204,14 @@ def evaluate_function(fn: IrFunction, args, call_hook, ctx: ExecContext):
     if compiled is None:
         compiled = ctx.decoded[key] = _compile(fn, ctx)
     blocks, template, params = compiled
-    regs = template.copy()
-    regs[0] = call_hook
+    vm = template.copy()
+    vm[0] = call_hook
     for (r, m), raw in zip(params, args):
-        regs[r] = raw & m
-    b = 0
-    while b != -1:
-        b = blocks[b](regs)
-    return regs[1]
+        vm[r] = raw & m
+    o = 0
+    while o != -1:
+        o = blocks[o](vm)
+    return vm[1]
 
 
 def value_tags(fn: IrFunction) -> dict:

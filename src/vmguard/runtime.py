@@ -11,9 +11,11 @@ pre-decoding engine avoids.
 
 Each record kind's handler is compiled from its entry in `_STATEMENTS`,
 the engine's one statement of what each kind does (a value kind's wraps
-the expression `arith.value_source` states for it), once per signature,
-through an `arith.Factories` cache; only a signature whose types do not
-fit its kind gets a hand-written handler, which raises the tamper signal.
+the expression `arith.value_source` states for it), in the factory
+`arith.factory_source` wraps it in, once per signature, through an
+`arith.Factories` cache keyed by `HandlerSpec.number`; only a signature
+whose types do not fit its kind gets a hand-written handler, which
+raises the tamper signal.
 The dispatch loop fetches through one `try`: a counter past the stream
 end or an opcode without a built handler falls to a cold path, which
 raises the tamper signal or builds the handler.
@@ -26,12 +28,11 @@ reference interpreter so outcomes stay comparable across all executors.
 
 from __future__ import annotations
 
-import re
 import struct
 import sys
 
-from .arith import (TRAPPING, VALUE_KINDS, Factories, TrapError, index_limit,
-                    to_signed, value_source)
+from .arith import (TRAPPING, VALUE_KINDS, Factories, TrapError,
+                    factory_source, index_limit, to_signed, value_source)
 # the trapping kinds' functions, which generated statements name
 from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
@@ -41,7 +42,7 @@ from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
 from .guards import compute_vpa_hash
 from .ir.core import ExecutionResult
 from .ir.interp import evaluate_function
-from .risa import CALLEE, CHECKEE, HandlerSpec
+from .risa import CALLEE, CHECKEE, numbered_spec
 
 INVALID_OPCODE = "invalid opcode"
 PC_ESCAPE = "program counter escape"
@@ -252,14 +253,15 @@ _BOUND = {"vpa": "vfn.vpa", "size": "len(vfn.image)",
 _ACCESSOR = {"get": "unpack_from", "put": "pack_into"}
 
 
-def _handler_source(spec: HandlerSpec) -> str:
-    """The source of the handler factory of `spec`, whose types fit its
-    kind.  The factory takes the bundle, the function and the run's
-    context; the handler binds what it reads of them, and the accessors
-    of its cells, as defaults, which are fast locals, while the engine's
+def _handler_source(number: int) -> str:
+    """The `arith.factory_source` of the handler of the spec numbered
+    `number`, whose types fit its kind.  The factory takes the bundle, the
+    function and the run's context; the handler binds what it reads of
+    them and its cells' accessors as defaults, while the engine's
     functions (`call_function`, `compute_vpa_hash`, `check_guard`,
     `table_entry`, `run_virt`) are looked up in this module at each call.
     Widths, index caps, record lengths and masks are literals."""
+    spec = numbered_spec(number)
     k, types, res, layout = (spec.kind, spec.operand_types,
                              spec.result_type, spec.layout)
     n = len(types)
@@ -277,19 +279,14 @@ def _handler_source(spec: HandlerSpec) -> str:
         if res is not None:
             fields["mask"] = (1 << res.bits) - 1
     body = template.format(**fields)
-    bound = [f"{name}={expr}" for name, expr in _BOUND.items()
-             if re.search(rf"\b{name}\b", body)]
-    bound += [f"{use}{i}=_CELL[{layout[int(i) - 1][1].width}]."
-              f"{_ACCESSOR[use]}"
-              for use, i in sorted(set(re.findall(r"\b(get|put)(\d+)\b",
-                                                  body)))]
-    return ("def factory(bundle, vfn, ctx):\n"
-            f"    def handler({', '.join(['vm', 'vpc', *bound])}):\n"
-            + "".join(f"        {line}\n" for line in body.splitlines())
-            + "    return handler\n")
+    accessors = {f"{use}{i}": f"_CELL[{tag.width}].{method}"
+                 for i, (_, tag) in enumerate(layout, 1) if tag is not None
+                 for use, method in _ACCESSOR.items()}
+    return factory_source(["bundle", "vfn", "ctx"], ["vm", "vpc"],
+                          {**_BOUND, **accessors}, body)
 
 
-# handler factories by spec
+# handler factories by spec number
 HANDLER_FACTORIES = Factories(_handler_source, globals())
 
 
@@ -315,7 +312,7 @@ def _fetch_cold(bundle: ProtectedBundle, vfn: VirtFunction,
                 INVALID_OPCODE, f"@{vfn.name}: element {vpc} names a "
                 f"{spec.kind} handler whose types do not fit its kind")
     else:
-        handler = HANDLER_FACTORIES[spec](bundle, vfn, ctx)
+        handler = HANDLER_FACTORIES[spec.number](bundle, vfn, ctx)
     handlers[vpa[vpc]] = handler
     return handler
 

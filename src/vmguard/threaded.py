@@ -13,22 +13,21 @@ activation starts from a copy of it.
 
 A block starts at record 0 or at a branch target, runs through any
 branch target on its way and ends at the next terminator; the dispatch
-list holds it at its first record.  Its source strings together each
-record's statement from `_STATEMENTS` (a value kind's wraps the
-expression `arith.value_source` states for it) and is compiled once per
-block shape, the records' spec numbers (one int per signature, so a
-shape hashes in C), into a factory kept in a bounded process-wide cache.
-Cells, region limits, callees and successors are factory arguments,
-gathered into one flat list by a single pass over the records that
-checks every cell as it goes, so no stream content or run state is
-cached.  Calls and guards run inline:
-the generated code looks `call_function` and `compute_vpa_hash` up in
-this module at each call, and every guard still hashes the live stream.
-A block counts steps per segment, ending one at each call and guard: a
-trap takes back the steps of the records after it, and a segment the
-step limit falls inside runs record by record, each as a one-record
-block.  Steps, traps, outputs and guard counts stay those of the
-per-record run.
+list holds it at its first record.  `arith.block_source` assembles it
+from each record's statement in `_STATEMENTS` (a value kind's wraps its
+`arith.value_source` expression), compiled once per block shape, the
+records' spec numbers (one int per signature, so a shape hashes in C),
+into a factory kept in a bounded process-wide cache.  Cells, region
+limits, callees and successors are factory arguments, gathered into one
+flat list by a single pass over the records that checks every cell as
+it goes, so no stream content or run state is cached.  Calls and guards
+run inline: the generated code looks `call_function` and
+`compute_vpa_hash` up in this module at each call, and every guard
+still hashes the live stream.  A block counts steps per segment, ending
+one at each call and guard: a trap takes back the steps of the records
+after it, and a segment the step limit falls inside runs record by
+record (`arith.hand_over`).  Steps, traps, outputs and guard counts stay
+those of the per-record run.
 
 That removes the per-step opcode lookup, operand fetch, byte conversion
 and counter bounds check the checked engine pays for, at the cost of
@@ -56,11 +55,11 @@ observing corruption lazily:
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 
-from .arith import (TRAPPING, VALUE_KINDS, Factories, TrapError,
-                    index_limit, value_source)
+from .arith import (TERMINATORS, TRAPPING, VALUE_KINDS, Factories,
+                    TrapError, block_source, hand_over, index_limit,
+                    value_source)
 # the trapping kinds' functions, which generated statements name
 from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ProtectedBundle, VirtFunction
@@ -161,9 +160,6 @@ check_guard(ctx, {a1}, h, vm[{a2}])
     # a ret with a value copies it to the return cell
     "ret": "vm[{a0}] = vm[{a1}]\nreturn -1\n",
 }
-# the kinds that end a block, and those that end a segment of it
-_TERMINATORS = ("br", "brcond", "ret")
-_SEGMENT_ENDS = ("call", "guard")
 
 
 def _statement(spec: HandlerSpec) -> str:
@@ -193,43 +189,11 @@ def _statement(spec: HandlerSpec) -> str:
 
 
 def _block_source(numbers: tuple[int, ...]) -> str:
-    """The source of the factory of one block shape, the `number`s of its
+    """The `arith.block_source` of one block shape, the `number`s of its
     records' specs: a block, the last a terminator, or one record run
-    alone.  The factory takes the run's context, step limit and `cold`,
-    the first record's ordinal `o`, then each record's arguments."""
-    specs = [numbered_spec(n) for n in numbers]
-    params, body = ["ctx", "limit", "cold", "o"], []
-    start = 0
-    for j, spec in enumerate(specs):
-        if j == start:
-            # count the segment ahead; the dispatch loop has counted the
-            # leader already
-            end = next((e + 1 for e in range(j, len(specs))
-                        if specs[e].kind in _SEGMENT_ENDS), len(specs))
-            count = end - start - (start == 0)
-            if count:
-                body += [f"st = ctx.steps + {count}",
-                         "if st > limit:",
-                         f"    return cold(vm, o + {start}, "
-                         f"{int(start == 0)})",
-                         "ctx.steps = st"]
-        template = _statement(spec)
-        names = {f"a{p}": f"a{p}_{j}"
-                 for p in range(len(set(re.findall(r"\{a\d+\}", template))))}
-        params += names.values()
-        body += template.format(back=end - 1 - j, **names).splitlines()
-        if spec.kind in _SEGMENT_ENDS:
-            start = j + 1
-    if specs[-1].kind not in _TERMINATORS:
-        # a record run alone goes on to the next one
-        body.append(f"return o + {len(specs)}")
-    # what the block reads binds as defaults, fast locals
-    text = "\n".join(body)
-    bound = [f"{p}={p}" for p in params if re.search(rf"\b{p}\b", text)]
-    return (f"def factory({', '.join(params)}):\n"
-            f"    def block({', '.join(['vm', *bound])}):\n"
-            + "".join(f"        {line}\n" for line in body)
-            + "    return block\n")
+    alone.  The dispatch loop counts its first step."""
+    return block_source([(spec.kind, _statement(spec))
+                         for spec in map(numbered_spec, numbers)], True)
 
 
 # block factories by shape, the tuple of the records' spec numbers
@@ -260,7 +224,7 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     for o, (start, spec, succ) in enumerate(records):
         first.append(len(flat))
         k = spec.kind
-        if k in _TERMINATORS:
+        if k in TERMINATORS:
             ends.append(o)
         if k in ("const", "alloca"):
             # no engine reads these operands: constants sit in the template
@@ -324,24 +288,13 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     template = _template(name, vfn.image, spans)
     numbers = [spec.number for _, spec, _ in records]
     limit = ctx.step_limit
-
-    def cold(vm, o, counted):
-        # the step limit falls inside the segment that starts at `o`, of
-        # which `counted` steps are counted already, so this ends in a
-        # trap before the segment does
-        ctx.steps -= counted
-        while True:
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise TrapError(STEP_LIMIT_REASON)
-            o = BLOCK_FACTORIES[numbers[o],](
-                ctx, limit, None, o, *flat[first[o]:first[o + 1]])(vm)
-
+    hand = hand_over(ctx, lambda o: BLOCK_FACTORIES[numbers[o],](
+        ctx, limit, None, o, *flat[first[o]:first[o + 1]]))
     code = [None] * len(records)
     for leader in leaders:
         end = ends[bisect_left(ends, leader)]
         code[leader] = BLOCK_FACTORIES[tuple(numbers[leader:end + 1])](
-            ctx, limit, cold, leader, *flat[first[leader]:first[end + 1]])
+            ctx, limit, hand, leader, *flat[first[leader]:first[end + 1]])
     return code, template, params, ret
 
 

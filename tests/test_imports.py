@@ -47,3 +47,12 @@ def test_only_the_factories_cache_compiles_source():
                        for path in package.rglob("*.py")
                        if "exec(" in path.read_text())
     assert compiling == ["arith.py"]
+
+
+def test_only_arith_writes_a_factory():
+    # every generated block and handler is wrapped by `arith.factory_source`
+    package = pathlib.Path(vmguard.__file__).parent
+    writing = sorted(str(path.relative_to(package))
+                     for path in package.rglob("*.py")
+                     if "def factory(" in path.read_text())
+    assert writing == ["arith.py"]

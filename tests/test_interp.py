@@ -711,3 +711,46 @@ def test_a_last_block_without_a_terminator_is_refused_by_name():
     with pytest.raises(ValueError, match=r"@main: block %entry ends "
                        "without a terminator"):
         reference_interpret(IrModule((main,)), "main")
+
+
+@pytest.mark.parametrize("into_mid", ["br", "fall-through"])
+def test_an_empty_block_is_traced_when_it_is_passed(into_mid):
+    # a hand-built module, not validated: %mid has no instructions, so it
+    # starts where %end does
+    first = (Instruction("br", labels=("mid",)) if into_mid == "br" else
+             Instruction("const", result="a", type=TypeTag.I64, value=1))
+    main = IrFunction("main", (), TypeTag.I64, (
+        Block("entry", (first,)),
+        Block("mid", ()),
+        Block("end", (
+            Instruction("const", result="k", type=TypeTag.I64, value=3),
+            Instruction("ret", operands=("k",), type=TypeTag.I64))),
+    ))
+    pairs = {("main", "entry"), ("main", "mid"), ("main", "end")}
+    trace = set()
+    res = reference_interpret(IrModule((main,)), "main", trace_blocks=trace)
+    assert (res.status, res.value, res.steps) == ("normal", 3, 3)
+    assert trace == pairs
+    trace = set()
+    res = reference_interpret(IrModule((main,)), "main", step_limit=1,
+                              trace_blocks=trace)
+    assert (res.trap_reason, res.steps) == ("step limit exceeded", 2)
+    assert trace == pairs
+
+
+def test_tracing_builds_the_same_block_shapes(corpus_flat, manifest,
+                                              monkeypatch):
+    cache = arith.Factories(interp._block_source, vars(interp))
+    monkeypatch.setattr(interp, "BLOCK_FACTORIES", cache)
+    for entry in manifest["programs"]:
+        module, inputs = corpus_flat[entry["name"]], entry["inputs"]["tiny"]
+        full = reference_interpret(module, "main", inputs)
+        for limit in (full.steps, full.steps // 2):
+            cache.clear()
+            reference_interpret(module, "main", inputs, step_limit=limit)
+            untraced = list(cache)
+            cache.clear()
+            trace = set()
+            reference_interpret(module, "main", inputs, step_limit=limit,
+                                trace_blocks=trace)
+            assert list(cache) == untraced and trace, entry["name"]

@@ -638,7 +638,7 @@ def test_every_kind_has_a_checked_statement(kind):
     defined = vars(runtime).keys() | vars(builtins).keys()
     for spec in specs:
         factory = arith.Factories(runtime._handler_source,
-                                  vars(runtime))[spec]
+                                  vars(runtime))[spec.number]
         handler = next(c for c in factory.__code__.co_consts
                        if hasattr(c, "co_code"))
         for code in (factory.__code__, handler):

@@ -172,6 +172,28 @@ def test_decoding_with_warm_caches_hashes_no_spec(corpus_flat, monkeypatch):
     assert hashes[0] == 1
 
 
+def test_checked_run_with_warm_caches_hashes_no_spec(corpus_flat, manifest,
+                                                     monkeypatch):
+    """Checked handlers are keyed by spec numbers too, so a run whose
+    handlers are compiled hashes no `HandlerSpec`."""
+    bundle = virtualize_module(corpus_flat["qsort"],
+                               ProtectionConfig(seed=4, level=100))
+    inputs = next(e["inputs"]["tiny"] for e in manifest["programs"]
+                  if e["name"] == "qsort")
+    want = execute_secure(bundle, inputs)
+    hashes = [0]
+    spec_hash = HandlerSpec.__hash__
+
+    def counting(spec):
+        hashes[0] += 1
+        return spec_hash(spec)
+
+    monkeypatch.setattr(HandlerSpec, "__hash__", counting)
+    res = execute_secure(bundle, inputs)
+    assert res.status == "normal" and res.same_outcome(want)
+    assert hashes[0] == 0
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_both_engines_agree_on_the_corpus(corpus_flat, manifest, seed):
     for entry in manifest["programs"]:
