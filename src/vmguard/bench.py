@@ -9,8 +9,8 @@ parsing and protection happen outside the clock.  The timed reps of the
 plain reference and of a program's arms and modes are interleaved, one
 run per network in turn, so that slow stretches of a shared host fall on
 every cell, the reference too, rather than on whichever ran then.  Rows
-report the median rather than the mean, so one noisy rep cannot skew a
-row, and give the minimum and interquartile range beside it.
+report the median, so one noisy rep cannot skew a row, and the mean over
+the draws, the minimum and the interquartile range beside it.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class BenchmarkRow:
     arm: str
     mode: str
     median_seconds: float
+    mean_seconds: float          # shows a slow draw the median can hide
     min_seconds: float
     iqr_seconds: float           # interquartile range of the timed runs
     reference_seconds: float
@@ -117,26 +118,28 @@ class BenchmarkReport:
         out = io.StringIO()
         w = csv.writer(out)
         w.writerow(["program", "level", "arm", "mode", "median_seconds",
-                    "min_seconds", "iqr_seconds", "reference_seconds",
-                    "overhead_pct", "steps", "guard_execs"])
+                    "mean_seconds", "min_seconds", "iqr_seconds",
+                    "reference_seconds", "overhead_pct", "steps",
+                    "guard_execs"])
         for r in self.rows:
             w.writerow([r.program, r.level, r.arm, r.mode,
-                        f"{r.median_seconds:.6f}", f"{r.min_seconds:.6f}",
-                        f"{r.iqr_seconds:.6f}",
+                        f"{r.median_seconds:.6f}", f"{r.mean_seconds:.6f}",
+                        f"{r.min_seconds:.6f}", f"{r.iqr_seconds:.6f}",
                         f"{r.reference_seconds:.6f}",
                         f"{r.overhead_pct:.2f}", r.steps, r.guard_execs])
         return out.getvalue()
 
     def format_table(self) -> str:
         header = (f"{'program':<11}{'level':>6}{'arm':>7}  {'mode':<11}"
-                  f"{'median s':>10}{'min s':>10}{'IQR s':>10}"
-                  f"{'ref s':>10}{'overhead':>10}"
+                  f"{'median s':>10}{'mean s':>10}{'min s':>10}"
+                  f"{'IQR s':>10}{'ref s':>10}{'overhead':>10}"
                   f"{'steps':>11}{'guards':>9}")
         lines = [header, "-" * len(header)]
         for r in self.rows:
             lines.append(
                 f"{r.program:<11}{r.level:>6}{r.arm:>7}  {r.mode:<11}"
-                f"{r.median_seconds:>10.4f}{r.min_seconds:>10.4f}"
+                f"{r.median_seconds:>10.4f}{r.mean_seconds:>10.4f}"
+                f"{r.min_seconds:>10.4f}"
                 f"{r.iqr_seconds:>10.4f}{r.reference_seconds:>10.4f}"
                 f"{r.overhead_pct:>9.1f}%{r.steps:>11}{r.guard_execs:>9}")
         for f in self.failures:
@@ -212,7 +215,8 @@ def _time_level(report: BenchmarkReport, cfg: BenchmarkConfig, name: str,
     for arm, mode, results, _, times in cells:
         report.rows.append(BenchmarkRow(
             program=name, level=level, arm=arm, mode=mode,
-            median_seconds=statistics.median(times), min_seconds=min(times),
+            median_seconds=statistics.median(times),
+            mean_seconds=statistics.fmean(times), min_seconds=min(times),
             iqr_seconds=_iqr(times), reference_seconds=t_ref,
             steps=statistics.median(r.steps for r in results),
             guard_execs=statistics.median(r.guard_execs for r in results)))

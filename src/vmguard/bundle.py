@@ -260,7 +260,7 @@ def _read_risa(r: _Reader) -> Risa:
             raise IndexOutOfRange(f"opcode {opcode:#06x} assigned twice")
         spec = handler_spec(kind, operands, result)
         risa.spec_of[opcode] = spec
-        risa.opcode_of.setdefault(spec, opcode)
+        risa.opcode_of.setdefault(spec.number, opcode)
     return risa
 
 

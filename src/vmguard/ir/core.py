@@ -52,7 +52,7 @@ EXTERN_SIGS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instruction:
     kind: str
     result: str | None = None
@@ -64,6 +64,15 @@ class Instruction:
     callee: str | None = None                      # call target
     count: int | None = None                       # alloca element count
     phi_args: tuple[tuple[str, str], ...] = ()     # (value id, pred label)
+
+    def __init__(self, kind, result=None, type=None, operands=(), value=None,
+                 predicate=None, labels=(), callee=None, count=None,
+                 phi_args=()):
+        # one update, a third of the cost of a frozen __init__'s setattrs
+        self.__dict__.update(kind=kind, result=result, type=type,
+                             operands=operands, value=value,
+                             predicate=predicate, labels=labels,
+                             callee=callee, count=count, phi_args=phi_args)
 
     @property
     def is_terminator(self) -> bool:
@@ -108,9 +117,6 @@ class IrModule:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-    def has_function(self, name: str) -> bool:
-        return any(f.name == name for f in self.functions)
 
 
 @dataclass

@@ -9,13 +9,14 @@ assembler, `arith.block_source`, strings together the statement of each
 instruction's kind from `_STATEMENTS` (a value kind's wraps its
 `arith.value_source` expression), compiled once per block shape into a
 factory kept in a bounded process-wide cache; slots, constants and
-successors are factory arguments, and the built blocks live in the
-run's `ExecContext`.  Steps are counted per segment, ending at each
-call, as the optimized engine counts them, so steps and traps are those
-of counting each instruction before it runs.  Calls resolve through a
-pluggable hook so the bytecode runtime can reuse this evaluator for
-plain functions inside a bundle.  The statements are the interpreter's
-own, so its runs stay an independent check on the engines.
+successors are factory arguments, worked out once per function and kept
+on it, and the built blocks live in the run's `ExecContext`.  Steps are
+counted per segment, ending at each call, as the optimized engine counts
+them, so steps and traps are those of counting each instruction before
+it runs.  Calls resolve through a pluggable hook so the bytecode runtime
+can reuse this evaluator for plain functions inside a bundle.  The
+statements are the interpreter's own, so its runs stay an independent
+check on the engines.
 """
 
 from __future__ import annotations
@@ -156,18 +157,25 @@ def _compile(fn: IrFunction, ctx: ExecContext):
     when the run traces, that block adds the (function, label) pair of
     every block at its position.  Raises ValueError when the last block
     has no terminator, which only an unvalidated function can lack."""
-    tags = value_tags(fn)
-    slots = {name: n for n, name in enumerate(tags, 2)}
-    params = [(slots[name], (1 << tag.bits) - 1) for name, tag in fn.params]
-    starts: dict[str, int] = {}
-    o = 0
-    for block in fn.blocks:
-        starts.setdefault(block.label, o)
-        o += len(block.instructions)
-    counts = {ins.result: ins.count for ins in fn.instructions()
-              if ins.kind == "alloca"}
-    code = [_instruction(ins, slots, tags, starts, counts)
-            for ins in fn.instructions()]
+    # the instructions' shapes and arguments, the parameters' (slot, mask)
+    # and the slot count depend on `fn` alone: they are kept on it
+    cached = getattr(fn, "_code_cache", None)
+    if cached is None:
+        tags = value_tags(fn)
+        slots = {name: n for n, name in enumerate(tags, 2)}
+        starts: dict[str, int] = {}
+        o = 0
+        for block in fn.blocks:
+            starts.setdefault(block.label, o)
+            o += len(block.instructions)
+        counts = {ins.result: ins.count for ins in fn.instructions()
+                  if ins.kind == "alloca"}
+        params = [(slots[name], (1 << tag.bits) - 1)
+                  for name, tag in fn.params]
+        cached = ([_instruction(ins, slots, tags, starts, counts)
+                   for ins in fn.instructions()], params, len(slots))
+        object.__setattr__(fn, "_code_cache", cached)
+    code, params, n_slots = cached
     limit, trace = ctx.step_limit, ctx.trace_blocks
     hand = hand_over(ctx, lambda o: BLOCK_FACTORIES[(code[o][0],), True](
         ctx, limit, None, o, *code[o][1]))
@@ -193,7 +201,7 @@ def _compile(fn: IrFunction, ctx: ExecContext):
         raise ValueError(f"@{fn.name}: block %{fn.blocks[-1].label} ends "
                          "without a terminator" if fn.blocks
                          else f"@{fn.name} has no blocks")
-    return blocks, [None, None] + [0] * len(slots), params
+    return blocks, [None, None] + [0] * n_slots, params
 
 
 def evaluate_function(fn: IrFunction, args, call_hook, ctx: ExecContext):

@@ -210,15 +210,16 @@ GUARD_SPEC = handler_spec("guard")
 
 @dataclass
 class Risa:
-    """One function's opcode table, built up during lowering."""
+    """One function's opcode table, built up during lowering.  `opcode_of`
+    is keyed by `HandlerSpec.number`, an int, which hashes in C."""
 
-    opcode_of: dict[HandlerSpec, int] = field(default_factory=dict)
+    opcode_of: dict[int, int] = field(default_factory=dict)
     spec_of: dict[int, HandlerSpec] = field(default_factory=dict)
 
     def opcode_for(self, spec: HandlerSpec, rng) -> int:
         """Existing opcode for `spec`, or a fresh uniform draw that collides
         with nothing already assigned."""
-        opc = self.opcode_of.get(spec)
+        opc = self.opcode_of.get(spec.number)
         if opc is not None:
             return opc
         if len(self.spec_of) >= OPCODE_SPACE:
@@ -227,7 +228,7 @@ class Risa:
             opc = rng.randrange(OPCODE_SPACE)
             if opc not in self.spec_of:
                 break
-        self.opcode_of[spec] = opc
+        self.opcode_of[spec.number] = opc
         self.spec_of[opc] = spec
         return opc
 

@@ -90,7 +90,7 @@ def _random_virt(name, rng) -> VirtFunction:
             continue
         spec = _random_spec(rng)
         risa.spec_of[opc] = spec
-        risa.opcode_of.setdefault(spec, opc)
+        risa.opcode_of.setdefault(spec.number, opc)
     vpa = array("H", [rng.randrange(0x10000)
                       for _ in range(rng.randrange(40))])
     size = rng.randrange(64)

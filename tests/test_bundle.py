@@ -14,6 +14,7 @@ from vmguard.guards import compute_vpa_hash
 from vmguard.ir import parse_module
 from vmguard.ir.core import TypeTag
 from vmguard.protect import ProtectionConfig, virtualize_module
+from vmguard.risa import GUARD_SPEC, HandlerSpec
 from vmguard.rng import SplitMix64
 from vmguard.runtime import execute_secure
 from vmguard.threaded import execute_optimized
@@ -182,6 +183,29 @@ def test_copy_shares_only_frozen_parts():
     for a, b in zip(bundle.virt_functions(), clone.virt_functions()):
         assert all(x is y for x, y in zip(a.risa.spec_of.values(),
                                           b.risa.spec_of.values()))
+
+
+def test_protecting_and_loading_hash_no_spec(corpus_raw, monkeypatch):
+    """Opcode tables are keyed by spec numbers, so neither protecting a
+    module nor loading its bundle hashes a `HandlerSpec`."""
+    config = ProtectionConfig(seed=4, level=50)
+    blob = serialize(virtualize_module(corpus_raw["qsort"], config))
+    hashes = [0]
+    spec_hash = HandlerSpec.__hash__
+
+    def counting(spec):
+        hashes[0] += 1
+        return spec_hash(spec)
+
+    monkeypatch.setattr(HandlerSpec, "__hash__", counting)
+    built = virtualize_module(corpus_raw["qsort"], config)
+    loaded = deserialize(blob)
+    assert hashes[0] == 0
+    for vfn in built.virt_functions() + loaded.virt_functions():
+        assert vfn.risa.opcode_of == {
+            spec.number: opcode for opcode, spec in vfn.risa.spec_of.items()}
+    hash(GUARD_SPEC)                        # the counter does see a hash
+    assert hashes[0] == 1
 
 
 def test_mutating_a_copy_leaves_the_original_untouched():

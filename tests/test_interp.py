@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import corpus_text
 from oracles import (M64, PROGRAM_MODELS, binary_model, cast_model,
                      icmp_model, signed64)
 from vmguard import arith
 from vmguard.arith import DIV_BY_ZERO, TrapError
 from vmguard.bundle import PlainFunction
 from vmguard.execstate import CALL_DEPTH_REASON, MAX_CALL_DEPTH, ExecContext
-from vmguard.ir import (TypeTag, evaluate_function, interp, parse_module,
-                        reference_interpret)
+from vmguard.ir import (TypeTag, eliminate_phis, evaluate_function, interp,
+                        parse_module, reference_interpret)
 from vmguard.ir.core import (BINARY_KINDS, CAST_KINDS, ICMP_PREDICATES, Block,
                              Instruction, IrFunction, IrModule)
 from vmguard.protect import ProtectionConfig, virtualize_module
@@ -754,3 +755,29 @@ def test_tracing_builds_the_same_block_shapes(corpus_flat, manifest,
             reference_interpret(module, "main", inputs, step_limit=limit,
                                 trace_blocks=trace)
             assert list(cache) == untraced and trace, entry["name"]
+
+
+def test_a_second_run_works_out_no_instruction_again(manifest, monkeypatch):
+    """Each function's instruction shapes and arguments are kept on it, so
+    a second reference run of the same module recompiles its blocks from
+    them without calling `_instruction`, with the same result and trace."""
+    module = eliminate_phis(parse_module(corpus_text("qsort")))
+    inputs = next(e["inputs"]["tiny"] for e in manifest["programs"]
+                  if e["name"] == "qsort")
+    calls = [0]
+    instruction = interp._instruction
+
+    def counting(*args):
+        calls[0] += 1
+        return instruction(*args)
+
+    monkeypatch.setattr(interp, "_instruction", counting)
+    runs = []
+    for _ in range(2):
+        before, trace = calls[0], set()
+        result = reference_interpret(module, "main", inputs,
+                                     trace_blocks=trace)
+        runs.append((calls[0] - before, result, trace))
+    (first_calls, *first), (second_calls, *second) = runs
+    assert first_calls > 0 and second_calls == 0
+    assert second == first and first[0].status == "normal"

@@ -1,12 +1,26 @@
+import json
+import pathlib
+
 import pytest
 
 from vmguard.ir import (Block, Instruction, IrFunction, IrModule, TypeTag,
                         parse_module, validate_module)
 from vmguard.ir.validate import MAX_ALLOCA_COUNT
 
+# the exact violation list of every input below, in order, keyed by the
+# input's text or, for a module built by hand, its repr
+PINNED = json.loads((pathlib.Path(__file__).resolve().parent
+                     / "validate_pins.json").read_text())
+
+
+def pinned(key, module):
+    found = validate_module(module)
+    assert found == PINNED[key], key
+    return found
+
 
 def violations(text):
-    return validate_module(parse_module(text))
+    return pinned(text, parse_module(text))
 
 
 def wrap(body, sig="() -> i64", name="f"):
@@ -14,8 +28,8 @@ def wrap(body, sig="() -> i64", name="f"):
 
 
 def built(*blocks, ret=TypeTag.I64, params=()):
-    fn = IrFunction("f", tuple(params), ret, tuple(blocks))
-    return validate_module(IrModule((fn,)))
+    module = IrModule((IrFunction("f", tuple(params), ret, tuple(blocks)),))
+    return pinned(repr(module), module)
 
 
 RET_A = Instruction("ret", operands=("a",))
@@ -216,7 +230,8 @@ def test_duplicate_function_names_rejected():
     # the parser refuses duplicates already, so build the module by hand
     from vmguard.ir import parse_function
     fn = parse_function(wrap("entry:\n  %a = const i64 1\n  ret i64 %a\n"))
-    found = validate_module(IrModule((fn, fn)))
+    module = IrModule((fn, fn))
+    found = pinned(repr(module), module)
     assert any("duplicate function name" in v for v in found)
 
 
