@@ -10,9 +10,9 @@ Serialization is deliberately trust-free: it writes whatever the bundle
 holds, including deliberately corrupted streams.  Deserialization checks
 container-level structure, and validates plain-function source against
 the table's signatures, since the IR evaluator trusts the code it runs.
-Soundness of the encoded streams lives in `verify`, which callers invoke
-when they want it; the runtime instead detects corruption on the
-execution path.
+Soundness of the encoded streams lives in `threaded.verify`, which runs
+the optimized engine's load check and which callers invoke when they
+want it; the runtime instead detects corruption on the execution path.
 
 `copy_bundle` copies by structure, not through the wire format.  A copy
 owns every part a tamper strategy or a test may change: each transformed
@@ -55,10 +55,9 @@ from .ir.core import (EXTERN_SIGS, IrFunction, IrModule, TypeTag,
                       format_function)
 from .ir.parser import ParseError, parse_function
 from .ir.validate import validate_function
-from .network import GuardEdge, verify_acyclic
-from .risa import (BASE, CALLEE, CELL_ROLES, COUNT, KIND_CODE, KIND_NAMES,
-                   TAG_CODE, TAG_FROM_CODE, TARGET, MalformedStream, Risa,
-                   handler_spec, walk_records)
+from .network import GuardEdge
+from .risa import (KIND_CODE, KIND_NAMES, TAG_CODE, TAG_FROM_CODE,
+                   MalformedStream, Risa, handler_spec, walk_records)
 
 MAGIC = b"VSC1"
 VERSION = 1
@@ -390,69 +389,6 @@ def _copy_function(fn):
     return ExternFunction(fn.name)
 
 
-# ---- structural verification ----------------------------------------------
-
-def _verify_virt(problems: list[str], bundle: ProtectedBundle, index: int,
-                 guard_pairs: set[tuple[int, int]]) -> None:
-    """Check one transformed function against its own image and the
-    function table, record by record along each spec's layout, and
-    collect its (checker, checkee) guard pairs."""
-    vfn = bundle.functions[index]
-    where = f"@{vfn.name}"
-    size = len(vfn.image)
-    table = bundle.functions
-
-    for off, tag in vfn.param_slots:
-        if off + tag.width > size:
-            problems.append(f"{where}: parameter cell {off} leaves the image")
-    if vfn.ret_slot and vfn.ret_slot[0] + vfn.ret_slot[1].width > size:
-        problems.append(f"{where}: return cell leaves the image")
-    for opcode, spec in sorted(vfn.risa.spec_of.items()):
-        if spec.layout is None:
-            problems.append(f"{where}: opcode {opcode:#06x} ({spec.kind}) "
-                            "has types that do not fit its kind")
-
-    try:
-        records = walk_records(vfn.risa, vfn.vpa)
-    except MalformedStream as err:
-        problems.append(f"{where}: {err.reason}")
-        return
-    starts = {start for start, _ in records}
-    vpa = vfn.vpa
-
-    for start, spec in records:
-        here = f"{where}: record at {start} ({spec.kind})"
-        base = 0
-        for (role, tag), v in zip(spec.layout,
-                                  vpa[start + 1:start + spec.record_len]):
-            if role in CELL_ROLES:
-                if v + tag.width > size:
-                    problems.append(f"{here}: cell {v} leaves the image")
-            elif role == BASE:
-                base = v
-            elif role == COUNT:
-                if v == 0 or base + v * tag.width > size:
-                    problems.append(f"{here}: region leaves the image")
-            elif role == TARGET:
-                if v not in starts:
-                    problems.append(f"{here}: target {v} is not a record "
-                                    "start")
-            elif v >= len(table):
-                problems.append(f"{here}: {role} index {v} outside the "
-                                "function table")
-            elif role == CALLEE:
-                arity = arity_of(table[v])
-                if arity is not None and arity != len(spec.operand_types):
-                    problems.append(
-                        f"{here}: passes {len(spec.operand_types)} "
-                        f"arguments, @{table[v].name} takes {arity}")
-            else:                               # CHECKEE
-                guard_pairs.add((index, v))
-                if not isinstance(table[v], VirtFunction):
-                    problems.append(f"{here}: checkee @{table[v].name} is "
-                                    "not a transformed function")
-
-
 def arity_of(fn) -> int | None:
     """Parameter count of a table entry; None for an unknown intrinsic."""
     if isinstance(fn, VirtFunction):
@@ -461,45 +397,6 @@ def arity_of(fn) -> int | None:
         return len(fn.fn.params)
     sig = EXTERN_SIGS.get(fn.name)
     return len(sig[0]) if sig else None
-
-
-def verify(bundle: ProtectedBundle) -> list[str]:
-    """Structural soundness of a bundle.  Empty list means every stream
-    decodes, every reference stays inside its table or image, and the
-    checking relation is acyclic and matches the embedded records."""
-    problems: list[str] = []
-    names = [f.name for f in bundle.functions]
-    if len(set(names)) != len(names):
-        problems.append("duplicate function names in table")
-    if bundle.entry_index is not None:
-        if not 0 <= bundle.entry_index < len(bundle.functions):
-            problems.append("entry index outside function table")
-        elif isinstance(bundle.functions[bundle.entry_index], ExternFunction):
-            problems.append("entry points at an intrinsic")
-
-    guard_pairs: set[tuple[int, int]] = set()
-    for i, fn in enumerate(bundle.functions):
-        if isinstance(fn, VirtFunction):
-            _verify_virt(problems, bundle, i, guard_pairs)
-        elif isinstance(fn, ExternFunction) and fn.name not in EXTERN_SIGS:
-            problems.append(f"unknown intrinsic @{fn.name}")
-
-    for checker, checkee in bundle.edges:
-        if not (isinstance(bundle.functions[checker], VirtFunction)
-                and isinstance(bundle.functions[checkee], VirtFunction)):
-            problems.append("edge endpoints must be transformed functions")
-        elif (checker, checkee) not in guard_pairs:
-            problems.append(
-                f"edge @{bundle.functions[checker].name} -> "
-                f"@{bundle.functions[checkee].name} has no matching record")
-    declared = set(bundle.edges)
-    for pair in guard_pairs - declared:
-        problems.append(f"guard record @{bundle.functions[pair[0]].name} -> "
-                        f"@{bundle.functions[pair[1]].name} not declared as "
-                        "an edge")
-    if not verify_acyclic(bundle.edge_names()):
-        problems.append("checking relation contains a cycle")
-    return problems
 
 
 # ---- tamper strategies -----------------------------------------------------

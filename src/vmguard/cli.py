@@ -23,14 +23,14 @@ from .bench import (ARMS, BenchError, BenchmarkConfig, MODES, TIERS,
 from .bundle import (BundleError, FlipElement, FlipRandomElement,
                      PreserveChecksumPair, STRATEGY_NAMES, SwapOpcodes,
                      TamperError, ZeroRange, deserialize, serialize,
-                     tamper_bundle, verify)
+                     tamper_bundle)
 from .detect import REFINED, refined_counts, run_detection
 from .guards import coverage_report, format_coverage
 from .ir import ParseError, parse_module
 from .protect import ProtectError, ProtectionConfig, virtualize_module
 from .rng import SplitMix64, fresh_seed
 from .runtime import execute_secure
-from .threaded import execute_optimized
+from .threaded import execute_optimized, verify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1

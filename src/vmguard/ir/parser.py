@@ -107,9 +107,12 @@ def _reader_source(key) -> str:
             fields["type"], k = "tag", k + 1
         elif field in (IMM, COUNT):
             var = "value" if field == IMM else "count"
+            # int() refuses a literal past the interpreter's digit limit
             body += _check(k, f"{var}.lstrip('-').isdigit()", "integer",
-                           var) + ["value = int(value) & ((1 << tag.bits) - 1)"
-                                   if field == IMM else "count = int(count)"]
+                           var) + [
+                "try:", f"    {var} = int({var})", "except ValueError:",
+                f"    raise _Stop('integer literal too long', i + {k})"] + (
+                ["value &= (1 << tag.bits) - 1"] if field == IMM else [])
             fields[var], k = var, k + 1
         elif field == PREDICATE:       # the kind is token i - 1
             body += _check(k, "predicate[0] in _NAME_START",

@@ -15,7 +15,7 @@ from .bundle import (ExternFunction, PlainFunction, ProtectedBundle,
 from .guards import finalize_expected_hashes, inject_guards
 from .ir.core import EXTERN_SIGS, IrModule
 from .ir.phi import eliminate_phis
-from .ir.validate import validate_module
+from .ir.validate import validate_function, validate_module
 from .layout import build_layout, materialize_image
 from .lift import encode, lift_function, resolve_branches
 from .network import build_checker_network, is_eligible_checker
@@ -72,7 +72,10 @@ def virtualize_module(module: IrModule,
         raise ProtectError("guards-per-checkee must be non-negative")
 
     flat = eliminate_phis(module)
-    leftover = validate_module(flat)
+    # the functions phi elimination returned unchanged validated above
+    leftover = [problem
+                for fn, before in zip(flat.functions, module.functions)
+                if fn is not before for problem in validate_function(fn, flat)]
     if leftover:
         raise ProtectError("lowered module does not validate: "
                            + "; ".join(leftover))

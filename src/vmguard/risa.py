@@ -133,15 +133,6 @@ class HandlerSpec:
     operand_types: tuple[TypeTag, ...] = ()
     result_type: TypeTag | None = None
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # specs key the opcode tables; the fields are frozen, so the hash
-        # is worked out once
-        return hash((self.kind, self.operand_types, self.result_type))
-
     @cached_property
     def number(self) -> int:
         """The signature as one int: its wire encoding, behind a leading 1,

@@ -51,6 +51,10 @@ observing corruption lazily:
   - the encoded streams themselves stay monitored: every checksum record
     re-hashes its target's live stream on every execution, so mutation
     after decode is still caught.
+
+`_load` makes the up-front refusals and builds no block.  `verify` runs
+it on every transformed function and adds only the rules no engine
+refuses at load.
 """
 
 from __future__ import annotations
@@ -62,12 +66,14 @@ from .arith import (TERMINATORS, TRAPPING, VALUE_KINDS, Factories,
                     value_source)
 # the trapping kinds' functions, which generated statements name
 from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
-from .bundle import ProtectedBundle, VirtFunction
+from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
                         STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
 from .guards import compute_vpa_hash
-from .risa import (CALLEE, CHECKEE, HandlerSpec, MalformedStream,
-                   numbered_spec, walk_records)
+from .ir.core import EXTERN_SIGS
+from .network import verify_acyclic
+from .risa import (BASE, CALLEE, CHECKEE, COUNT, HandlerSpec,
+                   MalformedStream, numbered_spec, walk_records)
 from .runtime import (_CELL, INVALID_OPCODE, INVALID_REFERENCE, PC_ESCAPE,
                       TamperSignal, call_function, check_guard,
                       execute_with_engine, table_entry)
@@ -116,7 +122,7 @@ def pre_decode(vfn: VirtFunction) -> list[tuple]:
 # ------------------------------------------------------------ statements
 
 # The Python statement(s) each record kind runs as, inside a block or
-# alone.  `{aN}` is the record's N-th argument, as `_decode` gathers
+# alone.  `{aN}` is the record's N-th argument, as `_load` gathers
 # them; `{w}` is a load or store's element width and `{args}` a call's
 # argument cells; `{back}` is how many records of its segment follow the
 # record, which a trap takes back off `ctx.steps` so it reports the
@@ -200,21 +206,18 @@ def _block_source(numbers: tuple[int, ...]) -> str:
 BLOCK_FACTORIES = Factories(_block_source, globals())
 
 
-def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
-    """The dispatch list, register-file template, (cell, mask) per
-    parameter and return cell of `vfn`.  The dispatch list holds, at
-    record 0 and at every branch target, the block that starts there and
-    runs to the next terminator, through any branch target on the way;
-    it holds None at every other record.
-
-    One pass over the records gathers each record's statement arguments,
-    numbered as its `_STATEMENTS` entry names them, into `flat`: every
-    cell it names is checked against the image, a load or store's index
-    limit worked out and a call's callee or a guard's checkee resolved, so
-    a corrupt reference is refused here, in record order, and the blocks
-    never bounds-check one.  A value record's arguments are its operand
-    cells, then its result cell.  The parameter and return cells and the
-    overlap check follow, all before any block is built."""
+def _load(bundle: ProtectedBundle, vfn: VirtFunction):
+    """Check `vfn`'s references as the engine decodes it, building no
+    block.  One pass over the records (`pre_decode`) gathers each
+    record's statement arguments, numbered as its `_STATEMENTS` entry
+    names them, into `flat`: it checks every cell named against the
+    image, works out a load or store's index limit and resolves a call's
+    callee or a guard's checkee.  A value record's arguments are its
+    operand cells, then its result cell.  The parameter and return cells
+    and the overlap check follow.  Raises TamperSignal for the first
+    reference refused; returns the records, `flat`, where each record's
+    arguments start in it, the block leaders and terminator ordinals, the
+    template and the (cell, mask) of each parameter and the return cell."""
     records = pre_decode(vfn)
     vpa, size, name = vfn.vpa.tolist(), len(vfn.image), vfn.name
     spans = set()               # (start, end, width) of each cell and region
@@ -286,6 +289,17 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     params = [(off, (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
     ret = None if vfn.ret_slot is None else vfn.ret_slot[0]
     template = _template(name, vfn.image, spans)
+    return records, flat, first, leaders, ends, template, params, ret
+
+
+def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
+    """The dispatch list, register-file template, (cell, mask) per
+    parameter and return cell of `vfn`, once `_load` has checked it.  The
+    dispatch list holds, at record 0 and at every branch target, the block
+    that starts there and runs to the next terminator, through any branch
+    target on the way; it holds None at every other record."""
+    records, flat, first, leaders, ends, template, params, ret = _load(
+        bundle, vfn)
     numbers = [spec.number for _, spec, _ in records]
     limit = ctx.step_limit
     hand = hand_over(ctx, lambda o: BLOCK_FACTORIES[numbers[o],](
@@ -360,3 +374,83 @@ def execute_optimized(bundle: ProtectedBundle, inputs=(),
                       entry: str | None = None):
     return execute_with_engine(bundle, run_threaded, inputs, step_limit,
                                entry)
+
+
+# ---------------------------------------------------------------- verify
+
+def verify(bundle: ProtectedBundle) -> list[str]:
+    """Structural soundness of a bundle.  Empty list means every
+    transformed function passes the engine's load check (`_load`), its
+    constants and load/store regions stay inside its image, its calls
+    pass as many arguments as their callees take, and the checking
+    relation is acyclic and matches the guard records.  A function the
+    load check refuses reports the refusal as its one record-level
+    problem."""
+    table = bundle.functions
+    problems: list[str] = []
+    names = [f.name for f in table]
+    if len(set(names)) != len(names):
+        problems.append("duplicate function names in table")
+    if bundle.entry_index is not None:
+        if not 0 <= bundle.entry_index < len(table):
+            problems.append("entry index outside function table")
+        elif isinstance(table[bundle.entry_index], ExternFunction):
+            problems.append("entry points at an intrinsic")
+
+    index_of = {id(fn): i for i, fn in enumerate(table)}
+    guard_pairs: set[tuple[int, int]] = set()
+    for i, fn in enumerate(table):
+        if isinstance(fn, ExternFunction) and fn.name not in EXTERN_SIGS:
+            problems.append(f"unknown intrinsic @{fn.name}")
+        if not isinstance(fn, VirtFunction):
+            continue
+        for opcode, spec in sorted(fn.risa.spec_of.items()):
+            if spec.layout is None:
+                problems.append(f"@{fn.name}: opcode {opcode:#06x} "
+                                f"({spec.kind}) has types that do not fit "
+                                "its kind")
+        try:
+            records, flat, first, *_ = _load(bundle, fn)
+        except TamperSignal as signal:
+            problems.append(signal.detail)
+            # its guard records go unread, so its edges are not matched
+            # against them
+            guard_pairs.update(e for e in bundle.edges if e[0] == i)
+            continue
+        # the rules no engine refuses at load
+        size = len(fn.image)
+        for (start, spec, _), at in zip(records, first):
+            here = f"@{fn.name}: record at {start} ({spec.kind})"
+            if spec.kind == "guard":
+                guard_pairs.add((i, index_of[id(flat[at])]))
+            elif spec.kind == "call":
+                arity = arity_of(flat[at + 1])
+                if arity is not None and arity != len(spec.operand_types):
+                    problems.append(
+                        f"{here}: passes {len(spec.operand_types)} "
+                        f"arguments, @{flat[at + 1].name} takes {arity}")
+            elif spec.kind in ("const", "load", "store"):
+                base = 0
+                for (role, tag), v in zip(spec.layout, fn.vpa[
+                        start + 1:start + spec.record_len]):
+                    if role == BASE:
+                        base = v
+                    elif role == COUNT and (v == 0 or
+                                            base + v * tag.width > size):
+                        problems.append(f"{here}: region leaves the image")
+                    elif spec.kind == "const" and v + tag.width > size:
+                        problems.append(f"{here}: cell {v} leaves the image")
+
+    for checker, checkee in bundle.edges:
+        if not (isinstance(table[checker], VirtFunction)
+                and isinstance(table[checkee], VirtFunction)):
+            problems.append("edge endpoints must be transformed functions")
+        elif (checker, checkee) not in guard_pairs:
+            problems.append(f"edge @{table[checker].name} -> "
+                            f"@{table[checkee].name} has no matching record")
+    for checker, checkee in guard_pairs - set(bundle.edges):
+        problems.append(f"guard record @{table[checker].name} -> "
+                        f"@{table[checkee].name} not declared as an edge")
+    if not verify_acyclic(bundle.edge_names()):
+        problems.append("checking relation contains a cycle")
+    return problems

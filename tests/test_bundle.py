@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from builders import CHECKED_HELPER, MIXED_CALLS, protect_text, random_bundle
@@ -9,15 +11,15 @@ from vmguard.bundle import (MAGIC, BadMagic, BundleError, ExternFunction,
                             SwapOpcodes, TamperError, TrailingData,
                             TruncatedStream, UnsupportedVersion, ZeroRange,
                             copy_bundle, deserialize, serialize,
-                            tamper_bundle, verify, STRATEGY_NAMES)
+                            tamper_bundle, STRATEGY_NAMES)
 from vmguard.guards import compute_vpa_hash
 from vmguard.ir import parse_module
 from vmguard.ir.core import TypeTag
 from vmguard.protect import ProtectionConfig, virtualize_module
-from vmguard.risa import GUARD_SPEC, HandlerSpec
+from vmguard.risa import GUARD_SPEC, HandlerSpec, walk_records
 from vmguard.rng import SplitMix64
 from vmguard.runtime import execute_secure
-from vmguard.threaded import execute_optimized
+from vmguard.threaded import execute_optimized, verify
 
 CORPUS = ("fib", "loop_sum", "qsort", "crc32", "sieve", "strsearch")
 
@@ -257,6 +259,139 @@ def test_verify_reports_duplicate_names(fib_bundle):
     broken = copy_bundle(fib_bundle)
     broken.functions[1].name = broken.functions[0].name
     assert any("name" in p for p in verify(broken))
+
+
+@pytest.fixture(scope="module")
+def qsort_bundle():
+    # qsort at 75% keeps @lcg_next plain and still guards every kind the
+    # damaged copies below need: const, load, store, call, br and guard
+    bundle = protect_text(corpus_text("qsort"), seed=3, level=75)
+    assert isinstance(bundle.function("lcg_next"), PlainFunction)
+    return bundle
+
+
+def _record(bundle, kind):
+    """(function, record start, spec) of the first `kind` record of the
+    first transformed function that has one."""
+    for vfn in bundle.virt_functions():
+        for start, spec in walk_records(vfn.risa, vfn.vpa):
+            if spec.kind == kind:
+                return vfn, start, spec
+    raise AssertionError(f"no {kind} record")
+
+
+def _set(bundle, kind, position, value):
+    """Set operand `position` of the first `kind` record to
+    `value(bundle, vfn)`; returns the function, the record start and the
+    value set."""
+    vfn, start, _ = _record(bundle, kind)
+    v = value(bundle, vfn)
+    vfn.vpa[start + 1 + position] = v
+    return vfn, start, v
+
+
+def _const_past_image(b):
+    vfn, start, v = _set(b, "const", 0, lambda b, f: len(f.image))
+    return [f"@{vfn.name}: record at {start} (const): cell {v} leaves the "
+            "image"]
+
+
+def _empty_region(b):
+    vfn, start, _ = _set(b, "load", 1, lambda b, f: 0)
+    return [f"@{vfn.name}: record at {start} (load): region leaves the image"]
+
+
+def _region_past_image(b):
+    vfn, start, _ = _set(b, "store", 1, lambda b, f: len(f.image))
+    return [f"@{vfn.name}: record at {start} (store): region leaves the "
+            "image"]
+
+
+def _arity_mismatch(b):
+    vfn, start, spec = _record(b, "call")
+    callee = "print_i64" if not spec.operand_types else "read_i64"
+    vfn.vpa[start + 1] = b.index_of(callee)
+    return [f"@{vfn.name}: record at {start} (call): passes",
+            f"@{callee} takes"]
+
+
+def _callee_past_table(b):
+    vfn, _, v = _set(b, "call", 0, lambda b, f: len(b.functions))
+    return [f"@{vfn.name}: ", f"callee index {v}"]
+
+
+def _plain_checkee(b):
+    vfn, _, _ = _set(b, "guard", 0, lambda b, f: b.index_of("lcg_next"))
+    return [f"@{vfn.name}: ", "checkee", "transformed function"]
+
+
+def _branch_into_a_record(b):
+    # the element after a record's opcode starts no record
+    vfn, start, _ = _set(b, "br", 0, lambda b, f: 1)
+    return [f"@{vfn.name}: ", f" at {start} ", "target"]
+
+
+def _parameter_past_image(b):
+    vfn = next(f for f in b.virt_functions() if f.param_slots)
+    off, tag = vfn.param_slots[0]
+    vfn.param_slots[0] = (len(vfn.image), tag)
+    return [f"@{vfn.name}: ", "parameter", "image"]
+
+
+def _undeclared_guard(b):
+    checker, checkee = b.edges.pop()
+    return [f"guard record @{b.functions[checker].name} -> "
+            f"@{b.functions[checkee].name} not declared as an edge"]
+
+
+def _cycle(b):
+    checker, checkee = b.edges[0]
+    b.edges.append((checkee, checker))
+    return ["checking relation contains a cycle"]
+
+
+def _unknown_intrinsic(b):
+    b.functions.append(ExternFunction("read_f64"))
+    return ["unknown intrinsic @read_f64"]
+
+
+def _entry_at_an_intrinsic(b):
+    b.entry_index = b.index_of("print_i64")
+    return ["entry points at an intrinsic"]
+
+
+@pytest.mark.parametrize("damage", [
+    _const_past_image, _empty_region, _region_past_image, _arity_mismatch,
+    _callee_past_table, _plain_checkee, _branch_into_a_record,
+    _parameter_past_image, _undeclared_guard, _cycle, _unknown_intrinsic,
+    _entry_at_an_intrinsic], ids=lambda damage: damage.__name__[1:])
+def test_verify_reports_each_rule(qsort_bundle, damage):
+    assert verify(qsort_bundle) == []
+    broken = copy_bundle(qsort_bundle)
+    parts = damage(broken)
+    problems = verify(broken)
+    assert any(all(part in p for part in parts) for p in problems), problems
+
+
+def test_verify_reports_every_damage_the_optimized_engine_refuses(manifest):
+    # each damaged copy the engine refuses while decoding, before it runs
+    # a step, is one verify must not pass
+    strategies = (FlipRandomElement(), SwapOpcodes(), ZeroRange())
+    refused = 0
+    for program in manifest["programs"]:
+        bundle = protect_text(corpus_text(program["name"]), seed=3)
+        rng = random.Random(3)
+        for strategy in strategies:
+            for _ in range(50):
+                try:
+                    broken, _ = tamper_bundle(bundle, strategy, rng)
+                except TamperError:
+                    continue
+                res = execute_optimized(broken, program["inputs"]["tiny"])
+                if res.status == "tamper" and res.tamper_cause.at_decode:
+                    refused += 1
+                    assert verify(broken), res.tamper_cause
+    assert refused > 500
 
 
 # ---- corruption strategies -------------------------------------------------

@@ -52,6 +52,38 @@ def test_protect_missing_source_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# more digits than int() converts from a string by default
+HUGE = "9" * 5000
+
+
+def test_protect_reports_an_oversize_literal_as_a_parse_error(tmp_path,
+                                                              capsys):
+    src = tmp_path / "huge.vir"
+    src.write_text(corpus_text("fib").replace("const i64 2\n",
+                                              f"const i64 {HUGE}\n"))
+    rc = protect(src, tmp_path / "huge.vsc")
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert "integer literal too long" in err and "line " in err
+
+
+def test_run_reports_an_oversize_plain_literal_as_a_bundle_error(tmp_path,
+                                                                 capsys):
+    # fib stays plain at level 50, seed 0; its source is length-prefixed
+    data = serialize(protect_text(corpus_text("fib"), seed=0, level=50))
+    start = data.index(b"func @fib(")
+    end = start + int.from_bytes(data[start - 4:start], "little")
+    text = data[start:end].replace(b"const i64 2\n",
+                                   f"const i64 {HUGE}\n".encode())
+    path = tmp_path / "huge.vsc"
+    path.write_bytes(data[:start - 4] + len(text).to_bytes(4, "little")
+                     + text + data[end:])
+    rc = main(["run", str(path), "8"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert "does not parse" in err and "integer literal too long" in err
+
+
 def test_run_prints_output_and_return_value(fib_vir, tmp_path, capsys):
     out = tmp_path / "fib.vsc"
     protect(fib_vir, out)

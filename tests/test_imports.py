@@ -26,18 +26,23 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_reference_interpreter_imports_no_engine():
-    # C1 compares the engines with `ir.interp`, so it must not run their code
+def _loaded(module, candidates):
+    """Those of `candidates` that importing `module` first loads."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    engines = ["vmguard.threaded", "vmguard.runtime", "vmguard.bundle",
-               "vmguard.risa"]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, vmguard.ir.interp; "
-         f"print([m for m in {engines!r} if m in sys.modules])"],
+        [sys.executable, "-c", f"import sys, {module}; "
+         f"print([m for m in {candidates!r} if m in sys.modules])"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_the_reference_interpreter_imports_no_engine():
+    # C1 compares the engines with `ir.interp`, so it must not run their code
+    assert _loaded("vmguard.ir.interp", [
+        "vmguard.threaded", "vmguard.runtime", "vmguard.bundle",
+        "vmguard.risa"]) == "[]"
 
 
 def test_only_the_factories_cache_compiles_source():
@@ -56,3 +61,10 @@ def test_only_arith_writes_a_factory():
                      for path in package.rglob("*.py")
                      if "def factory(" in path.read_text())
     assert writing == ["arith.py"]
+
+
+def test_the_bundle_format_imports_no_engine():
+    # `verify` lives with the optimized engine's load check, so the
+    # container format needs neither engine
+    assert _loaded("vmguard.bundle",
+                   ["vmguard.threaded", "vmguard.runtime"]) == "[]"

@@ -4,11 +4,13 @@ import pytest
 
 from builders import CHECKED_HELPER, MIXED_CALLS, protect_text
 from conftest import corpus_text
+from vmguard import protect
 from vmguard.bundle import (ExternFunction, PlainFunction, VirtFunction,
-                            serialize, verify)
-from vmguard.ir import IrModule, parse_module
+                            serialize)
+from vmguard.ir import IrModule, parse_module, validate_module
 from vmguard.protect import (ProtectError, ProtectionConfig,
                              virtualize_module)
+from vmguard.threaded import verify
 
 
 def test_same_seed_reproduces_the_bundle_byte_for_byte():
@@ -181,6 +183,19 @@ entry:
 """)
     with pytest.raises(ProtectError):
         virtualize_module(bad, ProtectionConfig(seed=1))
+
+
+def test_lowered_functions_are_validated_again(monkeypatch):
+    # a function phi elimination replaced is validated again
+    module = parse_module(MIXED_CALLS)
+    bad = parse_module(MIXED_CALLS.replace("%x, %two", "%x, %one"))
+    lowered = IrModule((module.function("main"), bad.function("double")))
+    monkeypatch.setattr(protect, "eliminate_phis", lambda m: lowered)
+    with pytest.raises(ProtectError) as err:
+        virtualize_module(module, ProtectionConfig(seed=1))
+    assert validate_module(lowered)
+    assert str(err.value) == ("lowered module does not validate: "
+                              + "; ".join(validate_module(lowered)))
 
 
 def test_seed_is_recorded_in_the_bundle():

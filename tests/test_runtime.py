@@ -9,7 +9,7 @@ from builders import CHECKED_HELPER, MIXED_CALLS, fitting_spec, protect_text
 from oracles import PROGRAM_MODELS
 from vmguard import arith, runtime
 from vmguard.bundle import (FlipElement, PreserveChecksumPair, copy_bundle,
-                            tamper_bundle, verify)
+                            tamper_bundle)
 from vmguard.execstate import (CALL_DEPTH_REASON, INPUT_EXHAUSTED_REASON,
                                LOAD_BOUNDS_REASON, STEP_LIMIT_REASON,
                                STORE_BOUNDS_REASON)
@@ -23,7 +23,7 @@ from vmguard.rng import SplitMix64
 from vmguard.runtime import (HASH_MISMATCH, INVALID_OPCODE,
                              INVALID_REFERENCE, PC_ESCAPE, TamperSignal,
                              execute_secure)
-from vmguard.threaded import execute_optimized
+from vmguard.threaded import execute_optimized, verify
 
 
 def protect_module(module, seed=1, **kw):
