@@ -195,7 +195,7 @@ def factory_source(params, args, bound: dict, body: str) -> str:
             + "    return run\n")
 
 
-def block_source(statements, counted: bool) -> str:
+def block_source(statements) -> str:
     """The source of the factory of one block over the register list `vm`:
     `statements` holds a (kind, template) pair per record or instruction,
     in order, only the last of which may be a terminator.  `{aN}` is a
@@ -204,23 +204,20 @@ def block_source(statements, counted: bool) -> str:
     factory takes the run's context, step limit and hand-over, the
     block's first position `o`, then each statement's arguments in turn.
 
-    Steps are counted per segment, ending one at each call and guard,
-    before the segment runs; the leader's is left out when `counted` says
-    the dispatch loop has counted it.  A segment the step limit falls
-    inside returns `hand(vm, o + start, lead)` instead, with its start and
-    how many of its steps are counted already.  A block that does not end
-    in a terminator returns `o + len(statements)`."""
+    A block counts every step it runs, per segment, ending one at each
+    call and guard, before the segment runs.  A segment the step limit
+    falls inside returns `hand(vm, o + start)` instead, with its start.
+    A block that does not end in a terminator returns
+    `o + len(statements)`."""
     params, body, start = ["ctx", "limit", "hand", "o"], [], 0
     for j, (kind, template) in enumerate(statements):
         if j == start:
             end = next((e + 1 for e in range(j, len(statements))
                         if statements[e][0] in SEGMENT_ENDS), len(statements))
-            lead = int(counted and start == 0)
-            if end - start - lead:
-                body += [f"st = ctx.steps + {end - start - lead}",
-                         "if st > limit:",
-                         f"    return hand(vm, o + {start}, {lead})",
-                         "ctx.steps = st"]
+            body += [f"st = ctx.steps + {end - start}",
+                     "if st > limit:",
+                     f"    return hand(vm, o + {start})",
+                     "ctx.steps = st"]
         names = {f"a{p}": f"a{p}_{j}" for p in
                  range(len(set(re.findall(r"\{a\d+\}", template))))}
         params += names.values()
@@ -234,17 +231,16 @@ def block_source(statements, counted: bool) -> str:
 
 
 def hand_over(ctx, single):
-    """The hand-over of a run's blocks, `hand(vm, o, counted)`: the step
-    limit falls inside the segment at `o`, of which `counted` steps are
-    counted already, so it runs the segment one statement at a time, as
-    the block `single(o)`, and ends in a trap before the segment does."""
-    limit = ctx.step_limit
+    """The hand-over of a run's blocks, `hand(vm, o)`: the step limit falls
+    inside the segment at `o`, none of whose steps are counted, so it runs
+    the segment one statement at a time, as the block `single(o, trap)`,
+    until a statement meets the limit and hands over to `trap`, which
+    counts that statement's step and traps before it runs."""
+    def trap(vm, o):
+        ctx.steps += 1
+        raise TrapError(STEP_LIMIT_REASON)
 
-    def hand(vm, o, counted):
-        ctx.steps -= counted
+    def hand(vm, o):
         while True:
-            ctx.steps += 1
-            if ctx.steps > limit:
-                raise TrapError(STEP_LIMIT_REASON)
-            o = single(o)(vm)
+            o = single(o, trap)(vm)
     return hand

@@ -170,6 +170,8 @@ def _validate_plan(cfg: BenchmarkConfig) -> None:
         raise BenchError(f"unknown input tier {cfg.tier!r}")
     if cfg.reps < 1 or cfg.seeds < 1:
         raise BenchError("reps and seeds must be at least 1")
+    if cfg.guards_per_checkee < 0:
+        raise BenchError(f"connectivity {cfg.guards_per_checkee} is negative")
 
 
 def _time_level(report: BenchmarkReport, cfg: BenchmarkConfig, name: str,

@@ -490,26 +490,33 @@ class SwapOpcodes:
 
 @dataclass(frozen=True)
 class ZeroRange:
-    """Overwrite a span of elements with zero."""
+    """Overwrite a span of elements, at least one of them nonzero, with
+    zero.  A random start is drawn among the spans that hold one."""
 
     function: str | None = None
     start: int | None = None
     length: int = 4
 
     def apply(self, bundle: ProtectedBundle, rng) -> list[dict]:
-        vfn = rng.choice(_virt_targets(bundle, self.function,
-                                       min_len=max(self.length, 1)))
-        n = len(vfn.vpa)
-        length = min(self.length, n)
-        start = self.start
+        length, start = self.length, self.start
+        if length < 1:
+            raise TamperError(f"length {length} is not positive")
+        vfn = rng.choice(_virt_targets(bundle, self.function, min_len=length))
+        vpa = vfn.vpa
         if start is None:
-            start = rng.randrange(n - length + 1)
-        if not 0 <= start <= n - length:
+            starts = [s for s in range(len(vpa) - length + 1)
+                      if any(vpa[s:s + length])]
+            if not starts:
+                raise TamperError(f"@{vfn.name}'s stream holds only zeros")
+            start = rng.choice(starts)
+        elif not 0 <= start <= len(vpa) - length:
             raise TamperError(f"range [{start}, {start + length}) outside "
                               f"@{vfn.name}'s stream")
-        return [_change(vfn, i, 0)
-                for i in range(start, start + length)
-                if vfn.vpa[i] != 0]
+        elif not any(vpa[start:start + length]):
+            raise TamperError(f"range [{start}, {start + length}) of "
+                              f"@{vfn.name}'s stream holds only zeros")
+        return [_change(vfn, i, 0) for i in range(start, start + length)
+                if vpa[i]]
 
 
 @dataclass(frozen=True)

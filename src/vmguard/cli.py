@@ -28,7 +28,7 @@ from .detect import REFINED, refined_counts, run_detection
 from .guards import coverage_report, format_coverage
 from .ir import ParseError, parse_module
 from .protect import ProtectError, ProtectionConfig, virtualize_module
-from .rng import SplitMix64, fresh_seed
+from .rng import MASK64, SplitMix64, fresh_seed
 from .runtime import execute_secure
 from .threaded import execute_optimized, verify
 
@@ -45,13 +45,17 @@ def _fail(message: str) -> int:
     return EXIT_FAILURE
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env, 0)
-    return fresh_seed()
+def parse_seed(text: str) -> int:
+    """A seed as `--seed` or `$VMGUARD_SEED` gives it: an integer literal
+    (decimal, or with a 0x, 0o or 0b prefix) in [0, 2**64)."""
+    try:
+        seed = int(text, 0)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed <= MASK64:
+        raise argparse.ArgumentTypeError(
+            f"seed {text!r} is not an integer in [0, 2**64)")
+    return seed
 
 
 def _protection_config(args) -> ProtectionConfig:
@@ -60,7 +64,7 @@ def _protection_config(args) -> ProtectionConfig:
         sensitive = tuple(n.strip() for n in args.sensitive.split(",")
                           if n.strip())
     return ProtectionConfig(
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         level=args.coverage_pct if args.coverage_pct is not None else 100,
         guards_per_checkee=args.connectivity,
         enable_guards=not args.no_guards,
@@ -69,7 +73,7 @@ def _protection_config(args) -> ProtectionConfig:
 
 
 def _add_protection_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+    p.add_argument("--seed", type=parse_seed, default=None,
                    help=f"protection seed (default: ${SEED_ENV} or fresh "
                         "OS entropy)")
     sel = p.add_mutually_exclusive_group()
@@ -162,21 +166,13 @@ def _build_strategy(args):
         if args.function is None or args.element is None:
             raise TamperError("flip needs --function and --element")
         return FlipElement(args.function, args.element, args.mask)
-    if name == "flip-random":
-        return FlipRandomElement(args.function)
-    if name == "swap-opcodes":
-        if args.function is None:
-            raise TamperError("swap-opcodes needs --function")
-        return SwapOpcodes(args.function)
     if name == "zero-range":
-        if args.function is None or args.start is None:
-            raise TamperError("zero-range needs --function and --start")
         return ZeroRange(args.function, args.start, args.length)
     if name == "preserve-pair":
-        if args.function is None:
-            raise TamperError("preserve-pair needs --function")
         return PreserveChecksumPair(args.function, args.mask)
-    raise TamperError(f"unknown strategy {name!r}")
+    if name == "swap-opcodes":
+        return SwapOpcodes(args.function)
+    return FlipRandomElement(args.function)
 
 
 def _trial_report(args, bundle) -> int:
@@ -186,7 +182,7 @@ def _trial_report(args, bundle) -> int:
     try:
         summary = run_detection(
             bundle, inputs, trials=args.trials,
-            seed=_resolve_seed(args.seed),
+            seed=args.seed,
             strategy_factory=lambda: _build_strategy(args),
             program=os.path.basename(args.bundle), executor=executor)
     except (TamperError, ValueError) as err:
@@ -209,7 +205,7 @@ def cmd_tamper(args) -> int:
     if args.output is None:
         return _fail("need -o/--output (or --trials N for a detection "
                      "report)")
-    rng = SplitMix64(_resolve_seed(args.seed))
+    rng = SplitMix64(args.seed)
     try:
         strategy = _build_strategy(args)
         mutated, changes = tamper_bundle(bundle, strategy, rng)
@@ -250,7 +246,7 @@ def cmd_bench(args) -> int:
         modes=tuple(args.modes.split(",")),
         arms=tuple(args.arms.split(",")),
         reps=args.reps, seeds=args.seeds, tier=args.tier,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         guards_per_checkee=args.connectivity)
     try:
         report = run_benchmarks(cfg)
@@ -329,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", type=lambda s: int(s, 0), default=1)
     p.add_argument("--start", type=int, default=None)
     p.add_argument("--length", type=int, default=4)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    p.add_argument("--seed", type=parse_seed, default=None)
     p.add_argument("--trials", type=int, default=None,
                    help="apply this many independent tampers to fresh "
                         "copies and report detection counts")
@@ -358,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5,
                    help="protection draws per cell")
     p.add_argument("--tier", choices=TIERS, default="bench")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    p.add_argument("--seed", type=parse_seed, default=None)
     p.add_argument("--connectivity", type=int, default=2)
     p.add_argument("--no-coverage", action="store_true",
                    help="skip the per-program coverage table")
@@ -378,6 +374,12 @@ def main(argv=None) -> int:
         args = args.run_parser.parse_intermixed_args(argv[1:])
     elif rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    if getattr(args, "seed", 0) is None:
+        env = os.environ.get(SEED_ENV)
+        try:
+            args.seed = fresh_seed() if env is None else parse_seed(env)
+        except argparse.ArgumentTypeError as err:
+            return _fail(f"${SEED_ENV}: {err}")
     return args.fn(args)
 
 

@@ -127,6 +127,8 @@ def run_detection(bundle: ProtectedBundle, inputs, trials: int, seed: int,
     """Run `trials` independent single-mutation experiments against copies
     of `bundle`.  `strategy_factory()` builds a fresh mutation strategy per
     trial; the default is a uniformly random single-element bit flip."""
+    if trials < 0:
+        raise ValueError(f"trial count {trials} is negative")
     honest = executor(bundle, inputs, step_limit=DEFAULT_STEP_LIMIT)
     if honest.status != "normal":
         raise ValueError(f"honest run must succeed, got {honest.status}")

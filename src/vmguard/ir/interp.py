@@ -10,13 +10,13 @@ instruction's kind from `_STATEMENTS` (a value kind's wraps its
 `arith.value_source` expression), compiled once per block shape into a
 factory kept in a bounded process-wide cache; slots, constants and
 successors are factory arguments, worked out once per function and kept
-on it, and the built blocks live in the run's `ExecContext`.  Steps are
-counted per segment, ending at each call, as the optimized engine counts
-them, so steps and traps are those of counting each instruction before
-it runs.  Calls resolve through a pluggable hook so the bytecode runtime
-can reuse this evaluator for plain functions inside a bundle.  The
-statements are the interpreter's own, so its runs stay an independent
-check on the engines.
+on it, and the built blocks live in the run's `ExecContext`.  A block
+counts every step it runs, per segment, ending at each call, as the
+optimized engine's blocks do, so steps and traps are those of counting
+each instruction before it runs.  Calls resolve through a pluggable hook
+so the bytecode runtime can reuse this evaluator for plain functions
+inside a bundle.  The statements are the interpreter's own, so its runs
+stay an independent check on the engines.
 """
 
 from __future__ import annotations
@@ -126,23 +126,20 @@ def _statement(shape: tuple) -> str:
         "{r}", f"{{a{n}}}")
 
 
-def _block_source(key: tuple) -> str:
-    """The `arith.block_source` of one block shape: its instructions'
-    shapes, and whether its first step is counted before it runs, as the
-    hand-over counts each instruction."""
-    shapes, counted = key
-    return block_source([(shape[0], _statement(shape)) for shape in shapes],
-                        counted)
+def _block_source(shapes: tuple) -> str:
+    """The `arith.block_source` of one block shape, its instructions'
+    shapes."""
+    return block_source([(shape[0], _statement(shape)) for shape in shapes])
 
 
-# block factories by (instruction shapes, first step counted)
+# block factories by shape, the tuple of the instructions' shapes
 BLOCK_FACTORIES = Factories(_block_source, globals())
 
 
-def _traced(block, trace: set, pairs: list):
-    """`block`, adding `pairs` to the run's trace before it runs."""
+def _traced(block, trace: set, pair: tuple):
+    """`block`, adding `pair` to the run's trace before it runs."""
     def traced(vm):
-        trace.update(pairs)
+        trace.add(pair)
         return block(vm)
     return traced
 
@@ -152,11 +149,10 @@ def _compile(fn: IrFunction, ctx: ExecContext):
     template and the (slot, mask) of each parameter.  The dispatch list
     holds each block at its first instruction's position and None at
     every other; a block ends at its first terminator, and a branch to a
-    duplicated label goes to the first block that has it.  An empty
-    block shares its position with the next block that has instructions;
-    when the run traces, that block adds the (function, label) pair of
-    every block at its position.  Raises ValueError when the last block
-    has no terminator, which only an unvalidated function can lack."""
+    duplicated label goes to the first block that has it.  When the run
+    traces, a block adds its (function, label) pair.  Raises ValueError
+    for a function with no blocks or a block with no terminator, empty
+    or not, which only an unvalidated function can have."""
     # the instructions' shapes and arguments, the parameters' (slot, mask)
     # and the slot count depend on `fn` alone: they are kept on it
     cached = getattr(fn, "_code_cache", None)
@@ -177,30 +173,27 @@ def _compile(fn: IrFunction, ctx: ExecContext):
         object.__setattr__(fn, "_code_cache", cached)
     code, params, n_slots = cached
     limit, trace = ctx.step_limit, ctx.trace_blocks
-    hand = hand_over(ctx, lambda o: BLOCK_FACTORIES[(code[o][0],), True](
-        ctx, limit, None, o, *code[o][1]))
+    hand = hand_over(ctx, lambda o, trap: BLOCK_FACTORIES[code[o][0],](
+        ctx, limit, trap, o, *code[o][1]))
 
-    blocks, o, shapes, first = [None] * len(code), 0, [], 0
-    for b, block in enumerate(fn.blocks):
+    if not fn.blocks:
+        raise ValueError(f"@{fn.name} has no blocks")
+    blocks, o = [None] * len(code), 0
+    for block in fn.blocks:
         shapes, args = [], []
         for shape, ins_args in code[o:o + len(block.instructions)]:
             shapes.append(shape)
             args += ins_args
             if shape[0] in TERMINATORS:
                 break
-        if shapes:
-            built = BLOCK_FACTORIES[tuple(shapes), False](
-                ctx, limit, hand, o, *args)
-            blocks[o] = built if trace is None else _traced(
-                built, trace, [(fn.name, x.label)
-                               for x in fn.blocks[first:b + 1]])
-            first = b + 1
+        else:
+            # it would fall through into the next block, or past the end
+            raise ValueError(f"@{fn.name}: block %{block.label} ends "
+                             "without a terminator")
+        built = BLOCK_FACTORIES[tuple(shapes)](ctx, limit, hand, o, *args)
+        blocks[o] = built if trace is None else _traced(
+            built, trace, (fn.name, block.label))
         o += len(block.instructions)
-    if not shapes or shapes[-1][0] not in TERMINATORS:
-        # the last block would fall through past the end of the function
-        raise ValueError(f"@{fn.name}: block %{fn.blocks[-1].label} ends "
-                         "without a terminator" if fn.blocks
-                         else f"@{fn.name} has no blocks")
     return blocks, [None, None] + [0] * n_slots, params
 
 

@@ -23,11 +23,11 @@ flat list by a single pass over the records that checks every cell as
 it goes, so no stream content or run state is cached.  Calls and guards
 run inline: the generated code looks `call_function` and
 `compute_vpa_hash` up in this module at each call, and every guard
-still hashes the live stream.  A block counts steps per segment, ending
-one at each call and guard: a trap takes back the steps of the records
-after it, and a segment the step limit falls inside runs record by
-record (`arith.hand_over`).  Steps, traps, outputs and guard counts stay
-those of the per-record run.
+still hashes the live stream.  A block counts every step it runs, per
+segment, ending one at each call and guard: a trap takes back the steps
+of the records after it, and a segment the step limit falls inside runs
+record by record (`arith.hand_over`).  Steps, traps, outputs and guard
+counts stay those of the per-record run.
 
 That removes the per-step opcode lookup, operand fetch, byte conversion
 and counter bounds check the checked engine pays for, at the cost of
@@ -68,7 +68,7 @@ from .arith import (TERMINATORS, TRAPPING, VALUE_KINDS, Factories,
 from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
-                        STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext)
+                        STORE_BOUNDS_REASON, ExecContext)
 from .guards import compute_vpa_hash
 from .ir.core import EXTERN_SIGS
 from .network import verify_acyclic
@@ -197,9 +197,9 @@ def _statement(spec: HandlerSpec) -> str:
 def _block_source(numbers: tuple[int, ...]) -> str:
     """The `arith.block_source` of one block shape, the `number`s of its
     records' specs: a block, the last a terminator, or one record run
-    alone.  The dispatch loop counts its first step."""
+    alone."""
     return block_source([(spec.kind, _statement(spec))
-                         for spec in map(numbered_spec, numbers)], True)
+                         for spec in map(numbered_spec, numbers)])
 
 
 # block factories by shape, the tuple of the records' spec numbers
@@ -302,8 +302,8 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
         bundle, vfn)
     numbers = [spec.number for _, spec, _ in records]
     limit = ctx.step_limit
-    hand = hand_over(ctx, lambda o: BLOCK_FACTORIES[numbers[o],](
-        ctx, limit, None, o, *flat[first[o]:first[o + 1]]))
+    hand = hand_over(ctx, lambda o, trap: BLOCK_FACTORIES[numbers[o],](
+        ctx, limit, trap, o, *flat[first[o]:first[o + 1]]))
     code = [None] * len(records)
     for leader in leaders:
         end = ends[bisect_left(ends, leader)]
@@ -359,13 +359,9 @@ def run_threaded(bundle: ProtectedBundle, vfn: VirtFunction, args,
     for (off, m), raw in zip(params, args):
         vm[off] = raw & m
 
-    ordinal = 0
-    limit = ctx.step_limit
-    while ordinal != -1:
-        ctx.steps += 1
-        if ctx.steps > limit:
-            raise TrapError(STEP_LIMIT_REASON)
-        ordinal = code[ordinal](vm)
+    o = 0
+    while o != -1:
+        o = code[o](vm)
     return None if ret is None else vm[ret]
 
 

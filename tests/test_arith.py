@@ -39,7 +39,7 @@ def recorded(kind, operand_types, result, *operands):
     regs = [*operands, None]
     factory = threaded.BLOCK_FACTORIES[
         handler_spec(kind, tuple(operand_types), result).number,]
-    run = factory(ExecContext(), 0, None, 6, *range(len(regs)))
+    run = factory(ExecContext(), 1, None, 6, *range(len(regs)))
     assert run(regs) == 7
     return regs[-1]
 
@@ -49,8 +49,8 @@ def interpreted(kind, operand_types, result, *operands):
     `kind` writes over `operands`, each in its own register."""
     regs = [*operands, None]
     shape = (kind, tuple(operand_types), result)
-    factory = interp.BLOCK_FACTORIES[(shape,), True]
-    run = factory(ExecContext(), 0, None, 6, *range(len(regs)))
+    factory = interp.BLOCK_FACTORIES[shape,]
+    run = factory(ExecContext(), 1, None, 6, *range(len(regs)))
     assert run(regs) == 7
     return regs[-1]
 
@@ -193,17 +193,16 @@ def test_every_fitting_value_signature_compiles_in_both_shapes():
 PLACEHOLDER = {kind: "return {a0}" if kind in arith.TERMINATORS
                else "vm.append(({a0}, {back}))"
                for kind in ("x", "call", "guard", "br")}
-ASSEMBLED = arith.Factories(lambda key: arith.block_source(*key), {})
+ASSEMBLED = arith.Factories(arith.block_source, {})
 
 
-def assembled(kinds, counted, limit, steps=0, o=10):
+def assembled(kinds, limit, o=10):
     """Run the block of placeholder statements of `kinds`, the N-th
-    taking the argument N, from position `o` with `steps` counted; its
-    result, the register list and the hand-overs it made."""
+    taking the argument N, from position `o`; its result, the register
+    list, the hand-overs it made and the steps it counted."""
     ctx, vm, handed = ExecContext(step_limit=limit), [], []
-    ctx.steps = steps
     statements = tuple((kind, PLACEHOLDER[kind]) for kind in kinds)
-    block = ASSEMBLED[statements, counted](
+    block = ASSEMBLED[statements](
         ctx, limit, lambda *a: handed.append(a) or "handed", o,
         *range(len(kinds)))
     return block(vm), vm, handed, ctx.steps
@@ -213,7 +212,7 @@ SEGMENTED = ("x", "call", "x", "guard", "x", "br")
 
 
 def test_assembled_segments_end_after_each_call_and_guard():
-    result, vm, handed, steps = assembled(SEGMENTED, False, 100)
+    result, vm, handed, steps = assembled(SEGMENTED, 100)
     assert (result, handed, steps) == (5, [], 6)
     # `{back}` counts the statements of the segment after each one
     assert vm == [(0, 1), (1, 0), (2, 1), (3, 0), (4, 1)]
@@ -221,32 +220,30 @@ def test_assembled_segments_end_after_each_call_and_guard():
     # the segments before it ran and counted
     for limit, ran, start in [(0, 0, 0), (1, 0, 0), (2, 2, 2), (3, 2, 2),
                               (4, 4, 4), (5, 4, 4)]:
-        result, vm, handed, steps = assembled(SEGMENTED, False, limit)
+        result, vm, handed, steps = assembled(SEGMENTED, limit)
         assert result == "handed" and steps == ran, limit
-        assert handed == [(vm, 10 + start, 0)] and len(vm) == ran, limit
+        assert handed == [(vm, 10 + start)] and len(vm) == ran, limit
 
 
-def test_assembled_leader_is_left_out_only_when_counted():
-    # the dispatch loop counted the leader: the first segment counts one
-    # step less, the others as many
-    result, vm, handed, steps = assembled(SEGMENTED, True, 100, steps=1)
-    assert (result, len(vm), handed, steps) == (5, 5, [], 6)
-    result, vm, handed, steps = assembled(SEGMENTED, True, 1, steps=1)
-    assert (result, vm, steps) == ("handed", [], 1)
-    assert handed == [([], 10, 1)]
-    # past the first segment the hand-over finds nothing counted
-    result, vm, handed, steps = assembled(SEGMENTED, True, 3, steps=1)
-    assert (result, len(vm), steps) == ("handed", 2, 2)
-    assert handed == [(vm, 12, 0)]
-    # a lone counted statement counts nothing more
-    source = arith.block_source([("x", PLACEHOLDER["x"])], True)
-    assert "ctx.steps" not in source
-    assert assembled(("x",), True, 0, steps=1)[::2] == (11, [])
+def test_a_statement_past_the_limit_in_a_hand_over_traps_at_limit_plus_one():
+    statements = tuple((kind, PLACEHOLDER[kind]) for kind in SEGMENTED)
+    for limit in range(len(SEGMENTED)):
+        ctx, vm = ExecContext(step_limit=limit), []
+        # each statement run alone takes its position as its argument
+        hand = arith.hand_over(ctx, lambda o, trap: ASSEMBLED[
+            statements[o],](ctx, limit, trap, o, o))
+        block = ASSEMBLED[statements](ctx, limit, hand, 0,
+                                      *range(len(statements)))
+        with pytest.raises(TrapError, match=arith.STEP_LIMIT_REASON):
+            block(vm)
+        # every statement inside the limit ran once, the next one did not
+        assert ctx.steps == limit + 1
+        assert [arg for arg, _ in vm] == list(range(limit)), limit
 
 
 def test_assembled_block_without_a_terminator_falls_through():
     for kinds in [("x",), ("x", "x"), ("x", "call", "x"), ("guard",)]:
-        result, vm, handed, steps = assembled(kinds, False, 100, o=7)
+        result, vm, handed, steps = assembled(kinds, 100, o=7)
         assert (result, handed, steps) == (7 + len(kinds), [], len(kinds))
         assert [arg for arg, _ in vm] == list(range(len(kinds)))
 

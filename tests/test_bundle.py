@@ -12,6 +12,7 @@ from vmguard.bundle import (MAGIC, BadMagic, BundleError, ExternFunction,
                             TruncatedStream, UnsupportedVersion, ZeroRange,
                             copy_bundle, deserialize, serialize,
                             tamper_bundle, STRATEGY_NAMES)
+from vmguard.detect import run_detection
 from vmguard.guards import compute_vpa_hash
 from vmguard.ir import parse_module
 from vmguard.ir.core import TypeTag
@@ -453,6 +454,49 @@ def test_zero_range_clears_a_window(fib_bundle):
         assert 1 <= ch["element"] < 5
     vfn = mutated.function("main")
     assert all(vfn.vpa[i] == 0 for i in range(1, 5))
+
+
+def test_zero_range_refuses_a_length_below_one(fib_bundle):
+    for length in (0, -2):
+        with pytest.raises(TamperError, match="not positive"):
+            tamper_bundle(fib_bundle, ZeroRange(length=length),
+                          SplitMix64(1))
+
+
+def test_zero_range_refuses_a_given_span_of_zeros(fib_bundle):
+    zeroed, _ = tamper_bundle(fib_bundle, ZeroRange("main", 1, length=4),
+                              SplitMix64(2))
+    with pytest.raises(TamperError, match=r"\[1, 5\) of @main's stream "
+                       "holds only zeros"):
+        tamper_bundle(zeroed, ZeroRange("main", 1, length=4), SplitMix64(2))
+    with pytest.raises(TamperError, match="outside"):
+        tamper_bundle(zeroed, ZeroRange("main", -1, length=4), SplitMix64(2))
+
+
+def test_zero_range_draws_only_spans_that_hold_a_nonzero(fib_bundle):
+    sparse = copy_bundle(fib_bundle)
+    vpa = sparse.function("diff").vpa
+    kept = len(vpa) // 2
+    for i in range(len(vpa)):
+        if i != kept:
+            vpa[i] = 0
+    for seed in range(40):
+        _, changes = tamper_bundle(sparse, ZeroRange("diff", length=3),
+                                   SplitMix64(seed))
+        assert [ch["element"] for ch in changes] == [kept]
+    vpa[kept] = 0
+    with pytest.raises(TamperError, match="holds only zeros"):
+        tamper_bundle(sparse, ZeroRange("diff"), SplitMix64(1))
+
+
+def test_detection_trials_run_when_a_random_span_could_be_all_zeros(
+        fib_bundle):
+    # one-element spans land on a zero element within twenty draws
+    summary = run_detection(fib_bundle, [6], 20, 3,
+                            strategy_factory=lambda: ZeroRange(length=1),
+                            executor=execute_optimized)
+    assert len(summary.rows) == 20
+    assert all(len(row.changes) == 1 for row in summary.rows)
 
 
 def test_preserve_pair_keeps_the_checksum(fib_bundle):

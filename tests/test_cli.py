@@ -347,6 +347,78 @@ def test_tamper_trials_classify_preserving_pairs_as_collisions(
     assert "undetected checksum collision: 8" in stdout
 
 
+@pytest.mark.parametrize("strategy", ["swap-opcodes", "zero-range",
+                                      "preserve-pair"])
+def test_targetless_strategies_draw_their_targets(fib_vir, tmp_path, capsys,
+                                                  strategy):
+    clean, dirty = tmp_path / "fib.vsc", tmp_path / "bad.vsc"
+    protect(fib_vir, clean)
+    capsys.readouterr()
+    rc = main(["tamper", str(clean), "--trials", "6", "--seed", "5",
+               "--strategy", strategy, "--input", "6"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_OK, captured.err
+    assert "total: 6 of 6 trials" in captured.out
+    assert tamper(clean, dirty, "--strategy", strategy) == EXIT_OK
+    assert capsys.readouterr().out and dirty.read_bytes() != \
+        clean.read_bytes()
+
+
+def test_zero_range_trials_refuse_a_zero_length(fib_vir, tmp_path, capsys):
+    clean = tmp_path / "fib.vsc"
+    protect(fib_vir, clean)
+    capsys.readouterr()
+    rc = main(["tamper", str(clean), "--trials", "4", "--seed", "5",
+               "--strategy", "zero-range", "--length", "0", "--input", "6"])
+    assert rc == EXIT_FAILURE
+    assert "length 0 is not positive" in capsys.readouterr().err
+
+
+def test_tamper_trials_refuse_a_negative_count(fib_vir, tmp_path, capsys):
+    clean = tmp_path / "fib.vsc"
+    protect(fib_vir, clean)
+    capsys.readouterr()
+    rc = main(["tamper", str(clean), "--trials", "-3", "--input", "6"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_FAILURE
+    assert "trial count -3 is negative" in captured.err
+    assert "total:" not in captured.out
+
+
+@pytest.mark.parametrize("seed", ["abc", "-5", str(2 ** 64), "1.5", ""])
+def test_bad_seed_flags_are_usage_errors(helper_vir, tmp_path, capsys, seed):
+    out = tmp_path / "h.vsc"
+    for argv in (["protect", str(helper_vir), "-o", str(out),
+                  "--debug-seed", "--seed", seed],
+                 ["tamper", str(out), "--trials", "1", "--seed", seed],
+                 ["bench", "--tier", "tiny", "--seed", seed]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "is not an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1", hex(2 ** 64)])
+def test_a_bad_seed_in_the_environment_is_refused(helper_vir, tmp_path,
+                                                  monkeypatch, capsys, seed):
+    monkeypatch.setenv(SEED_ENV, seed)
+    out = tmp_path / "h.vsc"
+    rc = main(["protect", str(helper_vir), "-o", str(out)])
+    assert rc == EXIT_FAILURE
+    assert f"${SEED_ENV}: seed {seed!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_largest_seed_is_embedded_and_read_back(helper_vir, tmp_path,
+                                                    capsys):
+    out = tmp_path / "h.vsc"
+    rc = main(["protect", str(helper_vir), "-o", str(out), "--debug-seed",
+               "--seed", hex(2 ** 64 - 1)])
+    assert rc == EXIT_OK
+    assert deserialize(out.read_bytes()).seed == 2 ** 64 - 1
+
+
 def test_seed_env_var_feeds_protection(helper_vir, tmp_path, monkeypatch,
                                        capsys):
     monkeypatch.setenv(SEED_ENV, "0x2A")
@@ -392,6 +464,13 @@ def test_bench_rejects_a_malformed_level_list_as_usage_error(capsys):
         main(["bench", "--levels", "x", "--tier", "tiny"])
     assert exc.value.code == 2
     assert "--levels" in capsys.readouterr().err
+
+
+def test_bench_refuses_a_negative_connectivity(capsys):
+    rc = main(["bench", "--programs", "fib", "--tier", "tiny", "--reps",
+               "1", "--seeds", "1", "--seed", "3", "--connectivity", "-1"])
+    assert rc == EXIT_FAILURE
+    assert "connectivity -1 is negative" in capsys.readouterr().err
 
 
 def test_bench_rejects_unknown_programs(capsys):

@@ -714,29 +714,22 @@ def test_a_last_block_without_a_terminator_is_refused_by_name():
         reference_interpret(IrModule((main,)), "main")
 
 
-@pytest.mark.parametrize("into_mid", ["br", "fall-through"])
-def test_an_empty_block_is_traced_when_it_is_passed(into_mid):
-    # a hand-built module, not validated: %mid has no instructions, so it
-    # starts where %end does
-    first = (Instruction("br", labels=("mid",)) if into_mid == "br" else
-             Instruction("const", result="a", type=TypeTag.I64, value=1))
+@pytest.mark.parametrize("mid", [(), (Instruction(
+    "const", result="a", type=TypeTag.I64, value=1),)],
+    ids=["empty", "no-terminator"])
+def test_a_middle_block_without_a_terminator_is_refused_by_name(mid):
+    # a hand-built module, not validated: %mid would share its position
+    # with %end, or fall through into it
     main = IrFunction("main", (), TypeTag.I64, (
-        Block("entry", (first,)),
-        Block("mid", ()),
+        Block("entry", (Instruction("br", labels=("mid",)),)),
+        Block("mid", mid),
         Block("end", (
             Instruction("const", result="k", type=TypeTag.I64, value=3),
             Instruction("ret", operands=("k",), type=TypeTag.I64))),
     ))
-    pairs = {("main", "entry"), ("main", "mid"), ("main", "end")}
-    trace = set()
-    res = reference_interpret(IrModule((main,)), "main", trace_blocks=trace)
-    assert (res.status, res.value, res.steps) == ("normal", 3, 3)
-    assert trace == pairs
-    trace = set()
-    res = reference_interpret(IrModule((main,)), "main", step_limit=1,
-                              trace_blocks=trace)
-    assert (res.trap_reason, res.steps) == ("step limit exceeded", 2)
-    assert trace == pairs
+    with pytest.raises(ValueError, match=r"@main: block %mid ends "
+                       "without a terminator"):
+        reference_interpret(IrModule((main,)), "main")
 
 
 def test_tracing_builds_the_same_block_shapes(corpus_flat, manifest,
