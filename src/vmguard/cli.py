@@ -92,7 +92,7 @@ def _add_protection_options(p: argparse.ArgumentParser) -> None:
 def cmd_protect(args) -> int:
     try:
         text = open(args.source, "r", encoding="utf-8").read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         return _fail(str(err))
     cfg = _protection_config(args)
     try:
@@ -165,7 +165,8 @@ def _build_strategy(args):
     if name == "flip":
         if args.function is None or args.element is None:
             raise TamperError("flip needs --function and --element")
-        return FlipElement(args.function, args.element, args.mask)
+        return FlipElement(args.function, args.element,
+                           1 if args.mask is None else args.mask)
     if name == "zero-range":
         return ZeroRange(args.function, args.start, args.length)
     if name == "preserve-pair":
@@ -184,6 +185,7 @@ def _trial_report(args, bundle) -> int:
             bundle, inputs, trials=args.trials,
             seed=args.seed,
             strategy_factory=lambda: _build_strategy(args),
+            step_limit=args.step_limit,
             program=os.path.basename(args.bundle), executor=executor)
     except (TamperError, ValueError) as err:
         return _fail(str(err))
@@ -224,7 +226,7 @@ def cmd_tamper(args) -> int:
 def cmd_coverage(args) -> int:
     try:
         text = open(args.source, "r", encoding="utf-8").read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         return _fail(str(err))
     cfg = _protection_config(args)
     try:
@@ -322,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="flip-random")
     p.add_argument("--function", default=None)
     p.add_argument("--element", type=int, default=None)
-    p.add_argument("--mask", type=lambda s: int(s, 0), default=1)
+    p.add_argument("--mask", type=lambda s: int(s, 0), default=None,
+                   help="XOR mask (flip: 1 when absent; preserve-pair: "
+                        "drawn from the seed when absent)")
     p.add_argument("--start", type=int, default=None)
     p.add_argument("--length", type=int, default=4)
     p.add_argument("--seed", type=parse_seed, default=None)
@@ -331,6 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "copies and report detection counts")
     p.add_argument("--input", action="append", type=lambda s: int(s, 0),
                    help="input value for detection trials (repeatable)")
+    p.add_argument("--step-limit", type=int, default=None,
+                   help="step budget of the honest run and of every trial "
+                        "(default: 100,000,000 for the honest run, twenty "
+                        "times its steps, at least 10,000, per trial)")
     p.add_argument("--mode", choices=("secure", "optimized"),
                    default="secure",
                    help="engine used for detection trials")

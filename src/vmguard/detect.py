@@ -126,10 +126,14 @@ def run_detection(bundle: ProtectedBundle, inputs, trials: int, seed: int,
                   ) -> DetectionSummary:
     """Run `trials` independent single-mutation experiments against copies
     of `bundle`.  `strategy_factory()` builds a fresh mutation strategy per
-    trial; the default is a uniformly random single-element bit flip."""
+    trial; the default is a uniformly random single-element bit flip.
+    `step_limit` bounds the honest run and every trial; by default the
+    honest run gets `DEFAULT_STEP_LIMIT` and each trial twenty times the
+    honest run's steps, at least 10,000."""
     if trials < 0:
         raise ValueError(f"trial count {trials} is negative")
-    honest = executor(bundle, inputs, step_limit=DEFAULT_STEP_LIMIT)
+    honest = executor(bundle, inputs, step_limit=DEFAULT_STEP_LIMIT
+                      if step_limit is None else step_limit)
     if honest.status != "normal":
         raise ValueError(f"honest run must succeed, got {honest.status}")
     if step_limit is None:

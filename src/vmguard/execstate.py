@@ -22,8 +22,8 @@ MASK64 = (1 << 64) - 1
 
 class ExecContext:
     __slots__ = ("inputs", "cursor", "output", "steps", "step_limit",
-                 "call_depth", "guard_execs", "guard_edges", "decoded",
-                 "trace_blocks")
+                 "call_depth", "guard_execs", "guard_edges", "guard_cells",
+                 "decoded", "trace_blocks")
 
     def __init__(self, inputs=(),
                  step_limit: int = DEFAULT_STEP_LIMIT) -> None:
@@ -35,9 +35,14 @@ class ExecContext:
         self.call_depth = 0
         self.guard_execs = 0
         self.guard_edges: dict[tuple[str, str], int] = {}
+        # the optimized engine's guard counts: a one-int counter cell per
+        # (checker, checkee) edge, folded into the two above by
+        # `count_guard_cells` when the run ends
+        self.guard_cells: dict[tuple[str, str], list[int]] = {}
         # each executor's per-run compile of a function, by (executor,
-        # id(function)), and the plain functions' call hook
-        self.decoded: dict[tuple[str, int], object] = {}
+        # id(function)) or, the optimized engine's, by id(function) alone,
+        # and the plain functions' call hook
+        self.decoded: dict = {}
         # optional set collecting (function, block) pairs as they run
         self.trace_blocks: set | None = None
 
@@ -50,6 +55,15 @@ class ExecContext:
 
     def print_value(self, value: int) -> None:
         self.output.append(to_signed(value, 64))
+
+    def count_guard_cells(self) -> None:
+        """Add the guard counter cells' counts to `guard_execs` and
+        `guard_edges`, leaving out edges whose guards never ran."""
+        for edge, (n,) in self.guard_cells.items():
+            if n:
+                self.guard_execs += n
+                self.guard_edges[edge] = self.guard_edges.get(edge, 0) + n
+        self.guard_cells.clear()
 
     def enter_call(self) -> None:
         self.call_depth += 1

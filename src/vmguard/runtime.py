@@ -21,9 +21,10 @@ end or an opcode without a built handler falls to a cold path, which
 raises the tamper signal or builds the handler.
 
 Corruption raises a TamperSignal, which unwinds the whole run; both
-engines judge guards through `check_guard`.  Traps (division by zero,
-bad memory index, exhausted budgets) use the same reasons as the
-reference interpreter so outcomes stay comparable across all executors.
+engines raise a guard's mismatch through `guard_mismatch`, this engine's
+guards from `check_guard`.  Traps (division by zero, bad memory index,
+exhausted budgets) use the same reasons as the reference interpreter so
+outcomes stay comparable across all executors.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
                   engine) -> int | None:
     """Shared call bridge: dispatches to a transformed function (via
     `engine`), an untransformed one (via the IR evaluator), or an
-    intrinsic.  Used by both engines and by plain functions calling back
-    into protected code.  A call whose argument count differs from the
-    callee's arity is a retargeted call record, refused as tamper."""
+    intrinsic.  Used by the checked engine, by plain functions calling
+    back into protected code and by the optimized engine's calls that
+    its loader did not link (`threaded.call_function`).  A call whose
+    argument count differs from the callee's arity is a retargeted call
+    record, refused as tamper."""
     if arity_of(target) != len(args):
         raise TamperSignal(INVALID_REFERENCE, f"@{target.name} does not "
                            f"take {len(args)} arguments")
@@ -103,16 +106,23 @@ def table_entry(bundle: ProtectedBundle, vfn: VirtFunction, role: str,
 
 def check_guard(ctx: ExecContext, edge: tuple[str, str], h: int,
                 expected: int) -> None:
-    """Count one execution of a guard on `edge`, its (checker, checkee)
-    name pair, then compare the hash it computed with the expected value
-    from the checker's image."""
+    """The checked engine's guard: count one execution of a guard on
+    `edge`, its (checker, checkee) name pair, then compare the hash it
+    computed with the expected value from the checker's image.  The
+    optimized engine counts in its edges' counter cells instead
+    (`ExecContext.guard_cells`) and compares inline."""
     ctx.guard_execs += 1
     ctx.guard_edges[edge] = ctx.guard_edges.get(edge, 0) + 1
     if h != expected:
-        checker, checkee = edge
-        raise TamperSignal(HASH_MISMATCH, f"@{checker} checking "
-                           f"@{checkee}: computed {h:#06x}, "
-                           f"expected {expected:#06x}")
+        guard_mismatch(edge, h, expected)
+
+
+def guard_mismatch(edge: tuple[str, str], h: int, expected: int):
+    """Raise the tamper signal of a guard on `edge` whose hash `h` differs
+    from the `expected` one; both engines' guards raise it here."""
+    checker, checkee = edge
+    raise TamperSignal(HASH_MISMATCH, f"@{checker} checking @{checkee}: "
+                       f"computed {h:#06x}, expected {expected:#06x}")
 
 
 def _plain_hook(bundle: ProtectedBundle, ctx: ExecContext, engine):
@@ -390,16 +400,19 @@ def execute_with_engine(bundle: ProtectedBundle, engine, inputs=(),
                                     _plain_hook(bundle, ctx, engine), ctx)
             ret_tag = target.fn.ret
     except TrapError as trap:
-        return ExecutionResult.of(ctx, "trap", trap_reason=trap.reason)
+        status, fields = "trap", {"trap_reason": trap.reason}
     except TamperSignal as signal:
-        return ExecutionResult.of(ctx, "tamper", tamper_cause=signal)
+        status, fields = "tamper", {"tamper_cause": signal}
+    else:
+        status, fields = "normal", {
+            "value": None if ret_tag is None else to_signed(raw,
+                                                            ret_tag.bits)}
     finally:
         sys.setrecursionlimit(caller_limit)
         # every cycle of the run's compiled code runs through the context
         ctx.decoded.clear()
-
-    value = None if ret_tag is None else to_signed(raw, ret_tag.bits)
-    return ExecutionResult.of(ctx, "normal", value=value)
+    ctx.count_guard_cells()
+    return ExecutionResult.of(ctx, status, **fields)
 
 
 def execute_secure(bundle: ProtectedBundle, inputs=(),

@@ -20,8 +20,15 @@ records' spec numbers (one int per signature, so a shape hashes in C),
 into a factory kept in a bounded process-wide cache.  Cells, region
 limits, callees and successors are factory arguments, gathered into one
 flat list by a single pass over the records that checks every cell as
-it goes, so no stream content or run state is cached.  Calls and guards
-run inline: the generated code looks `call_function` and
+it goes, so no stream content or run state is cached across runs.
+Calls and guards run inline, linked by that pass once per run.  A call
+to a transformed function of the record's arity is linked: this
+module's `call_function` checks the call depth and runs `run_threaded`
+itself; any other call takes the shared bridge, `runtime.call_function`.
+A guard bumps its (checker, checkee) edge's counter cell, one int in a
+list, compares the hashes in line and raises a mismatch through
+`runtime.guard_mismatch`; the run turns the cells into `guard_edges`
+when it ends.  The generated code looks `call_function` and
 `compute_vpa_hash` up in this module at each call, and every guard
 still hashes the live stream.  A block counts every step it runs, per
 segment, ending one at each call and guard: a trap takes back the steps
@@ -67,7 +74,8 @@ from .arith import (TERMINATORS, TRAPPING, VALUE_KINDS, Factories,
 # the trapping kinds' functions, which generated statements name
 from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
-from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
+from .execstate import (CALL_DEPTH_REASON, DEFAULT_STEP_LIMIT,
+                        LOAD_BOUNDS_REASON, MAX_CALL_DEPTH,
                         STORE_BOUNDS_REASON, ExecContext)
 from .guards import compute_vpa_hash
 from .ir.core import EXTERN_SIGS
@@ -75,8 +83,12 @@ from .network import verify_acyclic
 from .risa import (BASE, CALLEE, CHECKEE, COUNT, HandlerSpec,
                    MalformedStream, numbered_spec, walk_records)
 from .runtime import (_CELL, INVALID_OPCODE, INVALID_REFERENCE, PC_ESCAPE,
-                      TamperSignal, call_function, check_guard,
-                      execute_with_engine, table_entry)
+                      TamperSignal, execute_with_engine, guard_mismatch,
+                      table_entry)
+# the shared bridge, bound once, so a tracer's wrapper around
+# `runtime.call_function` does not count a call this engine's
+# `call_function` already counted
+from .runtime import call_function as _bridge
 
 
 def pre_decode(vfn: VirtFunction) -> list[tuple]:
@@ -156,10 +168,12 @@ if i >= {a1}:
     raise TrapError(STORE_BOUNDS_REASON)
 vm[{a2} + i * {w}] = vm[{a3}]
 """,
-    "call": "v = call_function({a0}, {a1}, [{args}], ctx, run_threaded)\n",
+    "call": "v = call_function({a0}, {a1}, [{args}], ctx, {a2})\n",
     "guard": """\
-h = vm[{a3}] = compute_vpa_hash({a0}.vpa)
-check_guard(ctx, {a1}, h, vm[{a2}])
+h = vm[{a4}] = compute_vpa_hash({a0}.vpa)
+{a1}[0] += 1
+if h != vm[{a3}]:
+    guard_mismatch({a2}, h, vm[{a3}])
 """,
     "br": "return {a0}\n",
     "brcond": "return {a1} if vm[{a0}] else {a2}\n",
@@ -187,10 +201,10 @@ def _statement(spec: HandlerSpec) -> str:
     if k == "call":
         n = len(spec.operand_types)
         template = template.replace("{args}", ", ".join(
-            f"vm[{{a{i}}}]" for i in range(2, 2 + n)))
+            f"vm[{{a{i}}}]" for i in range(3, 3 + n)))
         if spec.result_type is not None:
             mask = (1 << spec.result_type.bits) - 1
-            template += f"vm[{{a{2 + n}}}] = (v or 0) & {mask}\n"
+            template += f"vm[{{a{3 + n}}}] = (v or 0) & {mask}\n"
     return template
 
 
@@ -206,18 +220,22 @@ def _block_source(numbers: tuple[int, ...]) -> str:
 BLOCK_FACTORIES = Factories(_block_source, globals())
 
 
-def _load(bundle: ProtectedBundle, vfn: VirtFunction):
+def _load(bundle: ProtectedBundle, vfn: VirtFunction, counters: dict):
     """Check `vfn`'s references as the engine decodes it, building no
     block.  One pass over the records (`pre_decode`) gathers each
     record's statement arguments, numbered as its `_STATEMENTS` entry
     names them, into `flat`: it checks every cell named against the
-    image, works out a load or store's index limit and resolves a call's
-    callee or a guard's checkee.  A value record's arguments are its
-    operand cells, then its result cell.  The parameter and return cells
-    and the overlap check follow.  Raises TamperSignal for the first
-    reference refused; returns the records, `flat`, where each record's
-    arguments start in it, the block leaders and terminator ordinals, the
-    template and the (cell, mask) of each parameter and the return cell."""
+    image, works out a load or store's index limit and links a call or a
+    guard.  A call's callee is linked when it is a transformed function
+    taking as many arguments as the record passes; a guard's checkee and
+    (checker, checkee) edge are resolved, and the edge's counter cell,
+    a one-int list, is taken from `counters`, by edge.  A value record's
+    arguments are its operand cells, then its result cell.  The
+    parameter and return cells and the overlap check follow.  Raises
+    TamperSignal for the first reference refused; returns the records,
+    `flat`, where each record's arguments start in it, the block leaders
+    and terminator ordinals, the template and the (cell, mask) of each
+    parameter and the return cell."""
     records = pre_decode(vfn)
     vpa, size, name = vfn.vpa.tolist(), len(vfn.image), vfn.name
     spans = set()               # (start, end, width) of each cell and region
@@ -268,11 +286,14 @@ def _load(bundle: ProtectedBundle, vfn: VirtFunction):
                 flat += (ops[0] if vfn.ret_slot is None
                          else vfn.ret_slot[0], ops[0])
         elif k == "call":
-            flat += (bundle, table_entry(bundle, vfn, CALLEE, ops[0]),
-                     *ops[1:])
+            callee = table_entry(bundle, vfn, CALLEE, ops[0])
+            linked = (isinstance(callee, VirtFunction) and
+                      len(callee.param_slots) == len(spec.operand_types))
+            flat += (bundle, callee, linked, *ops[1:])
         elif k == "guard":
             checkee = table_entry(bundle, vfn, CHECKEE, ops[0])
-            flat += (checkee, (name, checkee.name), *ops[1:])
+            edge = (name, checkee.name)
+            flat += (checkee, counters.setdefault(edge, [0]), edge, *ops[1:])
         else:
             # `risa._layout` gives no other kind a layout
             raise AssertionError(f"no handler for kind {k!r}")
@@ -299,7 +320,7 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     that starts there and runs to the next terminator, through any branch
     target on the way; it holds None at every other record."""
     records, flat, first, leaders, ends, template, params, ret = _load(
-        bundle, vfn)
+        bundle, vfn, ctx.guard_cells)
     numbers = [spec.number for _, spec, _ in records]
     limit = ctx.step_limit
     hand = hand_over(ctx, lambda o, trap: BLOCK_FACTORIES[numbers[o],](
@@ -336,25 +357,41 @@ def _template(name: str, image: bytearray, spans) -> list[int]:
 
 
 def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
-    """`_decode` of `vfn`, built once per run.  A refusal while decoding
-    is marked `at_decode` on its tamper signal."""
-    key = ("optimized", id(vfn))
-    compiled = ctx.decoded.get(key)
-    if compiled is None:
-        try:
-            compiled = _decode(bundle, vfn, ctx)
-        except TamperSignal as signal:
-            signal.at_decode = True
-            raise
-        ctx.decoded[key] = compiled
+    """`_decode` of `vfn`, built once per run and kept in `ctx.decoded`
+    under `id(vfn)`.  A refusal while decoding is marked `at_decode` on
+    its tamper signal."""
+    try:
+        compiled = _decode(bundle, vfn, ctx)
+    except TamperSignal as signal:
+        signal.at_decode = True
+        raise
+    ctx.decoded[id(vfn)] = compiled
     return compiled
+
+
+def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
+                  linked: bool) -> int | None:
+    """The call statement's entry: a `linked` call, one `_load` found to
+    name a transformed function of the record's arity, checks the call
+    depth and runs `run_threaded` itself; any other goes through the
+    shared bridge, which also refuses a call of the wrong arity."""
+    if not linked:
+        return _bridge(bundle, target, args, ctx, run_threaded)
+    depth = ctx.call_depth = ctx.call_depth + 1
+    if depth > MAX_CALL_DEPTH:
+        raise TrapError(CALL_DEPTH_REASON)
+    try:
+        return run_threaded(bundle, target, args, ctx)
+    finally:
+        ctx.call_depth -= 1
 
 
 def run_threaded(bundle: ProtectedBundle, vfn: VirtFunction, args,
                  ctx: ExecContext) -> int | None:
     """One activation of a transformed function under the pre-decoding
     engine."""
-    code, template, params, ret = _compiled(bundle, vfn, ctx)
+    code, template, params, ret = (ctx.decoded.get(id(vfn))
+                                   or _compiled(bundle, vfn, ctx))
     vm = template.copy()
     for (off, m), raw in zip(params, args):
         vm[off] = raw & m
@@ -406,7 +443,7 @@ def verify(bundle: ProtectedBundle) -> list[str]:
                                 f"({spec.kind}) has types that do not fit "
                                 "its kind")
         try:
-            records, flat, first, *_ = _load(bundle, fn)
+            records, flat, first, *_ = _load(bundle, fn, {})
         except TamperSignal as signal:
             problems.append(signal.detail)
             # its guard records go unread, so its edges are not matched

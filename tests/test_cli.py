@@ -200,6 +200,25 @@ def test_checksum_preserving_tamper_slips_through(helper_vir, tmp_path,
     assert "ret=21" in captured.out
 
 
+def test_preserve_pair_draws_its_mask_unless_one_is_given(fib_vir, tmp_path,
+                                                         capsys):
+    clean, dirty = tmp_path / "fib.vsc", tmp_path / "bad.vsc"
+    protect(fib_vir, clean)
+    capsys.readouterr()
+
+    def masks(seed, *extra):
+        rc = main(["tamper", str(clean), "-o", str(dirty), "--seed",
+                   str(seed), "--strategy", "preserve-pair", *extra])
+        changes = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert rc == EXIT_OK and len(changes) == 2
+        (mask,) = {c["before"] ^ c["after"] for c in changes}
+        return mask
+
+    assert len({masks(seed) for seed in range(1, 5)}) > 1
+    assert {masks(seed, "--mask", "0x10") for seed in range(1, 5)} == {0x10}
+
+
 def test_verify_flag_rejects_corrupt_bundles_up_front(helper_vir, tmp_path,
                                                       capsys):
     clean, dirty = tmp_path / "h.vsc", tmp_path / "h-bad.vsc"
@@ -362,6 +381,28 @@ def test_targetless_strategies_draw_their_targets(fib_vir, tmp_path, capsys,
     assert tamper(clean, dirty, "--strategy", strategy) == EXIT_OK
     assert capsys.readouterr().out and dirty.read_bytes() != \
         clean.read_bytes()
+
+
+def test_tamper_trials_honour_a_step_limit(fib_vir, tmp_path, capsys):
+    clean = tmp_path / "fib.vsc"
+    protect(fib_vir, clean)
+    capsys.readouterr()
+    trials = ["tamper", str(clean), "--trials", "4", "--seed", "5",
+              "--input", "6"]
+    # too tight for the honest run, which must end normally
+    assert main([*trials, "--step-limit", "20"]) == EXIT_FAILURE
+    assert "honest run must succeed, got trap" in capsys.readouterr().err
+    assert main([*trials, "--step-limit", "100000"]) == EXIT_OK
+    assert "total: 4 of 4 trials" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["protect", "coverage"])
+def test_a_source_that_is_not_utf8_is_refused(tmp_path, capsys, command):
+    src = tmp_path / "bad.vir"
+    src.write_bytes(corpus_text("fib").encode()[:40] + b"\xff\xfe")
+    extra = ["-o", str(tmp_path / "bad.vsc")] if command == "protect" else []
+    assert main([command, str(src), *extra]) == EXIT_FAILURE
+    assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 def test_zero_range_trials_refuse_a_zero_length(fib_vir, tmp_path, capsys):

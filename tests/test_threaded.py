@@ -9,10 +9,12 @@ from vmguard import arith, runtime, threaded
 from vmguard.arith import DIV_BY_ZERO
 from vmguard.bundle import (FlipRandomElement, SwapOpcodes, TamperError,
                             ZeroRange, copy_bundle, tamper_bundle)
-from vmguard.execstate import (LOAD_BOUNDS_REASON, STEP_LIMIT_REASON,
+from vmguard.execstate import (CALL_DEPTH_REASON, LOAD_BOUNDS_REASON,
+                               MAX_CALL_DEPTH, STEP_LIMIT_REASON,
                                STORE_BOUNDS_REASON, ExecContext)
 from vmguard.guards import compute_vpa_hash
-from vmguard.ir import ExecutionResult, TypeTag, reference_interpret
+from vmguard.ir import (ExecutionResult, TypeTag, interp, parse_module,
+                        reference_interpret)
 from vmguard.protect import ProtectionConfig, virtualize_module
 from vmguard.risa import KIND_NAMES, HandlerSpec, handler_spec, walk_records
 from vmguard.rng import SplitMix64
@@ -673,6 +675,128 @@ def test_callee_trips_the_limit_when_called_from_a_hot_block():
         _same_run(a, b)
 
 
+# main calls @one only for a negative argument; @two and read_i64 are
+# there to be retargeted to
+RETARGETABLE = """\
+func @main(i64 %n) -> i64 {
+entry:
+  %zero = const i64 0
+  %neg = icmp slt i64 %n, %zero
+  brcond %neg, %call, %skip
+call:
+  %r = call i64 @one(%n)
+  ret i64 %r
+skip:
+  ret i64 %n
+}
+
+func @one(i64 %x) -> i64 {
+entry:
+  ret i64 %x
+}
+
+func @two(i64 %x, i64 %y) -> i64 {
+entry:
+  %k = call i64 @read_i64()
+  %s = add i64 %x, %k
+  ret i64 %s
+}
+"""
+
+
+@pytest.mark.parametrize("target, sensitive", [
+    ("two", None), ("two", ("main",)), ("read_i64", None)],
+    ids=["transformed", "plain", "intrinsic"])
+def test_a_call_retargeted_to_another_arity_is_refused_when_it_runs(
+        target, sensitive):
+    """A call record naming a callee of another arity is not linked: it
+    raises the bridge's signal when it runs, not at decode, and a run
+    that never reaches it ends normally."""
+    bundle = virtualize_module(parse_module(RETARGETABLE), ProtectionConfig(
+        seed=1, sensitive=sensitive, enable_guards=False))
+    names = [fn.name for fn in bundle.functions]
+    main = bundle.function("main")
+    call = _record(main, "call")
+    assert names[main.vpa[call + 1]] == "one"
+    main.vpa[call + 1] = names.index(target)
+    for execute in (execute_secure, execute_optimized):
+        res = execute(bundle, [-3])
+        assert res.status == "tamper"
+        assert res.tamper_cause.kind == INVALID_REFERENCE
+        assert res.tamper_cause.detail == f"@{target} does not take 1 " \
+            "arguments"
+        assert not res.tamper_cause.at_decode
+        assert execute(bundle, [5]).value == 5
+
+
+# @down recurses n deep, so its deepest activation runs at depth n + 1
+DOWN = """\
+func @down(i64 %n) -> i64 {
+entry:
+  %zero = const i64 0
+  %one = const i64 1
+  %more = icmp sgt i64 %n, %zero
+  brcond %more, %again, %done
+again:
+  %m = sub i64 %n, %one
+  %r = call i64 @down(%m)
+  ret i64 %r
+done:
+  ret i64 %zero
+}
+
+func @main(i64 %n) -> i64 {
+entry:
+  %r = call i64 @down(%n)
+  ret i64 %r
+}
+"""
+
+# every engine function a tracer wraps, as (module, attribute)
+_TRACED = ((runtime, "run_virt"), (runtime, "call_function"),
+           (runtime, "compute_vpa_hash"), (runtime, "evaluate_function"),
+           (threaded, "run_threaded"), (threaded, "call_function"),
+           (threaded, "pre_decode"), (threaded, "compute_vpa_hash"),
+           (interp, "evaluate_function"))
+
+
+@pytest.mark.parametrize("level", [100, 50])
+def test_the_call_depth_trap_lands_on_the_same_step_under_wrappers(
+        monkeypatch, level):
+    bundle = protect_text(DOWN, seed=2, level=level)
+
+    def runs():
+        return [_fingerprint(execute(bundle, [n]))
+                for execute in (execute_secure, execute_optimized)
+                for n in (MAX_CALL_DEPTH - 1, MAX_CALL_DEPTH)]
+
+    bare = runs()
+    with monkeypatch.context() as m:
+        for module, name in _TRACED:
+            fn = getattr(module, name)
+            m.setattr(module, name, lambda *a, fn=fn: fn(*a))
+        wrapped = runs()
+    assert wrapped == bare
+    assert [r[0] for r in bare] == ["normal", "trap"] * 2
+    assert bare[1][3] == CALL_DEPTH_REASON and bare[1] == bare[3]
+
+
+@pytest.mark.parametrize("level", [100, 50])
+def test_guard_counts_agree_between_engines_on_every_corpus_program(
+        corpus_flat, manifest, level):
+    for entry in manifest["programs"]:
+        bundle = virtualize_module(corpus_flat[entry["name"]],
+                                   ProtectionConfig(seed=4, level=level,
+                                                    guards_per_checkee=3))
+        a = execute_secure(bundle, entry["inputs"]["tiny"])
+        b = execute_optimized(bundle, entry["inputs"]["tiny"])
+        assert a.status == b.status == "normal", entry["name"]
+        assert a.guard_execs == b.guard_execs, entry["name"]
+        assert a.guard_edges == b.guard_edges, entry["name"]
+        assert sum(b.guard_edges.values()) == b.guard_execs
+        assert all(b.guard_edges.values()), entry["name"]
+
+
 def test_block_factories_stay_bounded(corpus_flat, manifest, monkeypatch):
     monkeypatch.setattr(arith, "MAX_BLOCK_SHAPES", 3)
     cache = arith.Factories(threaded.BLOCK_FACTORIES.source, vars(threaded))
@@ -768,40 +892,55 @@ def test_block_shapes_stay_well_inside_the_cache(corpus_flat, monkeypatch):
     assert len(shapes) < arith.MAX_BLOCK_SHAPES // 2
 
 
-def _wrapped_counts(module, execute, bundle, inputs, monkeypatch):
-    """Calls through `module`'s call bridge and hash, each wrapped in a
-    counter, during one run."""
+def _wrapped_counts(execute, bundle, inputs, monkeypatch):
+    """Calls through the call bridges and the hash during one run, each
+    module attribute wrapped in a counter as a tracer wraps them, by
+    attribute name over both engine modules."""
     counts = Counter()
 
-    def counting(name):
-        fn = getattr(module, name)
-
+    def counting(name, fn):
         def wrapper(*args):
             counts[name] += 1
             return fn(*args)
         return wrapper
 
     with monkeypatch.context() as m:
-        for name in ("call_function", "compute_vpa_hash"):
-            m.setattr(module, name, counting(name))
+        for module in (runtime, threaded):
+            for name in ("call_function", "compute_vpa_hash"):
+                m.setattr(module, name,
+                          counting(name, getattr(module, name)))
         assert execute(bundle, inputs).status == "normal"
     return counts
 
 
-@pytest.mark.parametrize("program", ["fib", "loop_sum"])
+def _callee_kinds(bundle) -> set[str]:
+    """The kinds of table entry the transformed functions' calls name."""
+    return {type(bundle.functions[vfn.vpa[start + 1]]).__name__
+            for vfn in bundle.virt_functions()
+            for start, spec in walk_records(vfn.risa, vfn.vpa)
+            if spec.kind == "call"}
+
+
+@pytest.mark.parametrize("program, level, seed", [
+    ("fib", 100, 1), ("loop_sum", 100, 1), ("fib", 50, 3),
+    ("loop_sum", 50, 3)], ids=["fib", "loop_sum", "fib-50", "loop_sum-50"])
 def test_wrappers_on_the_bridge_and_the_hash_see_every_call(
-        corpus_flat, manifest, monkeypatch, program):
+        corpus_flat, manifest, monkeypatch, program, level, seed):
     """A tracer counts calls by wrapping the module attributes; factories
-    cached before the wrappers went in still call through them."""
+    cached before the wrappers went in still call through them, and a
+    call the optimized engine does not link, to a plain function or an
+    intrinsic, counts once, as under the checked engine."""
     entry = next(p for p in manifest["programs"] if p["name"] == program)
     inputs = entry["inputs"]["check"]
     bundle = virtualize_module(corpus_flat[program],
-                               ProtectionConfig(seed=1, level=100))
+                               ProtectionConfig(seed=seed, level=level))
+    if level < 100:
+        assert _callee_kinds(bundle) == {"VirtFunction", "PlainFunction",
+                                         "ExternFunction"}
     execute_optimized(bundle, inputs)
-    optimized = _wrapped_counts(threaded, execute_optimized, bundle, inputs,
+    optimized = _wrapped_counts(execute_optimized, bundle, inputs,
                                 monkeypatch)
-    secure = _wrapped_counts(runtime, execute_secure, bundle, inputs,
-                             monkeypatch)
+    secure = _wrapped_counts(execute_secure, bundle, inputs, monkeypatch)
     assert optimized == secure
     assert secure["call_function"] > 0 and secure["compute_vpa_hash"] > 0
 

@@ -1,7 +1,8 @@
-"""Totality of loading and running: any bit-flipped or truncated bundle of
-a corpus program ends in a `BundleError` from `deserialize` or in an
-`ExecutionResult` under both engines, and `vmguard run` maps every such
-input to one of its documented exit codes."""
+"""Totality of loading, running and protecting: any damaged bundle of a
+corpus program ends in a `BundleError` from `deserialize` or in an
+`ExecutionResult` under both engines, and `vmguard run`, `run --verify`
+and `tamper --trials` map every such input, as `protect` and `coverage`
+map every damaged `.vir` text, to one of their documented exit codes."""
 
 from functools import lru_cache
 
@@ -18,18 +19,29 @@ from vmguard.runtime import execute_secure
 from vmguard.threaded import execute_optimized
 
 CORPUS = ("fib", "loop_sum", "qsort", "crc32", "sieve", "strsearch")
-LEVELS = (50, 100)
+LEVELS = (25, 50, 100)
 EXAMPLES = 120
+ENGINES = st.sampled_from(("secure", "optimized"))
 
-# (program, level, damage): damage is ("flip", bit positions) or
-# ("cut", position); positions wrap around the bundle's length
-DAMAGE = st.tuples(
-    st.sampled_from(CORPUS), st.sampled_from(LEVELS),
-    st.one_of(
-        st.tuples(st.just("flip"),
-                  st.lists(st.integers(0, 1 << 20), min_size=1,
-                           max_size=4)),
-        st.tuples(st.just("cut"), st.integers(0, 1 << 20))))
+# damage to a byte string; positions wrap around its length:
+#   ("flip", bit positions)
+#   ("cut", position): keep the bytes before it
+#   ("overwrite", [(position, byte)])
+#   ("insert", position, bytes)
+#   ("delete", position, length)
+_POSITION = st.integers(0, 1 << 20)
+DAMAGE = st.one_of(
+    st.tuples(st.just("flip"), st.lists(_POSITION, min_size=1, max_size=4)),
+    st.tuples(st.just("cut"), _POSITION),
+    st.tuples(st.just("overwrite"),
+              st.lists(st.tuples(_POSITION, st.integers(0, 255)),
+                       min_size=1, max_size=4)),
+    st.tuples(st.just("insert"), _POSITION,
+              st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("delete"), _POSITION, st.integers(1, 4)))
+# (program, level, damage)
+BUNDLE_DAMAGE = st.tuples(st.sampled_from(CORPUS), st.sampled_from(LEVELS),
+                          DAMAGE)
 
 
 @pytest.fixture(scope="module")
@@ -49,18 +61,28 @@ def honest(corpus_flat, manifest):
 
 
 def _damaged(data: bytes, damage) -> bytes:
-    kind, where = damage
+    kind, where, *what = damage
     if kind == "cut":
         return data[:where % len(data)]
     out = bytearray(data)
-    for bit in where:
-        bit %= 8 * len(out)
-        out[bit // 8] ^= 1 << (bit % 8)
+    if kind == "flip":
+        for bit in where:
+            bit %= 8 * len(out)
+            out[bit // 8] ^= 1 << (bit % 8)
+    elif kind == "overwrite":
+        for at, byte in where:
+            out[at % len(out)] = byte
+    elif kind == "insert":
+        at = where % (len(out) + 1)
+        out[at:at] = what[0]
+    else:
+        at = where % len(out)
+        del out[at:at + what[0]]
     return bytes(out)
 
 
 @settings(max_examples=EXAMPLES)
-@given(DAMAGE)
+@given(BUNDLE_DAMAGE)
 def test_damaged_bundles_load_or_run_to_a_result(honest, case):
     name, level, damage = case
     data, inputs, limit = honest(name, level)
@@ -73,18 +95,49 @@ def test_damaged_bundles_load_or_run_to_a_result(honest, case):
                           ExecutionResult)
 
 
-@settings(max_examples=EXAMPLES // 2)
-@given(DAMAGE, st.sampled_from(("secure", "optimized")))
-def test_run_maps_damaged_bundles_to_documented_exits(honest,
-                                                      tmp_path_factory,
-                                                      case, mode):
+def _damaged_file(tmp_path_factory, honest, case):
+    """A damaged bundle written to a file, its inputs and step limit."""
     name, level, damage = case
     data, inputs, limit = honest(name, level)
-    path = tmp_path_factory.mktemp("run") / "damaged.vsc"
+    path = tmp_path_factory.mktemp("damaged") / "damaged.vsc"
     path.write_bytes(_damaged(data, damage))
+    return path, inputs, limit
+
+
+@settings(max_examples=EXAMPLES // 2)
+@given(BUNDLE_DAMAGE, ENGINES, st.booleans())
+def test_run_maps_damaged_bundles_to_documented_exits(honest,
+                                                      tmp_path_factory,
+                                                      case, mode, verify):
+    path, inputs, limit = _damaged_file(tmp_path_factory, honest, case)
     rc = main(["run", str(path), *map(str, inputs), "--mode", mode,
-               "--step-limit", str(limit)])
+               "--step-limit", str(limit), *["--verify"] * verify])
     assert rc in (EXIT_OK, EXIT_TRAP, EXIT_TAMPER, EXIT_FAILURE)
+
+
+@settings(max_examples=EXAMPLES // 4)
+@given(BUNDLE_DAMAGE, ENGINES)
+def test_tamper_trials_map_damaged_bundles_to_documented_exits(
+        honest, tmp_path_factory, case, mode):
+    path, inputs, limit = _damaged_file(tmp_path_factory, honest, case)
+    rc = main(["tamper", str(path), "--trials", "3", "--seed", "1",
+               "--mode", mode, "--step-limit", str(limit),
+               *[arg for v in inputs for arg in ("--input", str(v))]])
+    assert rc in (EXIT_OK, EXIT_FAILURE)
+
+
+@settings(max_examples=EXAMPLES // 2)
+@given(st.sampled_from(CORPUS), DAMAGE, st.sampled_from(("protect",
+                                                         "coverage")))
+def test_damaged_sources_map_to_documented_exits(tmp_path_factory, name,
+                                                 damage, command):
+    folder = tmp_path_factory.mktemp("source")
+    path = folder / f"{name}.vir"
+    path.write_bytes(_damaged(corpus_text(name).encode(), damage))
+    extra = ["-o", str(folder / "out.vsc")] if command == "protect" else []
+    rc = main([command, str(path), "--seed", "1", "--coverage-pct", "50",
+               *extra])
+    assert rc in (EXIT_OK, EXIT_FAILURE)
 
 
 @pytest.fixture()
