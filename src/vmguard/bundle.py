@@ -48,6 +48,7 @@ Layout, little-endian throughout:
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from dataclasses import dataclass, field
 
@@ -107,7 +108,13 @@ class PlainFunction:
 
     @property
     def text(self) -> str:
-        return format_function(self.fn)
+        """The canonical source, formatted once per frozen function and
+        kept on it, so every draw that leaves it plain reuses the text."""
+        text = getattr(self.fn, "_text_cache", None)
+        if text is None:
+            text = format_function(self.fn)
+            object.__setattr__(self.fn, "_text_cache", text)
+        return text
 
 
 @dataclass
@@ -146,11 +153,10 @@ def _pack_risa(out: bytearray, risa: Risa) -> None:
     entries = sorted(risa.spec_of.items())
     out += struct.pack("<H", len(entries))
     for opcode, spec in entries:
+        ops = spec.operand_types
         res = 0xFF if spec.result_type is None else TAG_CODE[spec.result_type]
-        out += struct.pack("<HBB", opcode, KIND_CODE[spec.kind],
-                           len(spec.operand_types))
-        out += bytes(TAG_CODE[t] for t in spec.operand_types)
-        out.append(res)
+        out += struct.pack(f"<HB{len(ops) + 2}B", opcode, KIND_CODE[spec.kind],
+                           len(ops), *[TAG_CODE[t] for t in ops], res)
 
 
 def serialize(bundle: ProtectedBundle) -> bytes:
@@ -168,8 +174,11 @@ def serialize(bundle: ProtectedBundle) -> bytes:
         if isinstance(fn, VirtFunction):
             out.append(0)
             _pack_risa(out, fn.risa)
-            out += struct.pack("<H", len(fn.vpa))
-            out += struct.pack(f"<{len(fn.vpa)}H", *fn.vpa)
+            vpa = array("H", fn.vpa)
+            if sys.byteorder == "big":
+                vpa.byteswap()
+            out += struct.pack("<H", len(vpa))
+            out += vpa.tobytes()
             out += struct.pack("<I", len(fn.image))
             out += bytes(fn.image)
             out += struct.pack("<H", len(fn.param_slots))

@@ -1,11 +1,14 @@
 """Lowering from block IR to per-function encoded records.
 
-Each instruction becomes one record: a freshly drawn (or reused) opcode
-followed by 16-bit operands; offsets into the function's memory image for
-values, region bounds for memory access, table indices for calls.  Branch
-targets cannot be known until guard placement settles the final record
-order, so they are emitted as 0xFFFF placeholders and patched once the
-stream is frozen.
+Each instruction becomes one record: an opcode followed by 16-bit
+operands; offsets into the function's memory image for values, region
+bounds for memory access, table indices for calls.  The operands depend
+on the function and its layout alone, so `lift_function` works them out
+once per function, as a template whose opcode elements are left empty;
+each protection draw copies the template and fills in freshly drawn (or
+reused) opcodes with `assign_opcodes`.  Branch targets cannot be known
+until guard placement settles the final record order, so they are
+emitted as 0xFFFF placeholders and patched once the stream is frozen.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from array import array
 from .ir.core import IrFunction
 from .ir.interp import value_tags
 from .layout import VmLayout
-from .risa import (BASE, BRANCH_PLACEHOLDER, CELL, COUNT, RESULT, TARGET,
-                   HandlerSpec, Risa, spec_for_instruction)
+from .risa import (BASE, BRANCH_PLACEHOLDER, CELL, COUNT, OPCODE_SPACE,
+                   RESULT, TARGET, HandlerSpec, Risa, spec_for_instruction)
 
 MAX_STREAM_ELEMENTS = 0xFFFE
 
@@ -26,27 +29,33 @@ class LiftError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class LiftRecord:
+    """One record: the block it lowers from, its handler, its elements and
+    the labels of its branch targets.  A lift template's elements are a
+    tuple, kept for every draw; a draw's are a list it may patch."""
     block: str
     spec: HandlerSpec
-    elements: list[int]
+    elements: list[int] | tuple[int, ...]
     targets: tuple[str, ...] = ()
 
 
-def lift_function(fn: IrFunction, risa: Risa, lay: VmLayout, rng,
+def lift_function(fn: IrFunction, lay: VmLayout,
                   callee_index: dict[str, int]) -> list[LiftRecord]:
-    """One record per instruction, its elements in the order of the spec's
-    layout: cells take the IR operands in turn, a region base takes the
-    next operand's region, branch targets get placeholders."""
-    tags = value_tags(fn)
+    """One template record per instruction, its elements in the order of
+    the spec's layout: cells take the IR operands in turn, a region base
+    takes the next operand's region, branch targets get placeholders.  The
+    opcode element holds `OPCODE_SPACE`, which names no handler, until
+    `assign_opcodes` fills it in."""
+    tag = value_tags(fn).__getitem__
     slots = lay.slots
     records: list[LiftRecord] = []
 
     for block in fn.blocks:
+        label = block.label
         for ins in block.instructions:
-            spec = spec_for_instruction(ins, tags.__getitem__)
-            elems = [risa.opcode_for(spec, rng)]
+            spec = spec_for_instruction(ins, tag)
+            elems = [OPCODE_SPACE]
             operands = iter(ins.operands)
             for role, _ in spec.layout:
                 if role == CELL:
@@ -67,7 +76,25 @@ def lift_function(fn: IrFunction, risa: Risa, lay: VmLayout, rng,
                         raise LiftError(
                             f"@{fn.name}: call target @{ins.callee} has no "
                             "table index") from None
-            records.append(LiftRecord(block.label, spec, elems, ins.labels))
+            records.append(LiftRecord(label, spec, tuple(elems),
+                                      ins.labels))
+    return records
+
+
+def assign_opcodes(templates: list[LiftRecord], risa: Risa,
+                   rng) -> list[LiftRecord]:
+    """One draw's records: a copy of each template with its opcode drawn
+    from `rng` into `risa`, in record order.  The templates stay as they
+    were, ready for the next draw."""
+    opcode_of, opcode_for = risa.opcode_of, risa.opcode_for
+    records = []
+    for tmpl in templates:
+        spec = tmpl.spec
+        elems = list(tmpl.elements)
+        # most records reuse an opcode; only a new signature draws one
+        opc = opcode_of.get(spec.number)
+        elems[0] = opcode_for(spec, rng) if opc is None else opc
+        records.append(LiftRecord(tmpl.block, spec, elems, tmpl.targets))
     return records
 
 
@@ -111,8 +138,9 @@ def encode(fn_name: str, records: list[LiftRecord]) -> array:
     if len(flat) > MAX_STREAM_ELEMENTS:
         raise LiftError(f"@{fn_name}: encoded stream needs {len(flat)} "
                         f"elements, beyond the {MAX_STREAM_ELEMENTS} cap")
-    bad = [e for e in flat if not 0 <= e <= 0xFFFF]
-    if bad:
-        raise LiftError(f"@{fn_name}: element value {bad[0]} does not fit "
-                        "16 bits")
-    return array("H", flat)
+    try:
+        return array("H", flat)
+    except OverflowError:
+        bad = next(e for e in flat if not 0 <= e <= 0xFFFF)
+        raise LiftError(f"@{fn_name}: element value {bad} does not fit "
+                        "16 bits") from None

@@ -1,8 +1,19 @@
 """Top-level protection pipeline: IR module in, executable bundle out.
 
-Randomized decisions all flow from one master generator in a frozen
+Protection has two parts.  The lowering depends on the module alone:
+validation, phi elimination and the re-validation of what it replaced,
+the function table with its intrinsic entries, the functions able to
+host a guard, and, for each function the first time a draw selects it,
+its base memory layout and lifted records with the opcodes left empty.
+It is worked out once per parsed module and kept on it (`lowering`), so
+a module protected under many seeds, levels and arms is lowered once.
+
+The seed decides only the rest: which functions are transformed, the
+checking topology, each transformed function's opcodes and its guard
+points.  Those draws all flow from one master generator in a frozen
 order (function selection, then checking topology, then one child
-generator per transformed function in table order), so a seed pins the
+generator per transformed function in table order, which draws the
+opcodes in record order and then the guard points), so a seed pins the
 output byte for byte regardless of how the pieces evolve internally.
 """
 
@@ -16,8 +27,8 @@ from .guards import finalize_expected_hashes, inject_guards
 from .ir.core import EXTERN_SIGS, IrModule
 from .ir.phi import eliminate_phis
 from .ir.validate import validate_function, validate_module
-from .layout import build_layout, materialize_image
-from .lift import encode, lift_function, resolve_branches
+from .layout import VmLayout, build_layout, materialize_image
+from .lift import assign_opcodes, encode, lift_function, resolve_branches
 from .network import build_checker_network, is_eligible_checker
 from .risa import Risa
 from .rng import SplitMix64
@@ -58,29 +69,88 @@ def _named_functions(names: list[str],
     return [n for n in names if n in chosen]
 
 
+class Lowering:
+    """The part of protecting one parsed module that no seed changes.  Get
+    it through `lowering`, which keeps it on the module.  Each part is
+    worked out where the pipeline first needs it, and a part that fails is
+    not kept, so a module that cannot be protected raises the same error,
+    after the same configuration checks, on every call.  Nothing here
+    refers back to the module, so the module and its lowering go together.
+    """
+
+    def __init__(self, module: IrModule) -> None:
+        problems = validate_module(module)
+        self.problem = None             # why the module cannot be protected
+        if problems:
+            self.problem = "module does not validate: " + "; ".join(problems)
+        elif not module.functions:
+            self.problem = "module has no functions"
+        self.functions: tuple | None = None     # phi-free, set by `lower`
+        self._lifted: dict[int, tuple[VmLayout, list]] = {}
+
+    def lower(self, module: IrModule) -> None:
+        """Phi elimination and the function table, once.  Raises
+        ProtectError, each time, when a function phi elimination replaced
+        does not validate."""
+        if self.functions is not None:
+            return
+        flat = eliminate_phis(module)
+        # the functions phi elimination returned unchanged validated above
+        leftover = [problem
+                    for fn, before in zip(flat.functions, module.functions)
+                    if fn is not before
+                    for problem in validate_function(fn, flat)]
+        if leftover:
+            raise ProtectError("lowered module does not validate: "
+                               + "; ".join(leftover))
+        self.names = [fn.name for fn in flat.functions]
+        self.eligible = {fn.name for fn in flat.functions
+                         if is_eligible_checker(fn)}
+        self.used_externs = sorted({ins.callee
+                                    for fn in flat.functions
+                                    for ins in fn.instructions()
+                                    if ins.kind == "call"
+                                    and ins.callee in EXTERN_SIGS})
+        self.table_index = {n: i for i, n in enumerate(self.names)}
+        for name in self.used_externs:
+            self.table_index[name] = len(self.table_index)
+        self.functions = flat.functions
+
+    def lifted(self, i: int) -> tuple[VmLayout, list]:
+        """Base layout and lift templates of table entry `i`, worked out on
+        its first selection.  A layout or lift failure propagates."""
+        done = self._lifted.get(i)
+        if done is None:
+            fn = self.functions[i]
+            lay = build_layout(fn)
+            done = self._lifted[i] = (lay, lift_function(fn, lay,
+                                                         self.table_index))
+        return done
+
+
+def lowering(module: IrModule) -> Lowering:
+    """`module`'s lowering, kept on the frozen module object the way the
+    evaluator keeps its caches on a function."""
+    low = getattr(module, "_lowering", None)
+    if low is None:
+        low = Lowering(module)
+        object.__setattr__(module, "_lowering", low)
+    return low
+
+
 def virtualize_module(module: IrModule,
                       config: ProtectionConfig) -> ProtectedBundle:
-    problems = validate_module(module)
-    if problems:
-        raise ProtectError("module does not validate: " + "; ".join(problems))
-    if not module.functions:
-        raise ProtectError("module has no functions")
+    low = lowering(module)
+    if low.problem is not None:
+        raise ProtectError(low.problem)
     if not 1 <= config.level <= 100:
         raise ProtectError(f"protection level {config.level} outside "
                            "[1, 100]")
     if config.guards_per_checkee < 0:
         raise ProtectError("guards-per-checkee must be non-negative")
+    low.lower(module)
 
-    flat = eliminate_phis(module)
-    # the functions phi elimination returned unchanged validated above
-    leftover = [problem
-                for fn, before in zip(flat.functions, module.functions)
-                if fn is not before for problem in validate_function(fn, flat)]
-    if leftover:
-        raise ProtectError("lowered module does not validate: "
-                           + "; ".join(leftover))
-
-    names = [fn.name for fn in flat.functions]
+    names, table_index = low.names, low.table_index
     master = SplitMix64(config.seed)
     if config.sensitive is not None:
         virt_names = _named_functions(names, tuple(config.sensitive))
@@ -88,35 +158,25 @@ def virtualize_module(module: IrModule,
         virt_names = _select_functions(names, config.level, master)
     virt_set = set(virt_names)
 
-    eligible = {fn.name for fn in flat.functions
-                if fn.name in virt_set and is_eligible_checker(fn)}
     edges = []
     if config.enable_guards and config.guards_per_checkee > 0:
-        edges = build_checker_network(virt_names, eligible,
+        edges = build_checker_network(virt_names, virt_set & low.eligible,
                                       config.guards_per_checkee, master)
     checkees_of: dict[str, list[str]] = {}
     for e in edges:
         checkees_of.setdefault(e.checker, []).append(e.checkee)
 
-    used_externs = sorted({ins.callee
-                           for fn in flat.functions
-                           for ins in fn.instructions()
-                           if ins.kind == "call"
-                           and ins.callee in EXTERN_SIGS})
-    table_index = {n: i for i, n in enumerate(names)}
-    for name in used_externs:
-        table_index[name] = len(table_index)
-
     functions: list = []
-    for fn in flat.functions:
+    for i, fn in enumerate(low.functions):
         if fn.name not in virt_set:
             functions.append(PlainFunction(fn.name, fn))
             continue
         child = master.spawn()
         risa = Risa()
         try:
-            lay = build_layout(fn)
-            records = lift_function(fn, risa, lay, child, table_index)
+            base, templates = low.lifted(i)
+            lay = base.copy()
+            records = assign_opcodes(templates, risa, child)
             if checkees_of.get(fn.name):
                 inject_guards(fn.name, records, checkees_of[fn.name],
                               risa, lay, child, table_index)
@@ -127,7 +187,7 @@ def virtualize_module(module: IrModule,
         functions.append(VirtFunction(fn.name, risa, vpa,
                                       materialize_image(lay),
                                       list(lay.param_slots), lay.ret_slot))
-    for name in used_externs:
+    for name in low.used_externs:
         functions.append(ExternFunction(name))
 
     if "main" in table_index and "main" in set(names):

@@ -4,7 +4,8 @@ Every protected function carries its own opcode table: semantic handler
 signatures are mapped to opcodes drawn uniformly from [0, 0xFFFE], so the
 same source construct encodes differently in every function and under
 every seed.  0xFFFF never names an instruction; it doubles as the branch
-placeholder during lowering and as an always-invalid cell for tests.
+placeholder during lowering, as the empty opcode of a lift template and
+as an always-invalid cell for tests.
 
 Two instructions share a handler (and therefore an opcode) exactly when
 their signature matches: operation kind, comparison predicate, operand
@@ -193,7 +194,7 @@ def spec_for_instruction(ins, value_tag) -> HandlerSpec:
     result = None if ins.result is None or kind == "alloca" else ins.type
     if kind == "icmp":
         kind, result = f"icmp.{ins.predicate}", TypeTag.I1
-    return handler_spec(kind, tuple(value_tag(n) for n in names), result)
+    return handler_spec(kind, tuple(map(value_tag, names)), result)
 
 
 GUARD_SPEC = handler_spec("guard")

@@ -12,7 +12,7 @@ from vmguard.guards import (GuardError, compute_vpa_hash, coverage_report,
                             guard_insertion_indices, inject_guards)
 from vmguard.ir import parse_module
 from vmguard.layout import build_layout
-from vmguard.lift import lift_function
+from vmguard.lift import assign_opcodes, lift_function
 from vmguard.network import GuardEdge
 from vmguard.risa import Risa, walk_records
 from vmguard.rng import SplitMix64
@@ -96,8 +96,8 @@ def _lifted_main():
     fn = parse_module(CHECKED_HELPER).functions[0]
     lay = build_layout(fn)
     risa = Risa()
-    records = lift_function(fn, risa, lay, SplitMix64(7), {"main": 0,
-                                                           "g": 1})
+    records = assign_opcodes(lift_function(fn, lay, {"main": 0, "g": 1}),
+                             risa, SplitMix64(7))
     return fn, lay, risa, records
 
 
@@ -133,8 +133,8 @@ def test_inject_refuses_functions_without_a_legal_point():
     fn = parse_module(CHECKED_HELPER).functions[1]     # single-record @g
     lay = build_layout(fn)
     risa = Risa()
-    records = lift_function(fn, risa, lay, SplitMix64(1), {"main": 0,
-                                                           "g": 1})
+    records = assign_opcodes(lift_function(fn, lay, {"main": 0, "g": 1}),
+                             risa, SplitMix64(1))
     with pytest.raises(GuardError):
         inject_guards("g", records, ["main"], risa, lay, SplitMix64(2),
                       {"main": 0, "g": 1})

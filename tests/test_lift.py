@@ -3,8 +3,8 @@ import pytest
 from vmguard.ir import parse_module
 from vmguard.layout import build_layout
 from vmguard.lift import (MAX_STREAM_ELEMENTS, LiftError, LiftRecord,
-                          encode, lift_function, record_offsets,
-                          resolve_branches)
+                          assign_opcodes, encode, lift_function,
+                          record_offsets, resolve_branches)
 from vmguard.risa import BRANCH_PLACEHOLDER, GUARD_SPEC, HandlerSpec, Risa
 from vmguard.rng import SplitMix64
 
@@ -30,7 +30,8 @@ def lifted(text=BRANCHY, seed=3):
     fn = parse_module(text).functions[0]
     lay = build_layout(fn)
     risa = Risa()
-    records = lift_function(fn, risa, lay, SplitMix64(seed), {"f": 0})
+    records = assign_opcodes(lift_function(fn, lay, {"f": 0}), risa,
+                             SplitMix64(seed))
     return fn, lay, risa, records
 
 
@@ -127,7 +128,7 @@ entry:
     module = parse_module(text)
     fn = module.functions[0]
     with pytest.raises(LiftError):
-        lift_function(fn, Risa(), build_layout(fn), SplitMix64(1), {"f": 0})
+        lift_function(fn, build_layout(fn), {"f": 0})
 
 
 def test_encode_flattens_in_order():
