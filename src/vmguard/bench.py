@@ -27,8 +27,7 @@ from importlib import resources
 from .guards import coverage_report
 from .ir import parse_module
 from .ir.interp import reference_interpret
-from .ir.phi import eliminate_phis
-from .protect import ProtectionConfig, virtualize_module
+from .protect import ProtectionConfig, lowering, virtualize_module
 from .runtime import execute_secure
 from .threaded import execute_optimized
 
@@ -238,7 +237,8 @@ def run_benchmarks(cfg: BenchmarkConfig) -> BenchmarkReport:
         if prog is None:
             raise BenchError(f"no corpus program named {name!r}")
         module = parse_module(load_program_text(prog["file"]))
-        flat = eliminate_phis(module)
+        # the phi-free module the protected draws are lowered from
+        flat = lowering(module).lower(module)
         inputs = prog["inputs"][cfg.tier]
         reference = partial(reference_interpret, flat, "main", inputs,
                             **limit)

@@ -85,15 +85,15 @@ class Lowering:
             self.problem = "module does not validate: " + "; ".join(problems)
         elif not module.functions:
             self.problem = "module has no functions"
-        self.functions: tuple | None = None     # phi-free, set by `lower`
+        self.flat: IrModule | None = None       # phi-free, set by `lower`
         self._lifted: dict[int, tuple[VmLayout, list]] = {}
 
-    def lower(self, module: IrModule) -> None:
-        """Phi elimination and the function table, once.  Raises
-        ProtectError, each time, when a function phi elimination replaced
-        does not validate."""
-        if self.functions is not None:
-            return
+    def lower(self, module: IrModule) -> IrModule:
+        """Phi elimination and the function table, once; returns the
+        phi-free module.  Raises ProtectError, each time, when a function
+        phi elimination replaced does not validate."""
+        if self.flat is not None:
+            return self.flat
         flat = eliminate_phis(module)
         # the functions phi elimination returned unchanged validated above
         leftover = [problem
@@ -114,14 +114,17 @@ class Lowering:
         self.table_index = {n: i for i, n in enumerate(self.names)}
         for name in self.used_externs:
             self.table_index[name] = len(self.table_index)
-        self.functions = flat.functions
+        # a module of its own even when phi elimination changed nothing,
+        # so that nothing here refers back to `module`
+        self.flat = IrModule(flat.functions, flat.externs)
+        return self.flat
 
     def lifted(self, i: int) -> tuple[VmLayout, list]:
         """Base layout and lift templates of table entry `i`, worked out on
         its first selection.  A layout or lift failure propagates."""
         done = self._lifted.get(i)
         if done is None:
-            fn = self.functions[i]
+            fn = self.flat.functions[i]
             lay = build_layout(fn)
             done = self._lifted[i] = (lay, lift_function(fn, lay,
                                                          self.table_index))
@@ -167,7 +170,7 @@ def virtualize_module(module: IrModule,
         checkees_of.setdefault(e.checker, []).append(e.checkee)
 
     functions: list = []
-    for i, fn in enumerate(low.functions):
+    for i, fn in enumerate(low.flat.functions):
         if fn.name not in virt_set:
             functions.append(PlainFunction(fn.name, fn))
             continue

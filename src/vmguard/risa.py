@@ -73,7 +73,6 @@ COUNT = "count"         # element count of that region
 TARGET = "target"       # element index of a branch target
 CALLEE = "callee"       # function table index of a call target
 CHECKEE = "checkee"     # function table index of a guarded function
-CELL_ROLES = (CELL, RESULT)
 
 
 def _layout(kind: str, ops: tuple[TypeTag, ...], res: TypeTag | None):
@@ -156,13 +155,6 @@ class HandlerSpec:
         """Number of 16-bit elements one encoded record occupies; only
         defined when `layout` is not None."""
         return 1 + len(self.layout)
-
-    @cached_property
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        """(operand position, byte width) of each element naming a value
-        cell, in stream order; only defined when `layout` is not None."""
-        return tuple((i, tag.width) for i, (role, tag) in
-                     enumerate(self.layout) if role in CELL_ROLES)
 
     @cached_property
     def targets(self) -> tuple[int, ...]:

@@ -19,12 +19,13 @@ from each record's statement in `_STATEMENTS` (a value kind's wraps its
 records' spec numbers (one int per signature, so a shape hashes in C),
 into a factory kept in a bounded process-wide cache.  Cells, region
 limits, callees and successors are factory arguments, gathered into one
-flat list by a single pass over the records that checks every cell as
-it goes, so no stream content or run state is cached across runs.
-Calls and guards run inline, linked by that pass once per run.  A call
-to a transformed function of the record's arity is linked: this
-module's `call_function` checks the call depth and runs `run_threaded`
-itself; any other call takes the shared bridge, `runtime.call_function`.
+flat list by one pass over the records: each record's reader, compiled
+from its signature's layout, checks every cell it names as it goes, so
+no stream content or run state is cached across runs.  Calls and guards
+run inline, linked by their readers once per run.  A call to a
+transformed function of the record's arity is linked: this module's
+`call_function` checks the call depth and runs `run_threaded` itself;
+any other call takes the shared bridge, `runtime.call_function`.
 A guard bumps its (checker, checkee) edge's counter cell, one int in a
 list, compares the hashes in line and raises a mismatch through
 `runtime.guard_mismatch`; the run turns the cells into `guard_edges`
@@ -80,8 +81,8 @@ from .execstate import (CALL_DEPTH_REASON, DEFAULT_STEP_LIMIT,
 from .guards import compute_vpa_hash
 from .ir.core import EXTERN_SIGS
 from .network import verify_acyclic
-from .risa import (BASE, CALLEE, CHECKEE, COUNT, HandlerSpec,
-                   MalformedStream, numbered_spec, walk_records)
+from .risa import (BASE, CALLEE, CELL, CHECKEE, COUNT, RESULT, TARGET,
+                   HandlerSpec, MalformedStream, numbered_spec, walk_records)
 from .runtime import (_CELL, INVALID_OPCODE, INVALID_REFERENCE, PC_ESCAPE,
                       TamperSignal, execute_with_engine, guard_mismatch,
                       table_entry)
@@ -134,13 +135,16 @@ def pre_decode(vfn: VirtFunction) -> list[tuple]:
 # ------------------------------------------------------------ statements
 
 # The Python statement(s) each record kind runs as, inside a block or
-# alone.  `{aN}` is the record's N-th argument, as `_load` gathers
-# them; `{w}` is a load or store's element width and `{args}` a call's
-# argument cells; `{back}` is how many records of its segment follow the
-# record, which a trap takes back off `ctx.steps` so it reports the
-# trapping record's step.  A value kind's statement is `_VALUE` or
-# `_TRAPPING` around its `arith.value_source` expression, and a call with
-# a result stores it masked to its type.
+# alone.  `{aN}` is the record's N-th argument, as its reader appends
+# them in layout order: a count as its region's index limit, a callee as
+# (bundle, callee, linked), a checkee as (checkee, edge counter cell,
+# edge), a branch target as its successor, and a ret's value followed by
+# its destination.  `{w}` is a load or store's element width and `{args}`
+# a call's argument cells; `{back}` is how many records of its segment
+# follow the record, which a trap takes back off `ctx.steps` so it
+# reports the trapping record's step.  A value kind's statement is
+# `_VALUE` or `_TRAPPING` around its `arith.value_source` expression, and
+# a call with a result stores it masked to its type.
 _VALUE = "vm[{r}] = {value}\n"
 _TRAPPING = """\
 try:
@@ -155,18 +159,18 @@ _STATEMENTS = {
     "const": "",
     "alloca": "",
     "load": """\
-i = vm[{a0}]
+i = vm[{a2}]
 if i >= {a1}:
     ctx.steps -= {back}
     raise TrapError(LOAD_BOUNDS_REASON)
-vm[{a3}] = vm[{a2} + i * {w}]
+vm[{a3}] = vm[{a0} + i * {w}]
 """,
     "store": """\
-i = vm[{a0}]
-if i >= {a1}:
+i = vm[{a3}]
+if i >= {a2}:
     ctx.steps -= {back}
     raise TrapError(STORE_BOUNDS_REASON)
-vm[{a2} + i * {w}] = vm[{a3}]
+vm[{a1} + i * {w}] = vm[{a0}]
 """,
     "call": "v = call_function({a0}, {a1}, [{args}], ctx, {a2})\n",
     "guard": """\
@@ -178,7 +182,7 @@ if h != vm[{a3}]:
     "br": "return {a0}\n",
     "brcond": "return {a1} if vm[{a0}] else {a2}\n",
     # a ret with a value copies it to the return cell
-    "ret": "vm[{a0}] = vm[{a1}]\nreturn -1\n",
+    "ret": "vm[{a1}] = vm[{a0}]\nreturn -1\n",
 }
 
 
@@ -220,83 +224,81 @@ def _block_source(numbers: tuple[int, ...]) -> str:
 BLOCK_FACTORIES = Factories(_block_source, globals())
 
 
+def _reader_source(number: int) -> str:
+    """The source of `read(vpa, start, succ, size, spans, flat, leaders,
+    bundle, vfn, counters)`, which checks the record of the spec numbered
+    `number` at element `start` and appends its statement arguments to
+    `flat`, stated role by role from the layout.  A callee or checkee is
+    resolved after the cells, so a bad cell outranks a bad table index."""
+    spec = numbered_spec(number)
+    # no engine reads a const's cell: the constant sits in the template
+    layout = () if spec.kind == "const" else spec.layout
+    body, links, args = [], [], []
+    for p, (role, tag) in enumerate(layout):
+        arg = f"e{p}"       # a region base is its own argument
+        if role in (CELL, RESULT):
+            body += [f"if {arg} + {tag.width} > size:",
+                     "    raise TamperSignal(INVALID_REFERENCE, f'@{vfn.name}: "
+                     "record at {start} references a cell outside the image')",
+                     f"spans.add(({arg}, {arg} + {tag.width}, {tag.width}))"]
+        elif role == COUNT:
+            # the region's leading elements inside the image, and their
+            # index limit under the next cell's type; a count is one
+            # 16-bit element, so no region holds 1 << 16
+            w, base, index = tag.width, f"e{p - 1}", layout[p + 1][1]
+            body += [f"n = min({arg}, max(0, (size - {base}) // {w}))",
+                     "if n:", f"    spans.add(({base}, {base} + n * {w}, {w}))"]
+            arg = f"min(n, {index_limit(1 << 16, index)})"
+        elif role == TARGET:
+            # `pre_decode` resolved one successor, or a pair
+            arg = ("succ" if len(spec.targets) == 1
+                   else f"succ[{spec.targets.index(p)}]")
+            body.append(f"leaders.add({arg})")
+        elif role == CALLEE:
+            links += [f"callee = table_entry(bundle, vfn, CALLEE, {arg})",
+                      "linked = (isinstance(callee, VirtFunction) and len("
+                      f"callee.param_slots) == {len(spec.operand_types)})"]
+            arg = "bundle, callee, linked"
+        elif role == CHECKEE:
+            links += [f"checkee = table_entry(bundle, vfn, CHECKEE, {arg})",
+                      "edge = (vfn.name, checkee.name)"]
+            arg = "checkee, counters.setdefault(edge, [0]), edge"
+        args.append(arg)
+    if spec.kind == "ret" and layout:
+        # a value goes to the return cell, or with none onto itself
+        args.append("e0 if vfn.ret_slot is None else vfn.ret_slot[0]")
+    elements = ", ".join(f"e{p}" for p in range(len(layout)))
+    lines = [f"{elements}, = vpa[start + 1:start + {1 + len(layout)}]",
+             *body, *links, f"flat += ({', '.join(args)},)"] if args else []
+    return ("def read(vpa, start, succ, size, spans, flat, leaders, bundle, "
+            "vfn, counters):\n" + "".join(f"    {line}\n"
+                                           for line in lines or ["pass"]))
+
+
+# record readers by spec number
+RECORD_READERS = Factories(_reader_source, globals())
+
+
 def _load(bundle: ProtectedBundle, vfn: VirtFunction, counters: dict):
     """Check `vfn`'s references as the engine decodes it, building no
-    block.  One pass over the records (`pre_decode`) gathers each
-    record's statement arguments, numbered as its `_STATEMENTS` entry
-    names them, into `flat`: it checks every cell named against the
-    image, works out a load or store's index limit and links a call or a
-    guard.  A call's callee is linked when it is a transformed function
-    taking as many arguments as the record passes; a guard's checkee and
-    (checker, checkee) edge are resolved, and the edge's counter cell,
-    a one-int list, is taken from `counters`, by edge.  A value record's
-    arguments are its operand cells, then its result cell.  The
-    parameter and return cells and the overlap check follow.  Raises
+    block.  One pass over the records (`pre_decode`) runs each record's
+    reader, which appends its statement arguments to `flat`; a guard's
+    edge counter cell, a one-int list, is taken from `counters`, by edge.
+    The parameter and return cells and the overlap check follow.  Raises
     TamperSignal for the first reference refused; returns the records,
-    `flat`, where each record's arguments start in it, the block leaders
-    and terminator ordinals, the template and the (cell, mask) of each
-    parameter and the return cell."""
+    `flat`, where each record's arguments start in it, the block leaders,
+    the template and the (cell, mask) of each parameter and the return
+    cell."""
     records = pre_decode(vfn)
     vpa, size, name = vfn.vpa.tolist(), len(vfn.image), vfn.name
     spans = set()               # (start, end, width) of each cell and region
     flat: list = []
     first = []                  # where each record's arguments start in flat
-    leaders, ends = {0}, []     # block starts, terminator ordinals
-    for o, (start, spec, succ) in enumerate(records):
+    leaders = {0}               # block starts
+    for start, spec, succ in records:
         first.append(len(flat))
-        k = spec.kind
-        if k in TERMINATORS:
-            ends.append(o)
-        if k in ("const", "alloca"):
-            # no engine reads these operands: constants sit in the template
-            continue
-        if k == "br":
-            flat.append(succ)
-            leaders.add(succ)
-            continue
-        ops = vpa[start + 1:start + spec.record_len]
-        for p, w in spec.cells:
-            off = ops[p]
-            if off + w > size:
-                raise TamperSignal(INVALID_REFERENCE, f"@{name}: record at "
-                                   f"{start} references a cell outside the "
-                                   "image")
-            spans.add((off, off + w, w))
-        if k in VALUE_KINDS:
-            flat += ops
-        elif k in ("load", "store"):
-            if k == "load":
-                base, count, ix, r = ops
-                tag, index = spec.result_type, spec.operand_types[0]
-            else:
-                r, base, count, ix = ops
-                tag, index = spec.operand_types
-            # the region's leading elements inside the image
-            w = tag.width
-            n = min(count, max(0, (size - base) // w))
-            if n:
-                spans.add((base, base + n * w, w))
-            flat += (ix, index_limit(n, index), base, r)
-        elif k == "brcond":
-            flat += (ops[0], *succ)
-            leaders.update(succ)
-        elif k == "ret":
-            # a value goes to the return cell, or with none onto itself
-            if ops:
-                flat += (ops[0] if vfn.ret_slot is None
-                         else vfn.ret_slot[0], ops[0])
-        elif k == "call":
-            callee = table_entry(bundle, vfn, CALLEE, ops[0])
-            linked = (isinstance(callee, VirtFunction) and
-                      len(callee.param_slots) == len(spec.operand_types))
-            flat += (bundle, callee, linked, *ops[1:])
-        elif k == "guard":
-            checkee = table_entry(bundle, vfn, CHECKEE, ops[0])
-            edge = (name, checkee.name)
-            flat += (checkee, counters.setdefault(edge, [0]), edge, *ops[1:])
-        else:
-            # `risa._layout` gives no other kind a layout
-            raise AssertionError(f"no handler for kind {k!r}")
+        RECORD_READERS[spec.number](vpa, start, succ, size, spans, flat,
+                                    leaders, bundle, vfn, counters)
     first.append(len(flat))
 
     slots = [(*slot, "a parameter") for slot in vfn.param_slots]
@@ -310,18 +312,26 @@ def _load(bundle: ProtectedBundle, vfn: VirtFunction, counters: dict):
     params = [(off, (1 << tag.bits) - 1) for off, tag in vfn.param_slots]
     ret = None if vfn.ret_slot is None else vfn.ret_slot[0]
     template = _template(name, vfn.image, spans)
-    return records, flat, first, leaders, ends, template, params, ret
+    return records, flat, first, leaders, template, params, ret
 
 
 def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
     """The dispatch list, register-file template, (cell, mask) per
-    parameter and return cell of `vfn`, once `_load` has checked it.  The
-    dispatch list holds, at record 0 and at every branch target, the block
-    that starts there and runs to the next terminator, through any branch
-    target on the way; it holds None at every other record."""
-    records, flat, first, leaders, ends, template, params, ret = _load(
-        bundle, vfn, ctx.guard_cells)
+    parameter and return cell of `vfn`, once `_load` has checked it, kept
+    in `ctx.decoded` under `id(vfn)` for the rest of the run.  The dispatch
+    list holds, at record 0 and at every branch target, the block that
+    starts there and runs to the next terminator, through any branch
+    target on the way; it holds None at every other record.  A refusal
+    while loading is marked `at_decode` on its tamper signal."""
+    try:
+        records, flat, first, leaders, template, params, ret = _load(
+            bundle, vfn, ctx.guard_cells)
+    except TamperSignal as signal:
+        signal.at_decode = True
+        raise
     numbers = [spec.number for _, spec, _ in records]
+    ends = [o for o, (_, spec, _) in enumerate(records)
+            if spec.kind in TERMINATORS]
     limit = ctx.step_limit
     hand = hand_over(ctx, lambda o, trap: BLOCK_FACTORIES[numbers[o],](
         ctx, limit, trap, o, *flat[first[o]:first[o + 1]]))
@@ -330,7 +340,8 @@ def _decode(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
         end = ends[bisect_left(ends, leader)]
         code[leader] = BLOCK_FACTORIES[tuple(numbers[leader:end + 1])](
             ctx, limit, hand, leader, *flat[first[leader]:first[end + 1]])
-    return code, template, params, ret
+    decoded = ctx.decoded[id(vfn)] = code, template, params, ret
+    return decoded
 
 
 def _template(name: str, image: bytearray, spans) -> list[int]:
@@ -356,19 +367,6 @@ def _template(name: str, image: bytearray, spans) -> list[int]:
     return vm
 
 
-def _compiled(bundle: ProtectedBundle, vfn: VirtFunction, ctx: ExecContext):
-    """`_decode` of `vfn`, built once per run and kept in `ctx.decoded`
-    under `id(vfn)`.  A refusal while decoding is marked `at_decode` on
-    its tamper signal."""
-    try:
-        compiled = _decode(bundle, vfn, ctx)
-    except TamperSignal as signal:
-        signal.at_decode = True
-        raise
-    ctx.decoded[id(vfn)] = compiled
-    return compiled
-
-
 def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
                   linked: bool) -> int | None:
     """The call statement's entry: a `linked` call, one `_load` found to
@@ -391,7 +389,7 @@ def run_threaded(bundle: ProtectedBundle, vfn: VirtFunction, args,
     """One activation of a transformed function under the pre-decoding
     engine."""
     code, template, params, ret = (ctx.decoded.get(id(vfn))
-                                   or _compiled(bundle, vfn, ctx))
+                                   or _decode(bundle, vfn, ctx))
     vm = template.copy()
     for (off, m), raw in zip(params, args):
         vm[off] = raw & m

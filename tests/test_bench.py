@@ -1,5 +1,6 @@
 import csv
 import io
+import statistics
 import time
 
 import pytest
@@ -11,7 +12,8 @@ from vmguard.bench import (ARMS, MODES, TIERS, BenchError, BenchmarkConfig,
                            load_program_text, run_benchmarks)
 from vmguard.ir import parse_module
 from vmguard.ir.interp import reference_interpret
-from vmguard.ir.phi import eliminate_phis
+from vmguard.ir import phi
+from vmguard.ir.phi import eliminate_phis, eliminate_phis_function
 from vmguard.protect import ProtectionConfig, virtualize_module
 from vmguard.runtime import execute_secure
 from vmguard.threaded import execute_optimized
@@ -102,6 +104,39 @@ def test_timed_reps_rotate_through_every_cell(monkeypatch):
     half = cells // 2
     assert not {b for _, b in laps[0][:half]} & {b for _, b in
                                                   laps[0][half:]}
+
+
+def test_each_program_is_phi_eliminated_once(monkeypatch):
+    """The reference runs on the phi-free module the protected draws are
+    lowered from; the rows and failures are those of fresh protections
+    of fresh parses."""
+    programs, seeds, levels = ("fib", "qsort", "sieve"), 2, (50, 100)
+    eliminated = []
+    monkeypatch.setattr(phi, "eliminate_phis_function", lambda fn: (
+        eliminated.append(fn.name) or eliminate_phis_function(fn)))
+    report = run_benchmarks(BenchmarkConfig(
+        programs=programs, levels=levels, reps=1, seeds=seeds, tier="tiny",
+        seed=3))
+    monkeypatch.undo()
+    by_name = {p["name"]: p for p in load_manifest()["programs"]}
+    modules = {name: parse_module(load_program_text(by_name[name]["file"]))
+               for name in programs}
+    assert sorted(eliminated) == sorted(
+        fn.name for module in modules.values() for fn in module.functions)
+    assert report.failures == []
+    assert len(report.rows) == (len(programs) * len(levels) * len(ARMS)
+                                * len(MODES))
+    for row in report.rows:
+        executor = (execute_secure if row.mode == "secure"
+                    else execute_optimized)
+        results = [executor(virtualize_module(
+            parse_module(load_program_text(by_name[row.program]["file"])),
+            ProtectionConfig(seed=3 + i, level=row.level,
+                             enable_guards=(row.arm == "vo+sc"))),
+            by_name[row.program]["inputs"]["tiny"]) for i in range(seeds)]
+        assert row.steps == statistics.median(r.steps for r in results)
+        assert row.guard_execs == statistics.median(r.guard_execs
+                                                    for r in results)
 
 
 @pytest.fixture(scope="module")

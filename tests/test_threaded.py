@@ -1,5 +1,6 @@
 import builtins
 import dis
+import re
 from collections import Counter
 
 import pytest
@@ -8,7 +9,8 @@ from builders import CHECKED_HELPER, MIXED_CALLS, fitting_spec, protect_text
 from vmguard import arith, runtime, threaded
 from vmguard.arith import DIV_BY_ZERO
 from vmguard.bundle import (FlipRandomElement, SwapOpcodes, TamperError,
-                            ZeroRange, copy_bundle, tamper_bundle)
+                            VirtFunction, ZeroRange, copy_bundle,
+                            tamper_bundle)
 from vmguard.execstate import (CALL_DEPTH_REASON, LOAD_BOUNDS_REASON,
                                MAX_CALL_DEPTH, STEP_LIMIT_REASON,
                                STORE_BOUNDS_REASON, ExecContext)
@@ -16,7 +18,8 @@ from vmguard.guards import compute_vpa_hash
 from vmguard.ir import (ExecutionResult, TypeTag, interp, parse_module,
                         reference_interpret)
 from vmguard.protect import ProtectionConfig, virtualize_module
-from vmguard.risa import KIND_NAMES, HandlerSpec, handler_spec, walk_records
+from vmguard.risa import (COUNT, KIND_NAMES, HandlerSpec, handler_spec,
+                          walk_records)
 from vmguard.rng import SplitMix64
 from vmguard.runtime import (HASH_MISMATCH, INVALID_OPCODE,
                              INVALID_REFERENCE, PC_ESCAPE, TamperSignal,
@@ -945,22 +948,76 @@ def test_wrappers_on_the_bridge_and_the_hash_see_every_call(
     assert secure["call_function"] > 0 and secure["compute_vpa_hash"] > 0
 
 
-def _globals_read(factory) -> set[str]:
-    """The global names a factory's block reads."""
-    block = next(c for c in factory.__code__.co_consts
-                 if hasattr(c, "co_code"))
-    return {i.argval for i in dis.get_instructions(block)
+def _globals_read(code) -> set[str]:
+    """The global names `code` reads."""
+    return {i.argval for i in dis.get_instructions(code)
             if i.opname == "LOAD_GLOBAL"}
+
+
+def _block_code(factory):
+    """The code of the block a factory returns."""
+    return next(c for c in factory.__code__.co_consts
+                if hasattr(c, "co_code"))
+
+
+INDEX_TAGS = (TypeTag.I8, TypeTag.I16, TypeTag.I32, TypeTag.I64)
+
+
+def _fitting_specs(kind) -> list[HandlerSpec]:
+    """`fitting_spec(kind)`, and a load and a store under every index
+    type, a call with and without a result and a ret with and without a
+    value."""
+    return [fitting_spec(kind), *{
+        "load": [handler_spec("load", (ix,), TypeTag.I32)
+                 for ix in INDEX_TAGS],
+        "store": [handler_spec("store", (TypeTag.I16, ix))
+                  for ix in INDEX_TAGS],
+        "call": [handler_spec("call", (TypeTag.I64,)),
+                 handler_spec("call", (TypeTag.I64, TypeTag.I8),
+                              TypeTag.I16)],
+        "ret": [handler_spec("ret"), handler_spec("ret", (TypeTag.I64,))],
+    }.get(kind, [])]
+
+
+def _read(spec, elements, size=1 << 18) -> list:
+    """The arguments `spec`'s reader appends for one record whose operand
+    elements are `elements`, all cells inside an image of `size` bytes
+    and table index 0 naming a transformed function."""
+    bundle = protect_text(CHECKED_HELPER, seed=1, level=100)
+    vfn = bundle.functions[0]
+    assert isinstance(vfn, VirtFunction)
+    succ = 1 if len(spec.targets) == 1 else (1, 2)
+    flat = []
+    threaded.RECORD_READERS[spec.number](
+        [0, *elements], 0, succ, size, set(), flat, set(), bundle, vfn, {})
+    return flat
 
 
 @pytest.mark.parametrize("kind", KIND_NAMES)
 def test_every_kind_has_a_block_statement(kind):
-    spec = fitting_spec(kind)
+    """Every fitting spec has a block statement and a reader, which read
+    only names this module defines, and its reader appends as many
+    arguments as its statement names."""
     factories = arith.Factories(threaded._block_source, vars(threaded))
-    # inside a block, ended by a ret unless it ends it, and alone
-    ret = handler_spec("ret").number
-    shapes = [(spec.number,) if spec.kind == "ret" else (spec.number, ret),
-              (spec.number,)]
+    readers = arith.Factories(threaded._reader_source, vars(threaded))
     defined = vars(threaded).keys() | vars(builtins).keys()
-    for shape in shapes:
-        assert _globals_read(factories[shape]) <= defined
+    ret = handler_spec("ret").number
+    for spec in _fitting_specs(kind):
+        # inside a block, ended by a ret unless it ends it, and alone
+        shapes = [(spec.number,) if spec.kind == "ret"
+                  else (spec.number, ret), (spec.number,)]
+        for shape in shapes:
+            assert _globals_read(_block_code(factories[shape])) <= defined
+        assert _globals_read(readers[spec.number].__code__) <= defined
+        named = set(re.findall(r"\{a\d+\}", threaded._statement(spec)))
+        assert len(_read(spec, [0] * len(spec.layout))) == len(named)
+    if kind in ("load", "store"):
+        # a count's limit, on both sides of the i8 and i16 index caps
+        for spec in _fitting_specs(kind)[1:]:
+            at = [role for role, _ in spec.layout].index(COUNT)
+            index = spec.layout[at + 1][1]
+            for n in (127, 128, 129, 32767, 32768, 32769):
+                elements = [0] * len(spec.layout)
+                elements[at] = n
+                assert _read(spec, elements)[at] == arith.index_limit(n,
+                                                                      index)
