@@ -52,6 +52,18 @@ def load_program_text(filename: str) -> str:
     return (corpus_root() / filename).read_text()
 
 
+def corpus_programs(names: tuple[str, ...] = ()) -> list[dict]:
+    """The manifest entries of the programs `names` lists, in its order, or
+    of every program when it is empty.  Raises BenchError for the first
+    name the manifest does not list, before any program is run."""
+    programs = load_manifest()["programs"]
+    by_name = {p["name"]: p for p in programs}
+    for name in names:
+        if name not in by_name:
+            raise BenchError(f"no corpus program named {name!r}")
+    return [by_name[name] for name in names] if names else programs
+
+
 @dataclass
 class BenchmarkConfig:
     programs: tuple[str, ...] = ()       # empty = every program listed
@@ -224,18 +236,14 @@ def _time_level(report: BenchmarkReport, cfg: BenchmarkConfig, name: str,
 
 
 def run_benchmarks(cfg: BenchmarkConfig) -> BenchmarkReport:
-    manifest = load_manifest()
-    by_name = {p["name"]: p for p in manifest["programs"]}
-    names = cfg.programs or tuple(p["name"] for p in manifest["programs"])
     _validate_plan(cfg)
+    programs = corpus_programs(cfg.programs)
     limit = {} if cfg.step_limit is None else \
         {"step_limit": cfg.step_limit}
 
     report = BenchmarkReport(config=cfg)
-    for name in names:
-        prog = by_name.get(name)
-        if prog is None:
-            raise BenchError(f"no corpus program named {name!r}")
+    for prog in programs:
+        name = prog["name"]
         module = parse_module(load_program_text(prog["file"]))
         # the phi-free module the protected draws are lowered from
         flat = lowering(module).lower(module)
@@ -266,14 +274,8 @@ def coverage_table(level: int = 100, guards_per_checkee: int = 2,
     """Per-program coverage at one protection setting: instruction record
     count, function count, how many records live in checked functions,
     and that as a percentage."""
-    manifest = load_manifest()
-    selected = programs or tuple(p["name"] for p in manifest["programs"])
-    by_name = {p["name"]: p for p in manifest["programs"]}
     rows = []
-    for name in selected:
-        prog = by_name.get(name)
-        if prog is None:
-            raise BenchError(f"no corpus program named {name!r}")
+    for prog in corpus_programs(programs):
         module = parse_module(load_program_text(prog["file"]))
         bundle = virtualize_module(module, ProtectionConfig(
             seed=seed, level=level,
@@ -282,7 +284,7 @@ def coverage_table(level: int = 100, guards_per_checkee: int = 2,
         summary = coverage_report(module, virtualized,
                                   bundle.edge_names())["summary"]
         rows.append({
-            "name": name,
+            "name": prog["name"],
             "records": summary["total_instructions"],
             "functions": len(module.functions),
             "protected": summary["guarded_instructions"],

@@ -89,16 +89,24 @@ def _add_protection_options(p: argparse.ArgumentParser) -> None:
                    help="virtualize only, skip integrity guards")
 
 
+# what reading, parsing or protecting a source file can fail with
+_SOURCE_ERRORS = (OSError, UnicodeDecodeError, ParseError, ProtectError)
+
+
+def _protect_source(args):
+    """The protection config the options give, and the parsed module and
+    bundle of `args.source` under it.  Raises one of `_SOURCE_ERRORS`."""
+    with open(args.source, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = _protection_config(args)
+    module = parse_module(text)
+    return cfg, module, virtualize_module(module, cfg)
+
+
 def cmd_protect(args) -> int:
     try:
-        text = open(args.source, "r", encoding="utf-8").read()
-    except (OSError, UnicodeDecodeError) as err:
-        return _fail(str(err))
-    cfg = _protection_config(args)
-    try:
-        module = parse_module(text)
-        bundle = virtualize_module(module, cfg)
-    except (ParseError, ProtectError) as err:
+        cfg, _, bundle = _protect_source(args)
+    except _SOURCE_ERRORS as err:
         return _fail(str(err))
     if not args.debug_seed:
         # release bundles do not embed the creation seed; the line printed
@@ -225,14 +233,8 @@ def cmd_tamper(args) -> int:
 
 def cmd_coverage(args) -> int:
     try:
-        text = open(args.source, "r", encoding="utf-8").read()
-    except (OSError, UnicodeDecodeError) as err:
-        return _fail(str(err))
-    cfg = _protection_config(args)
-    try:
-        module = parse_module(text)
-        bundle = virtualize_module(module, cfg)
-    except (ParseError, ProtectError) as err:
+        cfg, module, bundle = _protect_source(args)
+    except _SOURCE_ERRORS as err:
         return _fail(str(err))
     virtualized = {f.name for f in bundle.virt_functions()}
     report = coverage_report(module, virtualized, bundle.edge_names())

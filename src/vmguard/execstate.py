@@ -1,5 +1,6 @@
 """Per-run execution state shared by the reference interpreter and the
-bytecode engines: input cursor, output stream, step budget, call depth.
+bytecode engines: input cursor, output stream, step budget, call depth,
+guard counts.
 
 Keeping one context type means differential tests compare runs that drew
 from identical budgets and intrinsic behaviour.
@@ -22,8 +23,7 @@ MASK64 = (1 << 64) - 1
 
 class ExecContext:
     __slots__ = ("inputs", "cursor", "output", "steps", "step_limit",
-                 "call_depth", "guard_execs", "guard_edges", "guard_cells",
-                 "decoded", "trace_blocks")
+                 "call_depth", "guard_cells", "decoded", "trace_blocks")
 
     def __init__(self, inputs=(),
                  step_limit: int = DEFAULT_STEP_LIMIT) -> None:
@@ -33,11 +33,8 @@ class ExecContext:
         self.steps = 0
         self.step_limit = step_limit
         self.call_depth = 0
-        self.guard_execs = 0
-        self.guard_edges: dict[tuple[str, str], int] = {}
-        # the optimized engine's guard counts: a one-int counter cell per
-        # (checker, checkee) edge, folded into the two above by
-        # `count_guard_cells` when the run ends
+        # both engines' guard counts: a one-int counter cell per (checker,
+        # checkee) edge, which each guard bumps as it runs
         self.guard_cells: dict[tuple[str, str], list[int]] = {}
         # each executor's per-run compile of a function, by (executor,
         # id(function)) or, the optimized engine's, by id(function) alone,
@@ -56,14 +53,11 @@ class ExecContext:
     def print_value(self, value: int) -> None:
         self.output.append(to_signed(value, 64))
 
-    def count_guard_cells(self) -> None:
-        """Add the guard counter cells' counts to `guard_execs` and
-        `guard_edges`, leaving out edges whose guards never ran."""
-        for edge, (n,) in self.guard_cells.items():
-            if n:
-                self.guard_execs += n
-                self.guard_edges[edge] = self.guard_edges.get(edge, 0) + n
-        self.guard_cells.clear()
+    def guard_counts(self) -> tuple[int, dict[tuple[str, str], int]]:
+        """The run's guard executions, in all and by edge, leaving out
+        edges whose guards never ran."""
+        edges = {edge: n for edge, (n,) in self.guard_cells.items() if n}
+        return sum(edges.values()), edges
 
     def enter_call(self) -> None:
         self.call_depth += 1

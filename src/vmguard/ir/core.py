@@ -137,9 +137,10 @@ class ExecutionResult:
     def of(cls, ctx, status: str, **fields) -> "ExecutionResult":
         """The outcome of the run whose ExecContext is `ctx`: its output,
         steps and guard counts, plus the given fields."""
+        guard_execs, guard_edges = ctx.guard_counts()
         return cls(status, output=ctx.output, steps=ctx.steps,
-                   guard_execs=ctx.guard_execs,
-                   guard_edges=dict(ctx.guard_edges), **fields)
+                   guard_execs=guard_execs, guard_edges=guard_edges,
+                   **fields)
 
     def same_outcome(self, other: "ExecutionResult") -> bool:
         """Behavioural equality: exit class, return value, output stream."""

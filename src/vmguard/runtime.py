@@ -20,11 +20,12 @@ The dispatch loop fetches through one `try`: a counter past the stream
 end or an opcode without a built handler falls to a cold path, which
 raises the tamper signal or builds the handler.
 
-Corruption raises a TamperSignal, which unwinds the whole run; both
-engines raise a guard's mismatch through `guard_mismatch`, this engine's
-guards from `check_guard`.  Traps (division by zero, bad memory index,
-exhausted budgets) use the same reasons as the reference interpreter so
-outcomes stay comparable across all executors.
+Corruption raises a TamperSignal, which unwinds the whole run.  Both
+engines' guards count each execution in their edge's counter cell
+(`ExecContext.guard_cells`) and raise a mismatch through
+`guard_mismatch`.  Traps (division by zero, bad memory index, exhausted
+budgets) use the same reasons as the reference interpreter so outcomes
+stay comparable across all executors.
 """
 
 from __future__ import annotations
@@ -102,19 +103,6 @@ def table_entry(bundle: ProtectedBundle, vfn: VirtFunction, role: str,
     what = "function" if role == CALLEE else "transformed function"
     raise TamperSignal(INVALID_REFERENCE,
                        f"@{vfn.name}: {role} index {idx} names no {what}")
-
-
-def check_guard(ctx: ExecContext, edge: tuple[str, str], h: int,
-                expected: int) -> None:
-    """The checked engine's guard: count one execution of a guard on
-    `edge`, its (checker, checkee) name pair, then compare the hash it
-    computed with the expected value from the checker's image.  The
-    optimized engine counts in its edges' counter cells instead
-    (`ExecContext.guard_cells`) and compares inline."""
-    ctx.guard_execs += 1
-    ctx.guard_edges[edge] = ctx.guard_edges.get(edge, 0) + 1
-    if h != expected:
-        guard_mismatch(edge, h, expected)
 
 
 def guard_mismatch(edge: tuple[str, str], h: int, expected: int):
@@ -240,8 +228,13 @@ get2(vm, exp_off)
 get3(vm, run_off)
 h = compute_vpa_hash(checkee.vpa)
 put3(vm, run_off, h)
-# the checkee is re-read from the stream, so its edge is too
-check_guard(ctx, (vfn.name, checkee.name), h, get2(vm, exp_off)[0])
+# the checkee is re-read from the stream, so its edge is too; its
+# counter cell is made on the edge's first execution
+edge = vfn.name, checkee.name
+cells.setdefault(edge, [0])[0] += 1
+expected = get2(vm, exp_off)[0]
+if h != expected:
+    guard_mismatch(edge, h, expected)
 return vpc + 4
 """,
 }
@@ -259,7 +252,8 @@ _READ = "get{0}(vm, vpa[vpc + {0}])[0]"
 # what a handler reads besides its cells' accessors, bound once per build
 _BOUND = {"vpa": "vfn.vpa", "size": "len(vfn.image)",
           "ret_off": "vfn.ret_slot and vfn.ret_slot[0]",
-          "bundle": "bundle", "vfn": "vfn", "ctx": "ctx"}
+          "bundle": "bundle", "vfn": "vfn", "ctx": "ctx",
+          "cells": "ctx.guard_cells"}
 _ACCESSOR = {"get": "unpack_from", "put": "pack_into"}
 
 
@@ -268,7 +262,7 @@ def _handler_source(number: int) -> str:
     `number`, whose types fit its kind.  The factory takes the bundle, the
     function and the run's context; the handler binds what it reads of
     them and its cells' accessors as defaults, while the engine's
-    functions (`call_function`, `compute_vpa_hash`, `check_guard`,
+    functions (`call_function`, `compute_vpa_hash`, `guard_mismatch`,
     `table_entry`, `run_virt`) are looked up in this module at each call.
     Widths, index caps, record lengths and masks are literals."""
     spec = numbered_spec(number)
@@ -411,7 +405,6 @@ def execute_with_engine(bundle: ProtectedBundle, engine, inputs=(),
         sys.setrecursionlimit(caller_limit)
         # every cycle of the run's compiled code runs through the context
         ctx.decoded.clear()
-    ctx.count_guard_cells()
     return ExecutionResult.of(ctx, status, **fields)
 
 

@@ -28,8 +28,8 @@ transformed function of the record's arity is linked: this module's
 any other call takes the shared bridge, `runtime.call_function`.
 A guard bumps its (checker, checkee) edge's counter cell, one int in a
 list, compares the hashes in line and raises a mismatch through
-`runtime.guard_mismatch`; the run turns the cells into `guard_edges`
-when it ends.  The generated code looks `call_function` and
+`runtime.guard_mismatch`, as the checked engine's guard does; the run's
+result reads its guard counts from the cells.  The generated code looks `call_function` and
 `compute_vpa_hash` up in this module at each call, and every guard
 still hashes the live stream.  A block counts every step it runs, per
 segment, ending one at each call and guard: a trap takes back the steps

@@ -292,6 +292,18 @@ def test_unknown_program_is_rejected():
                                        reps=1))
 
 
+def test_every_program_name_is_checked_before_any_run(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("a program ran before every name was checked")
+
+    for executor in ("reference_interpret", "execute_secure",
+                     "execute_optimized"):
+        monkeypatch.setattr(bench, executor, ran)
+    with pytest.raises(BenchError, match="'nosuch'"):
+        run_benchmarks(BenchmarkConfig(programs=("fib", "crc32", "nosuch"),
+                                       tier="tiny", reps=1, seeds=1))
+
+
 def test_invalid_axes_are_rejected():
     with pytest.raises(BenchError):
         run_benchmarks(BenchmarkConfig(programs=("fib",), tier="warp",

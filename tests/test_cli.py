@@ -52,6 +52,13 @@ def test_protect_missing_source_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_coverage_missing_source_fails(tmp_path, capsys):
+    rc = main(["coverage", str(tmp_path / "nope.vir")])
+    assert rc == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope.vir" in err
+
+
 # more digits than int() converts from a string by default
 HUGE = "9" * 5000
 

@@ -1,4 +1,5 @@
-"""The optimized engine's load check and decode, pinned on damaged bundles.
+"""Both engines' runs, and the optimized engine's load check and decode,
+pinned on damaged bundles.
 
 `load_pins.json` holds, for each corpus program, protection seed 0-2 and
 level 50/100, one sha256 over 120 damaged copies of the bundle, each
@@ -11,6 +12,13 @@ and its `verify` list.  The file also holds the tally of outcomes over
 all 4,320 copies.  Both were written by the loader that gathered each
 record's statement arguments in one `if`/`elif` chain over record kinds,
 before per-spec readers replaced it.
+
+For seed 0 the file also holds, under `checked`, one sha256 per
+`seed/level` over the same copies run by `execute_secure`: status,
+value, output, steps, trap reason, tamper kind and detail, guard
+executions and the sorted guard edges.  These were written while the
+checked engine still counted its guards through `check_guard`, before
+both engines counted them in the same per-edge counter cells.
 """
 
 import hashlib
@@ -25,10 +33,12 @@ from vmguard.bundle import VirtFunction, copy_bundle
 from vmguard.ir import parse_module
 from vmguard.protect import ProtectionConfig, virtualize_module
 from vmguard.rng import SplitMix64
+from vmguard.runtime import execute_secure
 from vmguard.threaded import execute_optimized, verify
 
 PROGRAMS = ("fib", "loop_sum", "qsort", "crc32", "sieve", "strsearch")
 SEEDS = (0, 1, 2)
+CHECKED_SEEDS = (0,)
 LEVELS = (50, 100)
 COPIES = 120
 PINS = json.loads((pathlib.Path(__file__).resolve().parent
@@ -63,10 +73,24 @@ def _case(copy, inputs, step_limit) -> tuple[str, str]:
     return line, outcome
 
 
-def pinned_cases(name: str, inputs) -> tuple[dict[str, str], Counter]:
-    """sha256 of the cases' lines by `seed/level`, and their outcomes."""
+def _checked_line(copy, inputs, step_limit) -> str:
+    """One damaged copy's JSON line under the checked engine."""
+    result = execute_secure(copy, inputs, step_limit)
+    cause = result.tamper_cause
+    return json.dumps([result.status, result.value, result.output,
+                       result.steps, result.trap_reason,
+                       *((None, None) if cause is None
+                         else (cause.kind, cause.detail)),
+                       result.guard_execs,
+                       sorted(map(list, result.guard_edges.items()))])
+
+
+def pinned_cases(name: str, inputs) -> tuple[dict[str, str], dict[str, str],
+                                             Counter]:
+    """sha256 of the cases' lines by `seed/level`, of their checked-engine
+    lines by `seed/level` for the checked seeds, and their outcomes."""
     module = parse_module(corpus_text(name))
-    digests, tally = {}, Counter()
+    digests, checked, tally = {}, {}, Counter()
     for seed in SEEDS:
         for level in LEVELS:
             bundle = virtualize_module(module, ProtectionConfig(seed=seed,
@@ -75,14 +99,19 @@ def pinned_cases(name: str, inputs) -> tuple[dict[str, str], Counter]:
             assert honest.status == "normal"
             step_limit = max(honest.steps * 20, 10_000)
             rng = SplitMix64(1000 * seed + level)
-            h = hashlib.sha256()
+            h, hc = hashlib.sha256(), hashlib.sha256()
             for _ in range(COPIES):
-                line, outcome = _case(_damaged(bundle, rng), inputs,
-                                      step_limit)
+                copy = _damaged(bundle, rng)
+                line, outcome = _case(copy, inputs, step_limit)
                 h.update(line.encode() + b"\n")
                 tally[outcome] += 1
+                if seed in CHECKED_SEEDS:
+                    hc.update(_checked_line(copy, inputs, step_limit).encode()
+                              + b"\n")
             digests[f"{seed}/{level}"] = h.hexdigest()
-    return digests, tally
+            if seed in CHECKED_SEEDS:
+                checked[f"{seed}/{level}"] = hc.hexdigest()
+    return digests, checked, tally
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +122,18 @@ def cases(manifest):
 
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_damaged_copies_load_and_run_as_pinned(cases, name):
-    digests, _ = cases[name]
+    digests, _, _ = cases[name]
     assert digests == PINS["digests"][name]
 
 
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_damaged_copies_run_as_pinned_under_the_checked_engine(cases, name):
+    _, checked, _ = cases[name]
+    assert checked == PINS["checked"][name]
+
+
 def test_the_outcome_tally_is_pinned(cases):
-    tally = sum((t for _, t in cases.values()), Counter())
+    tally = sum((t for _, _, t in cases.values()), Counter())
     assert sum(tally.values()) == (len(PROGRAMS) * len(SEEDS) * len(LEVELS)
                                    * COPIES)
     assert dict(tally) == PINS["tally"]

@@ -798,6 +798,27 @@ def test_guard_counts_agree_between_engines_on_every_corpus_program(
         assert a.guard_edges == b.guard_edges, entry["name"]
         assert sum(b.guard_edges.values()) == b.guard_execs
         assert all(b.guard_edges.values()), entry["name"]
+        # retarget a guarded checkee's const result element elsewhere in
+        # its image: no engine reads it, so both run as before until the
+        # first guard over that checkee fails, and both count that guard
+        copy = copy_bundle(bundle)
+        vfn, start = next(
+            (fn, start) for _, checkee in b.guard_edges
+            for fn in [copy.function(checkee)]
+            for start, spec in walk_records(fn.risa, fn.vpa)
+            if spec.kind == "const")
+        vfn.vpa[start + 1] = (vfn.vpa[start + 1] + 1) % len(vfn.image)
+        a = execute_secure(copy, entry["inputs"]["tiny"])
+        b = execute_optimized(copy, entry["inputs"]["tiny"])
+        for res in a, b:
+            assert res.status == "tamper", entry["name"]
+            assert res.tamper_cause.kind == HASH_MISMATCH, entry["name"]
+            assert not res.tamper_cause.at_decode
+        assert a.guard_execs == b.guard_execs, entry["name"]
+        assert a.guard_edges == b.guard_edges, entry["name"]
+        assert sum(b.guard_edges.values()) == b.guard_execs
+        assert sum(n for (_, ce), n in b.guard_edges.items()
+                   if ce == vfn.name) == 1, entry["name"]
 
 
 def test_block_factories_stay_bounded(corpus_flat, manifest, monkeypatch):
