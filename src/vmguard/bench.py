@@ -31,7 +31,9 @@ from .protect import ProtectionConfig, lowering, virtualize_module
 from .runtime import execute_secure
 from .threaded import execute_optimized
 
-MODES = ("secure", "optimized")
+# each mode's executor, by the mode's name
+EXECUTORS = {"secure": execute_secure, "optimized": execute_optimized}
+MODES = tuple(EXECUTORS)
 ARMS = ("vo", "vo+sc")   # virtualization only, or with checksum guards
 TIERS = ("tiny", "check", "bench")
 
@@ -203,9 +205,8 @@ def _time_level(report: BenchmarkReport, cfg: BenchmarkConfig, name: str,
             enable_guards=(arm == "vo+sc")))
             for i in range(cfg.seeds)]
         for mode in cfg.modes:
-            executor = (execute_secure if mode == "secure"
-                        else execute_optimized)
-            runs = [partial(executor, b, inputs, **limit) for b in bundles]
+            runs = [partial(EXECUTORS[mode], b, inputs, **limit)
+                    for b in bundles]
             results = [run() for run in runs]
             bad = next((r for r in results if not r.same_outcome(ref)), None)
             if bad is not None:

@@ -18,8 +18,9 @@ import json
 import os
 import sys
 
-from .bench import (ARMS, BenchError, BenchmarkConfig, MODES, TIERS,
-                    coverage_table, format_coverage_table, run_benchmarks)
+from .bench import (ARMS, EXECUTORS, MODES, TIERS, BenchError,
+                    BenchmarkConfig, coverage_table, format_coverage_table,
+                    run_benchmarks)
 from .bundle import (BundleError, FlipElement, FlipRandomElement,
                      PreserveChecksumPair, STRATEGY_NAMES, SwapOpcodes,
                      TamperError, ZeroRange, deserialize, serialize,
@@ -29,8 +30,7 @@ from .guards import coverage_report, format_coverage
 from .ir import ParseError, parse_module
 from .protect import ProtectError, ProtectionConfig, virtualize_module
 from .rng import MASK64, SplitMix64, fresh_seed
-from .runtime import execute_secure
-from .threaded import execute_optimized, verify
+from .threaded import verify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -144,10 +144,9 @@ def cmd_run(args) -> int:
     mode = args.mode
     if mode == "auto":
         mode = "optimized" if bundle.optimized_hint else "secure"
-    executor = execute_optimized if mode == "optimized" else execute_secure
     inputs = list(args.inputs) + list(args.input or [])
     try:
-        result = executor(bundle, inputs, step_limit=args.step_limit)
+        result = EXECUTORS[mode](bundle, inputs, step_limit=args.step_limit)
     except ValueError as err:
         return _fail(str(err))
     for value in result.output:
@@ -186,15 +185,14 @@ def _build_strategy(args):
 
 def _trial_report(args, bundle) -> int:
     inputs = list(args.input or [])
-    executor = (execute_optimized if args.mode == "optimized"
-                else execute_secure)
     try:
         summary = run_detection(
             bundle, inputs, trials=args.trials,
             seed=args.seed,
             strategy_factory=lambda: _build_strategy(args),
             step_limit=args.step_limit,
-            program=os.path.basename(args.bundle), executor=executor)
+            program=os.path.basename(args.bundle),
+            executor=EXECUTORS[args.mode])
     except (TamperError, ValueError) as err:
         return _fail(str(err))
     print(summary.table())
@@ -291,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True,
                    help="bundle file to write (.vsc)")
     _add_protection_options(p)
-    p.add_argument("--mode", choices=("secure", "optimized"),
-                   default="secure",
+    p.add_argument("--mode", choices=MODES, default="secure",
                    help="default engine hint stored in the bundle")
     p.add_argument("--debug-seed", action="store_true",
                    help="embed the creation seed in the bundle (omitted "
@@ -306,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "read_i64")
     p.add_argument("--input", action="append", type=lambda s: int(s, 0),
                    help="additional input value (repeatable)")
-    p.add_argument("--mode", choices=("auto", "secure", "optimized"),
-                   default="auto")
+    p.add_argument("--mode", choices=("auto", *MODES), default="auto")
     p.add_argument("--step-limit", type=int, default=100_000_000)
     p.add_argument("--explain-tamper", action="store_true",
                    help="print the full detail of a tamper signal")
@@ -341,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step budget of the honest run and of every trial "
                         "(default: 100,000,000 for the honest run, twenty "
                         "times its steps, at least 10,000, per trial)")
-    p.add_argument("--mode", choices=("secure", "optimized"),
-                   default="secure",
+    p.add_argument("--mode", choices=MODES, default="secure",
                    help="engine used for detection trials")
     p.set_defaults(fn=cmd_tamper)
 

@@ -1,6 +1,7 @@
 """Per-run execution state shared by the reference interpreter and the
-bytecode engines: input cursor, output stream, step budget, call depth,
-guard counts.
+bytecode engines: input cursor, output stream, the intrinsics, step
+budget, call depth, guard counts; and the tamper signal, with which an
+engine ends a run on evidence of a corrupted bundle.
 
 Keeping one context type means differential tests compare runs that drew
 from identical budgets and intrinsic behaviour.
@@ -19,6 +20,18 @@ LOAD_BOUNDS_REASON = "load index out of bounds"
 STORE_BOUNDS_REASON = "store index out of bounds"
 
 MASK64 = (1 << 64) - 1
+
+
+class TamperSignal(Exception):
+    """Evidence of a corrupted bundle observed on the execution path.
+    `at_decode` is set when the optimized engine refused the damage while
+    decoding a function, before running it."""
+
+    def __init__(self, kind: str, detail: str) -> None:
+        super().__init__(f"{kind}: {detail}")
+        self.kind = kind
+        self.detail = detail
+        self.at_decode = False
 
 
 class ExecContext:
@@ -52,6 +65,14 @@ class ExecContext:
 
     def print_value(self, value: int) -> None:
         self.output.append(to_signed(value, 64))
+
+    def intrinsic(self, name: str, args) -> int | None:
+        """Call intrinsic `name`: `read_i64` returns the next input, and
+        any other, `print_i64`, prints its argument."""
+        if name == "read_i64":
+            return self.read_input()
+        self.print_value(args[0])
+        return None
 
     def guard_counts(self) -> tuple[int, dict[tuple[str, str], int]]:
         """The run's guard executions, in all and by edge, leaving out

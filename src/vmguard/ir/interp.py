@@ -21,14 +21,17 @@ stay an independent check on the engines.
 
 from __future__ import annotations
 
+import sys
+
 from ..arith import (TERMINATORS, TRAPPING, VALUE_KINDS, Factories,
                      TrapError, block_source, hand_over, index_limit,
                      to_signed, value_source)
 # the trapping kinds' functions, which generated statements name
 from ..arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from ..execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
-                         STORE_BOUNDS_REASON, ExecContext)
-from .core import ExecutionResult, IrFunction, IrModule, TypeTag
+                         MAX_CALL_DEPTH, STORE_BOUNDS_REASON, ExecContext,
+                         TamperSignal)
+from .core import EXTERN_SIGS, ExecutionResult, IrFunction, IrModule, TypeTag
 
 # The Python statement(s) each IR kind runs as, over the register list
 # `vm`, whose slot 0 holds the activation's call hook and slot 1 its
@@ -228,6 +231,32 @@ def value_tags(fn: IrFunction) -> dict:
     return tags
 
 
+def run_entry(ctx: ExecContext, arity: int, ret: TypeTag | None,
+              activate) -> ExecutionResult:
+    """Run `activate(args)`, an entry of `arity` parameters read from the
+    inputs, returning a raw `ret`, and package the outcome: how the
+    reference interpreter and both engines end every run."""
+    # each activation costs a handful of Python frames; the caller's
+    # stack lies within its limit, so raising the limit by room for the
+    # deepest honest call chain makes it fit at any depth, for this run
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(caller_limit + MAX_CALL_DEPTH * 10)
+    try:
+        raw = activate([ctx.read_input() for _ in range(arity)])
+    except TrapError as trap:
+        return ExecutionResult.of(ctx, "trap", trap_reason=trap.reason)
+    except TamperSignal as signal:
+        # returned from here, so that no local of this frame, which the
+        # signal's traceback holds, refers back to the signal
+        return ExecutionResult.of(ctx, "tamper", tamper_cause=signal)
+    finally:
+        sys.setrecursionlimit(caller_limit)
+        # every cycle of the run's compiled code runs through the context
+        ctx.decoded.clear()
+    return ExecutionResult.of(ctx, "normal", value=None if ret is None
+                              else to_signed(raw, ret.bits))
+
+
 def reference_interpret(module: IrModule, entry: str, inputs=(),
                         step_limit: int = DEFAULT_STEP_LIMIT,
                         trace_blocks: set | None = None) -> ExecutionResult:
@@ -245,11 +274,8 @@ def reference_interpret(module: IrModule, entry: str, inputs=(),
     key = ("plain_hook", id(module))
 
     def call_hook(name: str, args):
-        if name == "read_i64":
-            return ctx.read_input()
-        if name == "print_i64":
-            ctx.print_value(args[0])
-            return None
+        if name in EXTERN_SIGS:
+            return ctx.intrinsic(name, args)
         ctx.enter_call()
         try:
             return evaluate_function(functions[name], args, ctx.decoded[key],
@@ -259,15 +285,6 @@ def reference_interpret(module: IrModule, entry: str, inputs=(),
 
     ctx.decoded[key] = call_hook
     entry_fn = functions[entry]
-    try:
-        args = [ctx.read_input() for _ in entry_fn.params]
-        raw = evaluate_function(entry_fn, args, call_hook, ctx)
-    except TrapError as trap:
-        return ExecutionResult.of(ctx, "trap", trap_reason=trap.reason)
-    finally:
-        # every cycle of the run's compiled code runs through the context
-        ctx.decoded.clear()
-    value = None
-    if entry_fn.ret is not None:
-        value = to_signed(raw, entry_fn.ret.bits)
-    return ExecutionResult.of(ctx, "normal", value=value)
+    return run_entry(ctx, len(entry_fn.params), entry_fn.ret,
+                     lambda args: evaluate_function(entry_fn, args,
+                                                    call_hook, ctx))

@@ -1,4 +1,5 @@
-"""Checked execution engine and the shared run harness.
+"""Checked execution engine, the call bridge both engines share, and
+`execute_with_engine`, which runs a bundle's entry in `ir.interp.run_entry`.
 
 This engine keeps nothing cached between steps but handler functions:
 every dispatch re-reads the opcode from the live stream and picks its
@@ -31,37 +32,24 @@ stay comparable across all executors.
 from __future__ import annotations
 
 import struct
-import sys
 
 from .arith import (TRAPPING, VALUE_KINDS, Factories, TrapError,
-                    factory_source, index_limit, to_signed, value_source)
+                    factory_source, index_limit, value_source)
 # the trapping kinds' functions, which generated statements name
 from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
 from .execstate import (DEFAULT_STEP_LIMIT, LOAD_BOUNDS_REASON,
-                        MAX_CALL_DEPTH, STEP_LIMIT_REASON,
-                        STORE_BOUNDS_REASON, ExecContext)
+                        STEP_LIMIT_REASON, STORE_BOUNDS_REASON, ExecContext,
+                        TamperSignal)
 from .guards import compute_vpa_hash
 from .ir.core import ExecutionResult
-from .ir.interp import evaluate_function
+from .ir.interp import evaluate_function, run_entry
 from .risa import CALLEE, CHECKEE, numbered_spec
 
 INVALID_OPCODE = "invalid opcode"
 PC_ESCAPE = "program counter escape"
 HASH_MISMATCH = "checksum mismatch"
 INVALID_REFERENCE = "invalid reference"
-
-
-class TamperSignal(Exception):
-    """Evidence of a corrupted bundle observed on the execution path.
-    `at_decode` is set when the optimized engine refused the damage while
-    decoding a function, before running it."""
-
-    def __init__(self, kind: str, detail: str) -> None:
-        super().__init__(f"{kind}: {detail}")
-        self.kind = kind
-        self.detail = detail
-        self.at_decode = False
 
 
 def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
@@ -77,10 +65,7 @@ def call_function(bundle: ProtectedBundle, target, args, ctx: ExecContext,
         raise TamperSignal(INVALID_REFERENCE, f"@{target.name} does not "
                            f"take {len(args)} arguments")
     if isinstance(target, ExternFunction):
-        if target.name == "read_i64":
-            return ctx.read_input()
-        ctx.print_value(args[0])
-        return None
+        return ctx.intrinsic(target.name, args)
     ctx.enter_call()
     try:
         if isinstance(target, VirtFunction):
@@ -378,34 +363,13 @@ def execute_with_engine(bundle: ProtectedBundle, engine, inputs=(),
             return ExecutionResult.of(ctx, "tamper", tamper_cause=TamperSignal(
                 INVALID_REFERENCE, f"the bundle names {what}"))
 
-    # each activation costs a handful of Python frames; make sure the
-    # deepest honest call chain fits before the interpreter's own limit,
-    # for this run only
-    caller_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(caller_limit, MAX_CALL_DEPTH * 10 + 400))
-    try:
-        if isinstance(target, VirtFunction):
-            args = [ctx.read_input() for _ in target.param_slots]
-            raw = engine(bundle, target, args, ctx)
-            ret_tag = target.ret_slot[1] if target.ret_slot else None
-        else:
-            args = [ctx.read_input() for _ in target.fn.params]
-            raw = evaluate_function(target.fn, args,
-                                    _plain_hook(bundle, ctx, engine), ctx)
-            ret_tag = target.fn.ret
-    except TrapError as trap:
-        status, fields = "trap", {"trap_reason": trap.reason}
-    except TamperSignal as signal:
-        status, fields = "tamper", {"tamper_cause": signal}
-    else:
-        status, fields = "normal", {
-            "value": None if ret_tag is None else to_signed(raw,
-                                                            ret_tag.bits)}
-    finally:
-        sys.setrecursionlimit(caller_limit)
-        # every cycle of the run's compiled code runs through the context
-        ctx.decoded.clear()
-    return ExecutionResult.of(ctx, status, **fields)
+    if isinstance(target, VirtFunction):
+        return run_entry(ctx, arity_of(target),
+                         target.ret_slot and target.ret_slot[1],
+                         lambda args: engine(bundle, target, args, ctx))
+    return run_entry(ctx, arity_of(target), target.fn.ret, lambda args:
+                     evaluate_function(target.fn, args,
+                                       _plain_hook(bundle, ctx, engine), ctx))
 
 
 def execute_secure(bundle: ProtectedBundle, inputs=(),

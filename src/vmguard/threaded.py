@@ -77,15 +77,14 @@ from .arith import ashr, lshr, sdiv, shl, srem  # noqa: F401
 from .bundle import ExternFunction, ProtectedBundle, VirtFunction, arity_of
 from .execstate import (CALL_DEPTH_REASON, DEFAULT_STEP_LIMIT,
                         LOAD_BOUNDS_REASON, MAX_CALL_DEPTH,
-                        STORE_BOUNDS_REASON, ExecContext)
+                        STORE_BOUNDS_REASON, ExecContext, TamperSignal)
 from .guards import compute_vpa_hash
 from .ir.core import EXTERN_SIGS
 from .network import verify_acyclic
 from .risa import (BASE, CALLEE, CELL, CHECKEE, COUNT, RESULT, TARGET,
                    HandlerSpec, MalformedStream, numbered_spec, walk_records)
 from .runtime import (_CELL, INVALID_OPCODE, INVALID_REFERENCE, PC_ESCAPE,
-                      TamperSignal, execute_with_engine, guard_mismatch,
-                      table_entry)
+                      execute_with_engine, guard_mismatch, table_entry)
 # the shared bridge, bound once, so a tracer's wrapper around
 # `runtime.call_function` does not count a call this engine's
 # `call_function` already counted

@@ -53,6 +53,29 @@ entry:
 }
 """
 
+# @down recurses n deep, so its deepest activation runs at depth n + 1
+DOWN = """\
+func @down(i64 %n) -> i64 {
+entry:
+  %zero = const i64 0
+  %one = const i64 1
+  %more = icmp sgt i64 %n, %zero
+  brcond %more, %again, %done
+again:
+  %m = sub i64 %n, %one
+  %r = call i64 @down(%m)
+  ret i64 %r
+done:
+  ret i64 %zero
+}
+
+func @main(i64 %n) -> i64 {
+entry:
+  %r = call i64 @down(%n)
+  ret i64 %r
+}
+"""
+
 
 def protect_text(text, seed=1, level=100, guards_per_checkee=2,
                  enable_guards=True, optimized_hint=False):

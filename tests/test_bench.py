@@ -48,8 +48,7 @@ def test_reference_is_timed_in_every_levels_rotation(monkeypatch):
     monkeypatch.setattr(bench, "reference_interpret",
                         recording("reference", reference_interpret))
     for mode, executor in zip(MODES, (execute_secure, execute_optimized)):
-        monkeypatch.setattr(bench, f"execute_{mode}",
-                            recording(mode, executor))
+        monkeypatch.setitem(bench.EXECUTORS, mode, recording(mode, executor))
     reps, levels = 3, (50, 100)
     report = run_benchmarks(BenchmarkConfig(
         programs=("fib",), levels=levels, reps=reps, seeds=1, tier="tiny",
@@ -84,9 +83,9 @@ def test_timed_reps_rotate_through_every_cell(monkeypatch):
             return executor(bundle, inputs, **kw)
         return run
 
-    monkeypatch.setattr(bench, "execute_secure",
+    monkeypatch.setitem(bench.EXECUTORS, "secure",
                         recording("secure", execute_secure))
-    monkeypatch.setattr(bench, "execute_optimized",
+    monkeypatch.setitem(bench.EXECUTORS, "optimized",
                         recording("optimized", execute_optimized))
     reps, seeds = 3, 2
     report = run_benchmarks(BenchmarkConfig(
@@ -158,7 +157,7 @@ def test_mean_over_draws_shows_a_slow_draw_the_median_hides(monkeypatch):
             time.sleep(0.02)
         return execute_secure(bundle, inputs, **kw)
 
-    monkeypatch.setattr(bench, "execute_secure", delayed)
+    monkeypatch.setitem(bench.EXECUTORS, "secure", delayed)
     report = run_benchmarks(BenchmarkConfig(
         programs=("fib",), arms=("vo",), modes=("secure",), reps=2,
         seeds=3, tier="tiny", seed=3))
@@ -296,9 +295,9 @@ def test_every_program_name_is_checked_before_any_run(monkeypatch):
     def ran(*args, **kwargs):
         raise AssertionError("a program ran before every name was checked")
 
-    for executor in ("reference_interpret", "execute_secure",
-                     "execute_optimized"):
-        monkeypatch.setattr(bench, executor, ran)
+    monkeypatch.setattr(bench, "reference_interpret", ran)
+    for mode in MODES:
+        monkeypatch.setitem(bench.EXECUTORS, mode, ran)
     with pytest.raises(BenchError, match="'nosuch'"):
         run_benchmarks(BenchmarkConfig(programs=("fib", "crc32", "nosuch"),
                                        tier="tiny", reps=1, seeds=1))

@@ -2,6 +2,7 @@
 interpreter per module catches import cycles that an already-populated
 `sys.modules` would hide."""
 
+import ast
 import os
 import pathlib
 import pkgutil
@@ -52,6 +53,18 @@ def test_only_the_factories_cache_compiles_source():
                        for path in package.rglob("*.py")
                        if "exec(" in path.read_text())
     assert compiling == ["arith.py"]
+
+
+def test_only_the_run_harness_sets_the_recursion_limit():
+    # every executor ends its run in `ir.interp.run_entry`, which raises
+    # the limit for the run and restores it
+    package = pathlib.Path(vmguard.__file__).parent
+    setting = sorted(f"{path.relative_to(package)}:{fn.name}"
+                     for path in package.rglob("*.py")
+                     for fn in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(fn, ast.FunctionDef)
+                     and "setrecursionlimit(" in ast.unparse(fn))
+    assert setting == ["ir/interp.py:run_entry"]
 
 
 def test_only_arith_writes_a_factory():

@@ -5,14 +5,15 @@ import sys
 
 import pytest
 
-from builders import CHECKED_HELPER, MIXED_CALLS, fitting_spec, protect_text
+from builders import (CHECKED_HELPER, DOWN, MIXED_CALLS, fitting_spec,
+                      protect_text)
 from oracles import PROGRAM_MODELS
 from vmguard import arith, runtime
 from vmguard.bundle import (FlipElement, PreserveChecksumPair, copy_bundle,
                             tamper_bundle)
 from vmguard.execstate import (CALL_DEPTH_REASON, INPUT_EXHAUSTED_REASON,
-                               LOAD_BOUNDS_REASON, STEP_LIMIT_REASON,
-                               STORE_BOUNDS_REASON)
+                               LOAD_BOUNDS_REASON, MAX_CALL_DEPTH,
+                               STEP_LIMIT_REASON, STORE_BOUNDS_REASON)
 from vmguard.arith import DIV_BY_ZERO
 from vmguard.guards import compute_vpa_hash
 from vmguard.ir import (TypeTag, eliminate_phis, parse_module,
@@ -50,6 +51,22 @@ def test_an_honest_run_leaves_no_cyclic_garbage(corpus_flat, manifest, name,
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("engine", [execute_secure, execute_optimized])
+def test_a_tampered_run_leaves_no_cyclic_garbage(engine):
+    bundle = protect_text(CHECKED_HELPER, seed=6)
+    mutated, _ = tamper_bundle(bundle, FlipElement("g", 0), SplitMix64(0))
+    engine(mutated, [3])        # fills the process-wide factory caches
+    gc.collect()
+    gc.disable()
+    try:
+        # the result, its tamper signal and the signal's traceback are
+        # freed as the result is dropped
+        assert engine(mutated, [3]).tamper_cause.kind == HASH_MISMATCH
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -312,6 +329,47 @@ def test_run_restores_the_callers_recursion_limit(corpus_flat, engine):
     try:
         assert engine(bundle, [8]).status == "normal"
         assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def _frames_deep(frames, run):
+    """`run()`, called from `frames` more Python frames."""
+    return run() if frames == 0 else _frames_deep(frames - 1, run)
+
+
+def _stack_depth():
+    """The number of Python frames on the stack of its caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+# the caller's recursion limit, and how many frames deeper than the test
+# it runs from: 400, or 50 short of a limit above the one a run needs
+@pytest.mark.parametrize("limit, frames", [(1000, 400), (3000, None)],
+                         ids=["400-deeper", "50-short-of-the-limit"])
+@pytest.mark.parametrize("level", [100, 50])
+def test_every_executor_ends_a_deep_chain_from_a_deep_stack_alike(
+        level, limit, frames):
+    module = parse_module(DOWN)
+    bundle = protect_text(DOWN, seed=2, level=level)
+    executors = (lambda n: reference_interpret(module, "main", [n]),
+                 lambda n: execute_secure(bundle, [n]),
+                 lambda n: execute_optimized(bundle, [n]))
+    if frames is None:
+        frames = limit - 50 - _stack_depth()
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        for n, expected in ((MAX_CALL_DEPTH - 1, ("normal", 0, None)),
+                            (MAX_CALL_DEPTH,
+                             ("trap", None, CALL_DEPTH_REASON))):
+            for execute in executors:
+                res = _frames_deep(frames, lambda: execute(n))
+                assert (res.status, res.value, res.trap_reason) == expected
+                assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(saved)
 

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from builders import CHECKED_HELPER, MIXED_CALLS, fitting_spec, protect_text
+from builders import (CHECKED_HELPER, DOWN, MIXED_CALLS, fitting_spec,
+                      protect_text)
 from vmguard import arith, runtime, threaded
 from vmguard.arith import DIV_BY_ZERO
 from vmguard.bundle import (FlipRandomElement, SwapOpcodes, TamperError,
@@ -731,29 +732,6 @@ def test_a_call_retargeted_to_another_arity_is_refused_when_it_runs(
         assert not res.tamper_cause.at_decode
         assert execute(bundle, [5]).value == 5
 
-
-# @down recurses n deep, so its deepest activation runs at depth n + 1
-DOWN = """\
-func @down(i64 %n) -> i64 {
-entry:
-  %zero = const i64 0
-  %one = const i64 1
-  %more = icmp sgt i64 %n, %zero
-  brcond %more, %again, %done
-again:
-  %m = sub i64 %n, %one
-  %r = call i64 @down(%m)
-  ret i64 %r
-done:
-  ret i64 %zero
-}
-
-func @main(i64 %n) -> i64 {
-entry:
-  %r = call i64 @down(%n)
-  ret i64 %r
-}
-"""
 
 # every engine function a tracer wraps, as (module, attribute)
 _TRACED = ((runtime, "run_virt"), (runtime, "call_function"),
