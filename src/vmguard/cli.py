@@ -26,6 +26,7 @@ from .bundle import (BundleError, FlipElement, FlipRandomElement,
                      TamperError, ZeroRange, deserialize, serialize,
                      tamper_bundle)
 from .detect import REFINED, refined_counts, run_detection
+from .execstate import DEFAULT_STEP_LIMIT
 from .guards import coverage_report, format_coverage
 from .ir import ParseError, parse_module
 from .protect import ProtectError, ProtectionConfig, virtualize_module
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", type=lambda s: int(s, 0),
                    help="additional input value (repeatable)")
     p.add_argument("--mode", choices=("auto", *MODES), default="auto")
-    p.add_argument("--step-limit", type=int, default=100_000_000)
+    p.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     p.add_argument("--explain-tamper", action="store_true",
                    help="print the full detail of a tamper signal")
     p.add_argument("--verify", action="store_true",
@@ -335,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input value for detection trials (repeatable)")
     p.add_argument("--step-limit", type=int, default=None,
                    help="step budget of the honest run and of every trial "
-                        "(default: 100,000,000 for the honest run, twenty "
-                        "times its steps, at least 10,000, per trial)")
+                        f"(default: {DEFAULT_STEP_LIMIT:,} for the honest "
+                        "run, twenty times its steps, at least 10,000, "
+                        "per trial)")
     p.add_argument("--mode", choices=MODES, default="secure",
                    help="engine used for detection trials")
     p.set_defaults(fn=cmd_tamper)

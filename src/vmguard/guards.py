@@ -12,7 +12,8 @@ The checksum is a 16-bit XOR fold of the checkee's encoded stream.  Any
 single-element change flips at least one bit of the fold and is always
 caught; compensating changes that preserve the fold (applying one mask to
 two elements) slip through by construction, which the tamper strategies
-exploit deliberately.
+exploit deliberately.  A fold is memoized under the exact bytes every guard
+reads afresh, so a hit is the fold of the stream as it is, never stale.
 """
 
 from __future__ import annotations
@@ -29,40 +30,32 @@ class GuardError(Exception):
     pass
 
 
-# below this many elements a plain loop folds faster than big integers
-# (about 24 on CPython 3.11, measured over array("H") streams)
-_LOOP_FOLD_MAX = 24
+FOLD_MEMO_SIZE = 1024     # distinct streams, far more than a bundle has
 
 
 @lru_cache(maxsize=None)
 def _fold_schedule(length_bits: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) per halving step that folds up to 2**length_bits
-    16-bit words into one: the shifts run from half that many words'
-    bits down to 16.  Built on first use of each bit length."""
+    """(shift, mask) per halving step folding 2**length_bits words."""
     return tuple((16 << k, (1 << (16 << k)) - 1)
                  for k in reversed(range(length_bits)))
 
 
-def compute_vpa_hash(vpa) -> int:
-    """XOR fold of 16-bit elements.  Large streams fold via one big-integer
-    halving cascade, which is far cheaper than an element loop for the
-    hot guard path; its steps depend only on the stream's length."""
-    n = len(vpa)
-    if n < _LOOP_FOLD_MAX:
-        h = 0
-        for e in vpa:
-            h ^= e
-        return h & 0xFFFF
-    elems = vpa if isinstance(vpa, array) and vpa.typecode == "H" else \
-        array("H", [e & 0xFFFF for e in vpa])
-    if sys.byteorder == "big":
-        if elems is vpa:
-            elems = array("H", vpa)     # never swap the caller's stream
-        elems.byteswap()
-    x = int.from_bytes(elems.tobytes(), "little")
-    for shift, mask in _fold_schedule((n - 1).bit_length()):
+@lru_cache(maxsize=FOLD_MEMO_SIZE)
+def _fold(data: bytes, byteorder: str = sys.byteorder) -> int:
+    """XOR fold of an array("H") image in `byteorder`.  Read as one int in
+    that order every word stays whole, and XOR ignores word order."""
+    x = int.from_bytes(data, byteorder)
+    for shift, mask in _fold_schedule((len(data) // 2 - 1).bit_length()):
         x = (x >> shift) ^ (x & mask)
     return x
+
+
+def compute_vpa_hash(vpa) -> int:
+    """XOR fold of 16-bit elements.  Reads the whole live stream on every
+    call; a changed element is a new memo key, so it always folds afresh."""
+    elems = vpa if isinstance(vpa, array) and vpa.typecode == "H" else \
+        array("H", [e & 0xFFFF for e in vpa])
+    return _fold(elems.tobytes())
 
 
 def guard_insertion_indices(records: list[LiftRecord]) -> list[int]:

@@ -1,12 +1,13 @@
 """Checked execution engine, the call bridge both engines share, and
 `execute_with_engine`, which runs a bundle's entry in `ir.interp.run_entry`.
 
-This engine keeps nothing cached between steps but handler functions:
-every dispatch re-reads the opcode from the live stream and picks its
-handler by it, and every handler reads its operands from the stream by
-index (`vpa[vpc + i]`) each time it runs.  Cells are read and written
-through `struct` accessors, which refuse a cell outside the image
-instead of growing it.  That makes it the natural place to observe
+This engine keeps nothing cached between steps but handler functions
+and the guards' fold memo, keyed by a stream's exact bytes so it cannot
+go stale: every dispatch re-reads the opcode from the live stream and
+picks its handler by it, and every handler reads its operands from the
+stream by index (`vpa[vpc + i]`) each time it runs.  Cells are read and
+written through `struct` accessors, which refuse a cell outside the
+image instead of growing it.  That makes it the natural place to observe
 corruption immediately, at the cost of per-step overhead the
 pre-decoding engine avoids.
 

@@ -29,13 +29,14 @@ any other call takes the shared bridge, `runtime.call_function`.
 A guard bumps its (checker, checkee) edge's counter cell, one int in a
 list, compares the hashes in line and raises a mismatch through
 `runtime.guard_mismatch`, as the checked engine's guard does; the run's
-result reads its guard counts from the cells.  The generated code looks `call_function` and
-`compute_vpa_hash` up in this module at each call, and every guard
-still hashes the live stream.  A block counts every step it runs, per
-segment, ending one at each call and guard: a trap takes back the steps
-of the records after it, and a segment the step limit falls inside runs
-record by record (`arith.hand_over`).  Steps, traps, outputs and guard
-counts stay those of the per-record run.
+result reads its guard counts from the cells.  The generated code looks
+`call_function` and `compute_vpa_hash` up in this module at each call,
+and every guard still reads the whole live stream: `guards` memoizes a
+fold only under the stream's exact bytes, so no stale fold can match.
+A block counts its steps per segment, ending one at each call and guard:
+a trap takes back the steps of the records after it, and a segment the
+step limit falls inside runs record by record (`arith.hand_over`).
+Steps, traps, outputs and guard counts stay those of the per-record run.
 
 That removes the per-step opcode lookup, operand fetch, byte conversion
 and counter bounds check the checked engine pays for, at the cost of
@@ -57,8 +58,8 @@ observing corruption lazily:
     an index outside a region, or past the image end, traps with the
     checked engine's load or store reason;
   - the encoded streams themselves stay monitored: every checksum record
-    re-hashes its target's live stream on every execution, so mutation
-    after decode is still caught.
+    re-reads its target's live stream on every execution (the fold memo
+    hits only on equal bytes), so mutation after decode is still caught.
 
 `_load` makes the up-front refusals and builds no block.  `verify` runs
 it on every transformed function and adds only the rules no engine

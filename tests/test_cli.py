@@ -6,7 +6,8 @@ from builders import CHECKED_HELPER, protect_text
 from conftest import corpus_text
 from vmguard.bundle import deserialize, serialize
 from vmguard.cli import (EXIT_FAILURE, EXIT_OK, EXIT_TAMPER, EXIT_TRAP,
-                         SEED_ENV, main)
+                         SEED_ENV, build_parser, main)
+from vmguard.execstate import DEFAULT_STEP_LIMIT
 
 
 @pytest.fixture()
@@ -401,6 +402,16 @@ def test_tamper_trials_honour_a_step_limit(fib_vir, tmp_path, capsys):
     assert "honest run must succeed, got trap" in capsys.readouterr().err
     assert main([*trials, "--step-limit", "100000"]) == EXIT_OK
     assert "total: 4 of 4 trials" in capsys.readouterr().out
+
+
+def test_the_step_limit_defaults_are_the_library_s(capsys):
+    parser = build_parser()
+    assert parser.parse_args(["run", "b.vsc"]).step_limit == \
+        DEFAULT_STEP_LIMIT
+    with pytest.raises(SystemExit):
+        parser.parse_args(["tamper", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"default: {DEFAULT_STEP_LIMIT:,} for the honest run" in help_text
 
 
 @pytest.mark.parametrize("command", ["protect", "coverage"])

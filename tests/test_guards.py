@@ -1,4 +1,5 @@
 import random
+import sys
 from array import array
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from builders import CHECKED_HELPER, protect_text
 from oracles import xor_fold16
-from vmguard.guards import (GuardError, compute_vpa_hash, coverage_report,
+from vmguard.guards import (FOLD_MEMO_SIZE, GuardError, _fold,
+                            compute_vpa_hash, coverage_report,
                             finalize_expected_hashes, format_coverage,
                             guard_insertion_indices, inject_guards)
 from vmguard.ir import parse_module
@@ -90,6 +92,35 @@ def test_small_and_large_folding_paths_agree():
     for i in range(0, 200, 40):
         pieces ^= compute_vpa_hash(elems[i:i + 40])
     assert whole == pieces
+
+
+@given(elements)
+def test_an_image_in_the_other_byte_order_folds_alike(elems):
+    # what a host of the other byte order holds, read in that order
+    image = array("H", elems)
+    image.byteswap()
+    other = "big" if sys.byteorder == "little" else "little"
+    assert _fold(image.tobytes(), other) == xor_fold16(elems)
+
+
+def test_a_stream_changed_in_place_folds_afresh():
+    vpa = array("H", range(300))
+    before = compute_vpa_hash(vpa)
+    assert compute_vpa_hash(array("H", vpa)) == before     # a memo hit
+    vpa[7] ^= 0x0410
+    assert compute_vpa_hash(vpa) == before ^ 0x0410 == xor_fold16(vpa)
+
+
+def test_the_fold_memo_keeps_at_most_its_bound():
+    first = [(i * 40503) & 0xFFFF for i in range(64)]
+    assert compute_vpa_hash(array("H", first)) == xor_fold16(first)
+    for i in range(FOLD_MEMO_SIZE + 50):
+        compute_vpa_hash(array("H", [i & 0xFFFF, i >> 16, 0xBEEF]))
+    info = _fold.cache_info()
+    assert info.maxsize == FOLD_MEMO_SIZE
+    assert info.currsize <= FOLD_MEMO_SIZE
+    # the first stream has been evicted and folds again, correctly
+    assert compute_vpa_hash(array("H", first)) == xor_fold16(first)
 
 
 def _lifted_main():

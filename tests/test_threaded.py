@@ -7,6 +7,7 @@ import pytest
 
 from builders import (CHECKED_HELPER, DOWN, MIXED_CALLS, fitting_spec,
                       protect_text)
+from oracles import xor_fold16
 from vmguard import arith, runtime, threaded
 from vmguard.arith import DIV_BY_ZERO
 from vmguard.bundle import (FlipRandomElement, SwapOpcodes, TamperError,
@@ -664,6 +665,40 @@ def test_guard_mismatch_inside_a_hot_block(corpus_flat, manifest,
     assert a.tamper_cause.kind == b.tamper_cause.kind == HASH_MISMATCH
     assert a.guard_execs == b.guard_execs == 151
     _same_run(a, b)
+
+
+@pytest.mark.parametrize("module, execute", [(runtime, execute_secure),
+                                             (threaded, execute_optimized)],
+                         ids=["secure", "optimized"])
+def test_a_stream_changed_mid_run_fails_its_next_guard(
+        corpus_flat, manifest, monkeypatch, module, execute):
+    """Flip an element of a checkee's stream in place, after decode and
+    between two guards over it: the fold memo must not return the fold
+    of the stream as it was."""
+    entry = next(p for p in manifest["programs"] if p["name"] == "crc32")
+    inputs = entry["inputs"]["check"]
+    bundle = virtualize_module(corpus_flat["crc32"],
+                               ProtectionConfig(seed=1, level=100))
+    n = 500
+    seen, folds = [], []
+
+    def flipping(vpa):
+        if len(seen) == n - 1:
+            vpa[0] ^= 1
+        seen.append(vpa)
+        h = compute_vpa_hash(vpa)
+        folds.append((h, xor_fold16(list(vpa))))
+        return h
+
+    monkeypatch.setattr(module, "compute_vpa_hash", flipping)
+    res = execute(bundle, inputs)
+    assert res.status == "tamper"
+    assert res.tamper_cause.kind == HASH_MISMATCH
+    assert not res.tamper_cause.at_decode
+    assert res.guard_execs == len(seen) == n
+    # the flipped stream had been hashed unchanged before
+    assert any(v is seen[-1] for v in seen[:-1])
+    assert all(h == fold for h, fold in folds)
 
 
 def test_callee_trips_the_limit_when_called_from_a_hot_block():
