@@ -22,7 +22,6 @@ import sys
 from array import array
 from functools import lru_cache
 
-from .lift import LiftRecord
 from .risa import CELL, CHECKEE, GUARD_SPEC, RESULT, walk_records
 
 
@@ -58,42 +57,26 @@ def compute_vpa_hash(vpa) -> int:
     return _fold(elems.tobytes())
 
 
-def guard_insertion_indices(records: list[LiftRecord]) -> list[int]:
-    """Record indices a guard may be inserted before.  Index 0 is the
-    function's entry record and stays first; anything else is legal, and
-    inserting before an existing record can never land after a
-    terminator."""
-    return list(range(1, len(records)))
-
-
-def inject_guards(fn_name: str, records: list[LiftRecord],
-                  checkee_names: list[str], risa, lay, rng,
-                  table_index: dict[str, int]) -> list[dict]:
-    """Insert one guard record per checkee at a random legal point.
-    Returns placement notes (checkee, record index before insertion,
-    cell offsets) for reporting and tests."""
-    points = guard_insertion_indices(records)
-    if not points:
+def inject_guards(fn_name: str, n_records: int, checkee_names: list[str],
+                  risa, lay, rng,
+                  table_index: dict[str, int]) -> dict[int, list[list[int]]]:
+    """One guard per checkee, before a random record of a function of
+    `n_records` records, any but record 0, which stays the entry.  Per
+    checkee it draws the point, then the guard opcode on first use, then
+    the cell pair.  Returns each guard's elements keyed by the index of the
+    record it goes before, guards at one record in checkee order."""
+    if n_records < 2:
         raise GuardError(f"@{fn_name} has no legal guard position")
-    placements = []
-    for order, checkee in enumerate(checkee_names):
-        point = rng.choice(points)
+    guards: dict[int, list[list[int]]] = {}
+    for checkee in checkee_names:
+        point = 1 + rng.randrange(n_records - 1)
         opc = risa.opcode_for(GUARD_SPEC, rng)
         exp_off, run_off = lay.add_guard_pair()
-        placements.append({"checkee": checkee, "point": point,
-                           "order": order, "opcode": opc,
-                           "expected_cell": exp_off,
-                           "observed_cell": run_off})
-    # insert from the back so earlier chosen indices stay valid; reverse
-    # edge order within one index so guards appear in assignment order
-    for p in sorted(placements, key=lambda d: (-d["point"], -d["order"])):
-        operand = {CHECKEE: table_index[p["checkee"]],
-                   CELL: p["expected_cell"], RESULT: p["observed_cell"]}
-        rec = LiftRecord(records[p["point"]].block, GUARD_SPEC,
-                         [p["opcode"]] + [operand[role] for role, _
-                                          in GUARD_SPEC.layout])
-        records.insert(p["point"], rec)
-    return placements
+        operand = {CHECKEE: table_index[checkee], CELL: exp_off,
+                   RESULT: run_off}
+        guards.setdefault(point, []).append(
+            [opc] + [operand[role] for role, _ in GUARD_SPEC.layout])
+    return guards
 
 
 def finalize_expected_hashes(bundle) -> int:

@@ -4,11 +4,12 @@ Each instruction becomes one record: an opcode followed by 16-bit
 operands; offsets into the function's memory image for values, region
 bounds for memory access, table indices for calls.  The operands depend
 on the function and its layout alone, so `lift_function` works them out
-once per function, as a template whose opcode elements are left empty;
-each protection draw copies the template and fills in freshly drawn (or
-reused) opcodes with `assign_opcodes`.  Branch targets cannot be known
-until guard placement settles the final record order, so they are
-emitted as 0xFFFF placeholders and patched once the stream is frozen.
+once per function, as templates whose opcode elements are left empty.
+Each protection draw then writes its stream straight from the templates
+with `encode`, in one pass: the draw's opcodes go in, its guards go
+before the records they were placed at, and every branch target, a
+0xFFFF placeholder in the template, is patched to the first element of
+its block once the final order is known.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .ir.core import IrFunction
 from .ir.interp import value_tags
 from .layout import VmLayout
 from .risa import (BASE, BRANCH_PLACEHOLDER, CELL, COUNT, OPCODE_SPACE,
-                   RESULT, TARGET, HandlerSpec, Risa, spec_for_instruction)
+                   RESULT, TARGET, HandlerSpec, spec_for_instruction)
 
 MAX_STREAM_ELEMENTS = 0xFFFE
 
@@ -31,12 +32,13 @@ class LiftError(Exception):
 
 @dataclass(slots=True)
 class LiftRecord:
-    """One record: the block it lowers from, its handler, its elements and
-    the labels of its branch targets.  A lift template's elements are a
-    tuple, kept for every draw; a draw's are a list it may patch."""
+    """One lift template: the block it lowers from, its handler, its
+    elements with the opcode and branch targets left as placeholders, and
+    the labels of its branch targets.  Every draw encodes from it and
+    leaves it as it is."""
     block: str
     spec: HandlerSpec
-    elements: list[int] | tuple[int, ...]
+    elements: tuple[int, ...]
     targets: tuple[str, ...] = ()
 
 
@@ -45,8 +47,8 @@ def lift_function(fn: IrFunction, lay: VmLayout,
     """One template record per instruction, its elements in the order of
     the spec's layout: cells take the IR operands in turn, a region base
     takes the next operand's region, branch targets get placeholders.  The
-    opcode element holds `OPCODE_SPACE`, which names no handler, until
-    `assign_opcodes` fills it in."""
+    opcode element holds `OPCODE_SPACE`, which names no handler; `encode`
+    writes each draw's opcode in its place."""
     tag = value_tags(fn).__getitem__
     slots = lay.slots
     records: list[LiftRecord] = []
@@ -81,60 +83,32 @@ def lift_function(fn: IrFunction, lay: VmLayout,
     return records
 
 
-def assign_opcodes(templates: list[LiftRecord], risa: Risa,
-                   rng) -> list[LiftRecord]:
-    """One draw's records: a copy of each template with its opcode drawn
-    from `rng` into `risa`, in record order.  The templates stay as they
-    were, ready for the next draw."""
-    opcode_of, opcode_for = risa.opcode_of, risa.opcode_for
-    records = []
-    for tmpl in templates:
-        spec = tmpl.spec
-        elems = list(tmpl.elements)
-        # most records reuse an opcode; only a new signature draws one
-        opc = opcode_of.get(spec.number)
-        elems[0] = opcode_for(spec, rng) if opc is None else opc
-        records.append(LiftRecord(tmpl.block, spec, elems, tmpl.targets))
-    return records
-
-
-def record_offsets(records: list[LiftRecord]) -> list[int]:
-    """Element index where each record starts in the flattened stream."""
-    offs = []
-    pos = 0
-    for rec in records:
-        offs.append(pos)
-        pos += len(rec.elements)
-    return offs
-
-
-def resolve_branches(fn_name: str, records: list[LiftRecord]) -> None:
-    """Patch branch placeholders with the element index of the first record
-    of the target block.  Must run after guard placement: a guard placed at
-    a block head becomes that block's entry record."""
-    offs = record_offsets(records)
-    first_of_block: dict[str, int] = {}
-    for rec, off in zip(records, offs):
-        first_of_block.setdefault(rec.block, off)
-
-    for rec in records:
-        if not rec.targets:
-            continue
-        for pos, label in zip(rec.spec.targets, rec.targets):
-            if label not in first_of_block:
-                raise LiftError(f"@{fn_name}: branch targets block "
-                                f"%{label} which lowered to no records")
-            rec.elements[1 + pos] = first_of_block[label]
-
-
-def encode(fn_name: str, records: list[LiftRecord]) -> array:
+def encode(fn_name: str, templates: list[LiftRecord],
+           opcode_of: dict[int, int],
+           guards: dict[int, list[list[int]]]) -> array:
+    """One draw's stream, in one pass over the templates: each template's
+    elements with its opcode from `opcode_of`, preceded by the guards keyed
+    by its index.  A branch target is patched to the first element of its
+    block, so a guard placed before a block's first record heads it."""
     flat: list[int] = []
-    for rec in records:
-        if len(rec.elements) != rec.spec.record_len:
-            raise LiftError(f"@{fn_name}: {rec.spec.kind} record has "
-                            f"{len(rec.elements)} elements, expected "
-                            f"{rec.spec.record_len}")
-        flat.extend(rec.elements)
+    head_of: dict[str, int] = {}
+    branches: list[tuple[int, str]] = []
+    for i, rec in enumerate(templates):
+        if rec.block not in head_of:
+            head_of[rec.block] = len(flat)
+        for elems in guards.get(i, ()):
+            flat += elems
+        start = len(flat)
+        flat += rec.elements
+        flat[start] = opcode_of[rec.spec.number]
+        if rec.targets:
+            for pos, label in zip(rec.spec.targets, rec.targets):
+                branches.append((start + 1 + pos, label))
+    for at, label in branches:
+        if label not in head_of:
+            raise LiftError(f"@{fn_name}: branch targets block "
+                            f"%{label} which lowered to no records")
+        flat[at] = head_of[label]
     if len(flat) > MAX_STREAM_ELEMENTS:
         raise LiftError(f"@{fn_name}: encoded stream needs {len(flat)} "
                         f"elements, beyond the {MAX_STREAM_ELEMENTS} cap")

@@ -8,8 +8,8 @@ stay acyclic so baked values can be settled in one dependency-ordered
 pass; candidates whose addition would close a cycle are simply not
 offered to the sampler.
 
-Functions too small to host a record insertion point cannot check anyone,
-but can still be checked.
+Functions of a single instruction have no guard position, so they cannot
+check anyone, but can still be checked.
 """
 
 from __future__ import annotations
@@ -25,15 +25,10 @@ class GuardEdge:
     checkee: str
 
 
-def insertion_point_count(fn: IrFunction) -> int:
-    """Number of legal guard positions: before any record of any block,
-    except the very first record of the entry block."""
-    total = sum(len(b.instructions) for b in fn.blocks)
-    return total - 1
-
-
 def is_eligible_checker(fn: IrFunction) -> bool:
-    return insertion_point_count(fn) >= 1
+    """A guard may go before any record but the entry block's first, so a
+    function can host one once it has at least two instructions."""
+    return sum(len(b.instructions) for b in fn.blocks) >= 2
 
 
 def _reaches(edges: list[GuardEdge], src: str, dst: str) -> bool:

@@ -4,7 +4,7 @@ Protection has two parts.  The lowering depends on the module alone:
 validation, phi elimination and the re-validation of what it replaced,
 the function table with its intrinsic entries, the functions able to
 host a guard, and, for each function the first time a draw selects it,
-its base memory layout and lifted records with the opcodes left empty.
+its base memory layout and lift templates with the opcodes left empty.
 It is worked out once per parsed module and kept on it (`lowering`), so
 a module protected under many seeds, levels and arms is lowered once.
 
@@ -13,8 +13,11 @@ checking topology, each transformed function's opcodes and its guard
 points.  Those draws all flow from one master generator in a frozen
 order (function selection, then checking topology, then one child
 generator per transformed function in table order, which draws the
-opcodes in record order and then the guard points), so a seed pins the
-output byte for byte regardless of how the pieces evolve internally.
+opcodes in record order and then, per checkee, the guard point, the
+guard opcode on first use and the cell pair), so a seed pins the output
+byte for byte regardless of how the pieces evolve internally.  A draw
+builds no records of its own: it encodes its stream from the templates
+in one pass.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .ir.core import EXTERN_SIGS, IrModule
 from .ir.phi import eliminate_phis
 from .ir.validate import validate_function, validate_module
 from .layout import VmLayout, build_layout, materialize_image
-from .lift import assign_opcodes, encode, lift_function, resolve_branches
+from .lift import encode, lift_function
 from .network import build_checker_network, is_eligible_checker
 from .risa import Risa
 from .rng import SplitMix64
@@ -179,12 +182,14 @@ def virtualize_module(module: IrModule,
         try:
             base, templates = low.lifted(i)
             lay = base.copy()
-            records = assign_opcodes(templates, risa, child)
+            for tmpl in templates:
+                risa.opcode_for(tmpl.spec, child)
+            guards = {}
             if checkees_of.get(fn.name):
-                inject_guards(fn.name, records, checkees_of[fn.name],
-                              risa, lay, child, table_index)
-            resolve_branches(fn.name, records)
-            vpa = encode(fn.name, records)
+                guards = inject_guards(fn.name, len(templates),
+                                       checkees_of[fn.name], risa, lay,
+                                       child, table_index)
+            vpa = encode(fn.name, templates, risa.opcode_of, guards)
         except Exception as err:
             raise ProtectError(f"lowering @{fn.name} failed: {err}") from err
         functions.append(VirtFunction(fn.name, risa, vpa,

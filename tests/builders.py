@@ -9,10 +9,13 @@ from vmguard.bundle import (ExternFunction, PlainFunction, ProtectedBundle,
                             VirtFunction)
 from vmguard.guards import finalize_expected_hashes
 from vmguard.ir import parse_module
+from vmguard.layout import build_layout
+from vmguard.lift import lift_function
 from vmguard.protect import ProtectionConfig, virtualize_module
 from vmguard.risa import (KIND_NAMES, OPCODE_SPACE, HandlerSpec, Risa,
                           handler_spec)
 from vmguard.ir.core import TypeTag
+from vmguard.rng import SplitMix64
 
 # main multiplies its argument; @g exists only to be checked, it is never
 # called.  With @g too small to host a guard, the checker network is forced
@@ -95,6 +98,19 @@ PLAIN_SOURCES = [
 ]
 
 _TAGS = (TypeTag.I1, TypeTag.I8, TypeTag.I16, TypeTag.I32, TypeTag.I64)
+
+
+def drawn_templates(text, table_index, seed):
+    """The first function of `text`, its layout, one draw's opcode table
+    and the lift templates it was drawn over, as a protection draw has
+    them before it places guards and encodes."""
+    fn = parse_module(text).functions[0]
+    lay = build_layout(fn)
+    templates = lift_function(fn, lay, table_index)
+    risa, rng = Risa(), SplitMix64(seed)
+    for tmpl in templates:
+        risa.opcode_for(tmpl.spec, rng)
+    return fn, lay, risa, templates
 
 
 def _random_spec(rng) -> HandlerSpec:

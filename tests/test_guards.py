@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import CHECKED_HELPER, protect_text
+from builders import CHECKED_HELPER, drawn_templates, protect_text
 from oracles import xor_fold16
 from vmguard.guards import (FOLD_MEMO_SIZE, GuardError, _fold,
                             compute_vpa_hash, coverage_report,
                             finalize_expected_hashes, format_coverage,
-                            guard_insertion_indices, inject_guards)
+                            inject_guards)
 from vmguard.ir import parse_module
 from vmguard.layout import build_layout
-from vmguard.lift import assign_opcodes, lift_function
+from vmguard.lift import encode, lift_function
 from vmguard.network import GuardEdge
 from vmguard.risa import Risa, walk_records
 from vmguard.rng import SplitMix64
@@ -77,8 +77,9 @@ def test_same_mask_on_two_elements_preserves_the_checksum(elems, data):
 @example(1025, random.Random(3), list)
 @example(5000, random.Random(4), array)
 def test_checksum_matches_xor_reduce_at_every_length(n, rng, form):
-    # lengths span the element loop, the crossover and several halving
-    # schedules; every container the guards and tests hash is covered
+    # lengths run the `_fold` cascade's halving schedules, from none at
+    # one element to thirteen at 5,000; the array, list and tuple forms
+    # cover every container the guards and tests hash
     elems = [rng.randrange(0x10000) for _ in range(n)]
     vpa = array("H", elems) if form is array else form(elems)
     assert compute_vpa_hash(vpa) == xor_fold16(elems)
@@ -123,52 +124,75 @@ def test_the_fold_memo_keeps_at_most_its_bound():
     assert compute_vpa_hash(array("H", first)) == xor_fold16(first)
 
 
-def _lifted_main():
-    fn = parse_module(CHECKED_HELPER).functions[0]
-    lay = build_layout(fn)
-    risa = Risa()
-    records = assign_opcodes(lift_function(fn, lay, {"main": 0, "g": 1}),
-                             risa, SplitMix64(7))
-    return fn, lay, risa, records
+TABLE = {"main": 0, "g": 1}
+
+# two records: a guard's only legal point is before the `ret`
+TWO_RECORDS = """\
+func @two(i64 %x) -> i64 {
+entry:
+  %one = const i64 1
+  ret i64 %one
+}
+"""
+
+
+def _lifted(text=CHECKED_HELPER, seed=7):
+    return drawn_templates(text, TABLE, seed)[1:]
+
+
+def _inject(lay, risa, templates, checkees, seed):
+    guards = inject_guards("main", len(templates), checkees, risa, lay,
+                           SplitMix64(seed), TABLE)
+    vpa = encode("main", templates, risa.opcode_of, guards)
+    return guards, vpa, walk_records(risa, vpa)
 
 
 def test_insertion_indices_exclude_the_entry_record():
-    _, _, _, records = _lifted_main()
-    assert guard_insertion_indices(records) == list(range(1, len(records)))
+    points = set()
+    for seed in range(200):
+        lay, risa, templates = _lifted()
+        guards, _, records = _inject(lay, risa, templates, ["g"], seed)
+        points.update(guards)
+        assert records[0][1] == templates[0].spec
+    assert points == set(range(1, len(templates)))
 
 
 def test_inject_adds_one_record_per_checkee():
-    _, lay, risa, records = _lifted_main()
-    n = len(records)
+    lay, risa, templates = _lifted()
+    n = len(templates)
     size = lay.size
-    placements = inject_guards("main", records, ["g", "g"], risa, lay,
-                               SplitMix64(3), {"main": 0, "g": 1})
-    assert len(records) == n + 2
+    guards, vpa, records = _inject(lay, risa, templates, ["g", "g"], 3)
     assert lay.size == size + 8          # a 2-byte cell pair per guard
-    assert len(placements) == 2
-    for p in placements:
-        assert set(p) == {"checkee", "point", "order", "opcode",
-                          "expected_cell", "observed_cell"}
-        assert p["checkee"] == "g"
-        assert 1 <= p["point"] < n
-        assert p["observed_cell"] == p["expected_cell"] + 2
-    guards = [r for r in records if r.spec.kind == "guard"]
-    assert len(guards) == 2
-    assert records[0].spec.kind != "guard"
-    for rec in guards:
-        assert rec.elements[1] == 1      # table index of @g
-        assert len(rec.elements) == 4
+    assert sum(len(at) for at in guards.values()) == 2
+    assert all(1 <= point < n for point in guards)
+    for elems in (e for at in guards.values() for e in at):
+        assert len(elems) == 4
+        assert elems[1] == 1             # table index of @g
+        assert elems[3] == elems[2] + 2  # observed cell after expected
+    assert len(records) == n + 2
+    assert records[0][1].kind != "guard"
+    woven = [list(vpa[at:at + 4]) for at, spec in records
+             if spec.kind == "guard"]
+    assert woven == [e for point in sorted(guards) for e in guards[point]]
+
+
+def test_two_guards_at_one_record_keep_checkee_order():
+    lay, risa, templates = _lifted(TWO_RECORDS)
+    guards, vpa, records = _inject(lay, risa, templates, ["g", "main"], 5)
+    assert list(guards) == [1]
+    assert [e[1] for e in guards[1]] == [1, 0]
+    assert [spec.kind for _, spec in records] == \
+        [templates[0].spec.kind, "guard", "guard", templates[1].spec.kind]
+    assert [vpa[at + 1] for at, _ in records[1:3]] == [1, 0]
 
 
 def test_inject_refuses_functions_without_a_legal_point():
     fn = parse_module(CHECKED_HELPER).functions[1]     # single-record @g
     lay = build_layout(fn)
-    risa = Risa()
-    records = assign_opcodes(lift_function(fn, lay, {"main": 0, "g": 1}),
-                             risa, SplitMix64(1))
+    templates = lift_function(fn, lay, TABLE)
     with pytest.raises(GuardError):
-        inject_guards("g", records, ["main"], risa, lay, SplitMix64(2),
-                      {"main": 0, "g": 1})
+        inject_guards("g", len(templates), ["main"], Risa(), lay,
+                      SplitMix64(2), TABLE)
 
 
 def test_finalize_bakes_checkee_hash_into_checker_image():

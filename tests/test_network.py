@@ -3,14 +3,21 @@ from hypothesis import strategies as st
 
 from vmguard.ir import parse_module
 from vmguard.network import (GuardEdge, build_checker_network, in_degrees,
-                             insertion_point_count, is_eligible_checker,
-                             verify_acyclic)
+                             is_eligible_checker, verify_acyclic)
 from vmguard.rng import SplitMix64
 
 TINY = """\
 func @t(i64 %x) -> i64 {
 entry:
   ret i64 %x
+}
+"""
+
+PAIR = """\
+func @p(i64 %x) -> i64 {
+entry:
+  %one = const i64 1
+  ret i64 %one
 }
 """
 
@@ -24,15 +31,9 @@ entry:
 """
 
 
-def test_insertion_points_are_instruction_count_minus_one():
-    tiny = parse_module(TINY).functions[0]
-    medium = parse_module(MEDIUM).functions[0]
-    assert insertion_point_count(tiny) == 0
-    assert insertion_point_count(medium) == 2
-
-
 def test_single_record_functions_cannot_check_anyone():
     assert not is_eligible_checker(parse_module(TINY).functions[0])
+    assert is_eligible_checker(parse_module(PAIR).functions[0])
     assert is_eligible_checker(parse_module(MEDIUM).functions[0])
 
 

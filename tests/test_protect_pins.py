@@ -20,6 +20,7 @@ from conftest import corpus_text
 from vmguard import bundle, protect
 from vmguard.bundle import PlainFunction, serialize
 from vmguard.ir import parse_module
+from vmguard.lift import LiftRecord
 from vmguard.protect import ProtectError, ProtectionConfig, virtualize_module
 
 PROGRAMS = ("fib", "loop_sum", "qsort", "crc32", "sieve", "strsearch")
@@ -141,6 +142,23 @@ def test_each_module_is_lowered_once(monkeypatch):
     assert calls.count("eliminate_phis") == 1
     assert calls.count("build_layout") == functions
     assert calls.count("lift_function") == functions
+
+
+def test_a_draw_on_a_lowered_module_builds_no_records(monkeypatch):
+    module = parse_module(corpus_text("qsort"))
+    virtualize_module(module, ProtectionConfig(seed=1))
+    built = []
+    real = LiftRecord.__init__
+
+    def counted(rec, *args):
+        built.append(rec)
+        real(rec, *args)
+    monkeypatch.setattr(LiftRecord, "__init__", counted)
+    for seed in range(4):
+        for enable_guards in (True, False):
+            virtualize_module(module, ProtectionConfig(
+                seed=seed, guards_per_checkee=3, enable_guards=enable_guards))
+    assert built == []
 
 
 def test_a_plain_function_is_formatted_once(monkeypatch):
